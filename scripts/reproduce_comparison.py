@@ -25,7 +25,7 @@ def main():
     report = run_comparison(ROWS, trials=args.trials, seed=args.seed)
     Path(args.out).write_text(comparison_csv(report) + "\n")
 
-    metrics = [a.metric.value for a in report.rows[0].agreements]
+    metrics = [a.metric_b.value for a in report.rows[0].agreements]
     print(f"% agreement with mplse, pooled over k=1..3 "
           f"({args.trials} trials, seed {args.seed})")
     print(f"{'row':<12}" + "".join(f"{m:>10}" for m in metrics))

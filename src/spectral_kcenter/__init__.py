@@ -8,9 +8,10 @@ from .errors import (AssumptionError, DegenerateEigenvalueError, GenerationError
 from .graphs import (Graph, figure1_graph, laplacian, max_degree, parse_edge_list,
                      path_graph, random_connected_graph, random_tree, relabel,
                      serialize_edge_list, stochastic)
-from .metrics import (AgreementReport, Metric, MetricParams, SelectionResult,
-                      agreement_rate, eigvec_heuristic_score, mplse_score,
-                      msub_score, msup_score, perturbed_laplacian, select_best)
+from .experiments import AgreementReport, agreement_rate
+from .metrics import (Metric, MetricParams, SelectionResult,
+                      eigvec_heuristic_score, mplse_score, msub_score,
+                      msup_score, perturbed_laplacian, select_best)
 from .path_theory import (charpoly_eps_slices_1port, charpoly_eps_slices_2port,
                           end_segment_charpoly, inner_segment_charpoly,
                           lambda_min_quadratic_1port, lambda_min_quadratic_2port,

@@ -109,13 +109,13 @@ def comparison_csv(report: ComparisonReport) -> str:
         for agg in row.agreements:
             for k in report.k_list:
                 lines.append(",".join([
-                    row.row_id, str(row.n), agg.metric.value, str(k),
+                    row.row_id, str(row.n), agg.metric_b.value, str(k),
                     _fmt(agg.per_k[k]), str(agg.counted_per_k[k]),
                     str(agg.skipped_per_k[k]), str(report.trials),
                     str(report.seed), _fmt(report.params.epsilon), tau_echo,
                     _fmt(report.params.rho)]))
             lines.append(",".join([
-                row.row_id, str(row.n), agg.metric.value, "pooled",
+                row.row_id, str(row.n), agg.metric_b.value, "pooled",
                 _fmt(agg.pooled), str(sum(agg.counted_per_k.values())),
                 str(sum(agg.skipped_per_k.values())), str(report.trials),
                 str(report.seed), _fmt(report.params.epsilon), tau_echo,

@@ -1,12 +1,20 @@
-"""Experiment harness: metric comparison tables, the path-graph check
-suite, eigenvalue-shift profiles, convexity tables, and the two-copy
-bridging probe. The CLI is a thin serialization layer over these."""
+"""Experiment harness: selector agreement and the metric comparison table,
+the path-graph check suite, eigenvalue-shift profiles, convexity tables,
+and the two-copy bridging probe. The CLI is a thin serialization layer over
+these.
+
+One loop counts agreement: ``agreement_rate`` runs it, and
+``run_comparison`` runs it once per heuristic metric with a selection memo
+shared across the table. It looks ``select_best`` up in this module's
+globals at call time, so code that rebinds ``experiments.select_best`` (the
+benchmark's recorder, the call-contract test) sees every selection.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,19 +91,81 @@ def _row_instance(row: str, seed: int, row_index: int, trial: int) -> Graph:
 
 
 @dataclass
-class RowAgreement:
-    metric: Metric
-    per_k: dict[int, float]
-    pooled: float
-    counted_per_k: dict[int, int]
-    skipped_per_k: dict[int, int]
+class AgreementReport:
+    """Agreement of two selectors' best sets over an instance stream."""
+
+    metric_a: Metric
+    metric_b: Metric
+    per_k: dict[int, float] = field(default_factory=dict)
+    pooled: float = 0.0
+    skipped_per_k: dict[int, int] = field(default_factory=dict)
+    counted_per_k: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def skipped_total(self) -> int:
+        return sum(self.skipped_per_k.values())
+
+
+def agreement_rate(metric_a: Metric, metric_b: Metric,
+                   instances: Iterable[Graph], trials: int,
+                   k_list: Iterable[int],
+                   params: MetricParams = MetricParams()) -> AgreementReport:
+    """Fraction of (instance, k) pairs on which both selectors pick the same
+    best set, per k and pooled.
+
+    Instances where a selector is undefined (repeated eigenvalue for the
+    eigenvector heuristic) are excluded from the denominator and counted
+    as skipped.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    return _agreement(metric_a, metric_b, instances, trials, k_list, params, {})
+
+
+def _agreement(metric_a: Metric, metric_b: Metric, instances: Iterable[Graph],
+               trials: int, k_list: Iterable[int], params: MetricParams,
+               memo: dict) -> AgreementReport:
+    """The agreement loop. ``memo`` maps (edges, n, k, metric) to a best set
+    and may be shared between calls with the same params."""
+
+    def best(g: Graph, k: int, metric: Metric) -> tuple[int, ...]:
+        key = (g.edges, g.n, k, metric)
+        if key not in memo:
+            memo[key] = select_best(g, k, metric, params).best
+        return memo[key]
+
+    k_list = list(k_list)
+    agree = {k: 0 for k in k_list}
+    counted = {k: 0 for k in k_list}
+    skipped = {k: 0 for k in k_list}
+    stream = iter(instances)
+    for _ in range(trials):
+        g = next(stream)
+        for k in k_list:
+            if k >= g.n:
+                continue
+            try:
+                best_a = best(g, k, metric_a)
+                best_b = best(g, k, metric_b)
+            except DegenerateEigenvalueError:
+                skipped[k] += 1
+                continue
+            counted[k] += 1
+            agree[k] += int(best_a == best_b)
+    per_k = {k: (100.0 * agree[k] / counted[k]) if counted[k] else float("nan")
+             for k in k_list}
+    total_counted = sum(counted.values())
+    pooled = 100.0 * sum(agree.values()) / total_counted if total_counted else float("nan")
+    return AgreementReport(metric_a=metric_a, metric_b=metric_b, per_k=per_k,
+                           pooled=pooled, skipped_per_k=skipped,
+                           counted_per_k=counted)
 
 
 @dataclass
 class ComparisonRow:
     row_id: str
     n: int
-    agreements: list[RowAgreement] = field(default_factory=list)
+    agreements: list[AgreementReport] = field(default_factory=list)
 
 
 @dataclass
@@ -111,7 +181,7 @@ class ComparisonReport:
         bad = []
         for row in self.rows:
             for agg in row.agreements:
-                if agg.metric is Metric.MSUP_LE and not math.isclose(agg.pooled, 100.0):
+                if agg.metric_b is Metric.MSUP_LE and not math.isclose(agg.pooled, 100.0):
                     bad.append(f"{row.row_id}:{agg.pooled:.2f}%")
         return bad
 
@@ -120,19 +190,16 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
                    params: MetricParams = MetricParams(),
                    k_list: Sequence[int] = (1, 2, 3)) -> ComparisonReport:
     """Agreement of every heuristic metric with MPLSE over random instances,
-    pooled over k, mirroring the comparison-table layout."""
+    pooled over k, mirroring the comparison-table layout.
+
+    Each (instance, k, metric) is selected once, row by row and metric by
+    metric in HEURISTIC_METRICS order, with mplse before the other metric.
+    """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params,
                               k_list=tuple(k_list))
-    cache: dict = {}
-
-    def cached_best(g: Graph, k: int, metric: Metric) -> tuple[int, ...]:
-        key = (g.edges, g.n, k, metric)
-        if key not in cache:
-            cache[key] = select_best(g, k, metric, params).best
-        return cache[key]
-
+    memo: dict = {}
     for row_index, row in enumerate(rows):
         instances = [_row_instance(row, seed, row_index, t) for t in range(trials)]
         n = instances[0].n
@@ -141,29 +208,8 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
                 f"row {row!r}: n={n} exceeds the desk-scale cap {COMPARE_MAX_N}")
         crow = ComparisonRow(row_id=row, n=n)
         for metric in HEURISTIC_METRICS:
-            agree = {k: 0 for k in k_list}
-            counted = {k: 0 for k in k_list}
-            skipped = {k: 0 for k in k_list}
-            for g in instances:
-                for k in k_list:
-                    if k >= g.n:
-                        continue
-                    try:
-                        ref = cached_best(g, k, Metric.MPLSE)
-                        other = cached_best(g, k, metric)
-                    except DegenerateEigenvalueError:
-                        skipped[k] += 1
-                        continue
-                    counted[k] += 1
-                    agree[k] += int(ref == other)
-            per_k = {k: (100.0 * agree[k] / counted[k]) if counted[k] else float("nan")
-                     for k in k_list}
-            total = sum(counted.values())
-            pooled = 100.0 * sum(agree.values()) / total if total else float("nan")
-            crow.agreements.append(RowAgreement(metric=metric, per_k=per_k,
-                                                pooled=pooled,
-                                                counted_per_k=counted,
-                                                skipped_per_k=skipped))
+            crow.agreements.append(_agreement(Metric.MPLSE, metric, instances, trials,
+                                              k_list, params, memo))
         report.rows.append(crow)
     return report
 
@@ -234,8 +280,8 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         add("interlacing", interlace if strict else math.inf, 1e-9,
             "odd-position match and strict alternation")
         add("pseudo-toeplitz-value",
-            abs(float(sym_eigen(perturbed_laplacian(L, (1,), 1.0)).values[0])
-                - pseudo_toeplitz_lambda_min(n)), 1e-10)
+            abs(_exact_lambda_min(L, (1,), 1.0) - pseudo_toeplitz_lambda_min(n)),
+            1e-10)
 
     if n % 2 == 0 and (n // 2) % 2 == 1:
         p1, p2 = (n + 2) // 4, (3 * n + 2) // 4
@@ -334,8 +380,9 @@ def conjecture_probe(n: int, eps: float = 0.01) -> dict:
         raise ParameterError(f"probe needs odd n, got {n}")
     g = path_graph(n)
     pstar = (n + 1) // 2
-    L1 = perturbed_laplacian(laplacian(g), (pstar,), eps)
-    lam_ref = float(sym_eigen(L1).values[0])
+    L = laplacian(g)
+    lam_ref = _exact_lambda_min(L, (pstar,), eps)
+    L1 = perturbed_laplacian(L, (pstar,), eps)
     base = np.zeros((2 * n, 2 * n))
     base[:n, :n] = L1
     base[n:, n:] = L1

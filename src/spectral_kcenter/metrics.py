@@ -1,6 +1,10 @@
 """The six k-center selection metrics and the exhaustive subset engine.
 
-Scores are pure functions of (graph, subset, params). ``select_best``
+Scores are pure functions of (graph, subset, params), and each metric is
+computed in one place, ``_subset_scorer``: ``select_best`` scores every
+subset through it, and the public ``*_score`` functions check their port set
+and score through it too. Agreement of two selectors over an instance stream
+(``agreement_rate``) lives in ``experiments``. ``select_best``
 enumerates subsets in lexicographic order, optimizes in the metric's
 direction, collects ties and breaks them toward the lexicographically
 smallest subset, so results are schedule-independent. Two scores a, b tie
@@ -14,14 +18,15 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import Graph, laplacian, max_degree, stochastic
-from .spectral import are_charging_energy, gramian_extraction_energy, sym_eigen
+from .spectral import (are_charging_energy, check_ports, gramian_extraction_energy,
+                       sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -93,18 +98,15 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
     if eps < 0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     L = np.array(L, dtype=float)
-    n = L.shape[0]
-    for j in ports:
-        if not 1 <= j <= n:
-            raise ParameterError(f"port {j} out of range 1..{n}")
+    for j in check_ports(L.shape[0], ports):
         L[j - 1, j - 1] += eps
     return L
 
 
 def mplse_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
     """Smallest eigenvalue of the port-perturbed Laplacian (higher is better)."""
-    Lt = perturbed_laplacian(laplacian(g), ports, params.epsilon)
-    return float(sym_eigen(Lt).values[0])
+    ports = check_ports(g.n, ports)
+    return _subset_scorer(g, len(ports), Metric.MPLSE, params)(ports)
 
 
 def msub_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
@@ -112,22 +114,17 @@ def msub_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
 
     Equals 1 - tau * lambda_min(grounded Laplacian); lower is better.
     """
-    Z = stochastic(g, params.tau_for(g))
-    keep = [i for i in range(g.n) if (i + 1) not in set(ports)]
-    if len(keep) == g.n:
-        raise ParameterError("port set is empty")
-    if not keep:
+    ports = check_ports(g.n, ports)
+    if len(ports) == g.n:
         raise ParameterError("port set must leave at least one node")
-    return float(sym_eigen(Z[np.ix_(keep, keep)]).values[-1])
+    return _subset_scorer(g, len(ports), Metric.MSUB_LE, params)(ports)
 
 
 def msup_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
     """Largest eigenvalue of the super-stochastic matrix Z + eps on port
     diagonal entries; lower is better (stubbornness diffuses best at centers)."""
-    Z = stochastic(g, params.tau_for(g))
-    for j in ports:
-        Z[j - 1, j - 1] += params.epsilon
-    return float(sym_eigen(Z).values[-1])
+    ports = check_ports(g.n, ports)
+    return _subset_scorer(g, len(ports), Metric.MSUP_LE, params)(ports)
 
 
 def _eigvec_magnitudes(g: Graph, k: int) -> np.ndarray:
@@ -147,12 +144,17 @@ def _eigvec_magnitudes(g: Graph, k: int) -> np.ndarray:
 
 def eigvec_heuristic_score(g: Graph, ports, k: int) -> float:
     """Sum of |v_{k+1}| over the port set; lower is better."""
-    mags = _eigvec_magnitudes(g, k)
-    return float(sum(mags[j - 1] for j in ports))
+    ports = check_ports(g.n, ports)
+    return _subset_scorer(g, k, Metric.EIGVEC, MetricParams())(ports)
 
 
 def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
-    """Precompute shared matrices and return a subset -> score callable."""
+    """Precompute shared matrices and return a subset -> score callable.
+
+    The only place a metric is computed: ``select_best`` and the public
+    ``*_score`` functions both score through it. The callable trusts its
+    subset to be a valid port set.
+    """
     if metric is Metric.MPLSE:
         L = laplacian(g)
         eps = params.epsilon
@@ -232,60 +234,3 @@ def select_best(g: Graph, k: int, metric: Metric,
     ties.sort()
     return SelectionResult(metric=metric, k=k, best=ties[0], score=float(best_score),
                            ties=ties, table=table if keep_table else None)
-
-
-@dataclass
-class AgreementReport:
-    """Agreement of two selectors' best sets over an instance stream."""
-
-    metric_a: Metric
-    metric_b: Metric
-    per_k: dict[int, float] = field(default_factory=dict)
-    pooled: float = 0.0
-    skipped_per_k: dict[int, int] = field(default_factory=dict)
-    counted_per_k: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def skipped_total(self) -> int:
-        return sum(self.skipped_per_k.values())
-
-
-def agreement_rate(metric_a: Metric, metric_b: Metric,
-                   instances: Iterable[Graph], trials: int,
-                   k_list: Iterable[int],
-                   params: MetricParams = MetricParams()) -> AgreementReport:
-    """Fraction of (instance, k) pairs on which both selectors pick the same
-    best set, per k and pooled.
-
-    Instances where a selector is undefined (repeated eigenvalue for the
-    eigenvector heuristic) are excluded from the denominator and counted
-    as skipped.
-    """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    k_list = list(k_list)
-    agree = {k: 0 for k in k_list}
-    counted = {k: 0 for k in k_list}
-    skipped = {k: 0 for k in k_list}
-    stream: Iterator[Graph] = iter(instances)
-    for _ in range(trials):
-        g = next(stream)
-        for k in k_list:
-            if k >= g.n:
-                continue
-            try:
-                best_a = select_best(g, k, metric_a, params).best
-                best_b = select_best(g, k, metric_b, params).best
-            except DegenerateEigenvalueError:
-                skipped[k] += 1
-                continue
-            counted[k] += 1
-            agree[k] += int(best_a == best_b)
-    per_k = {k: (100.0 * agree[k] / counted[k]) if counted[k] else float("nan")
-             for k in k_list}
-    total_counted = sum(counted.values())
-    pooled = 100.0 * sum(agree.values()) / total_counted if total_counted else float("nan")
-    return AgreementReport(metric_a=metric_a, metric_b=metric_b, per_k=per_k,
-                           pooled=pooled, skipped_per_k=skipped,
-                           counted_per_k=counted)
-

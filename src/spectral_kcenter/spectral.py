@@ -6,7 +6,7 @@ Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg as sla
@@ -32,7 +32,8 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12, rtol=0):
+    # NaN fails the comparison, so a NaN entry is rejected here too
+    if not (np.abs(A - A.T).max(initial=0.0) <= 1e-12):
         raise ParameterError("matrix is not symmetric")
     try:
         values, vectors = np.linalg.eigh(A)
@@ -114,11 +115,26 @@ def lyapunov_solve(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return X
 
 
+def check_ports(n: int, ports: Iterable[int]) -> tuple[int, ...]:
+    """The port set as a tuple, which must hold distinct nodes in 1..n and
+    at least one of them."""
+    ports = tuple(ports)
+    if not ports:
+        raise ParameterError("port set is empty")
+    for j in ports:
+        if not isinstance(j, (int, np.integer)):
+            raise ParameterError(f"port {j!r} is not a node index")
+        if not 1 <= j <= n:
+            raise ParameterError(f"port {j} out of range 1..{n}")
+    if len(set(ports)) != len(ports):
+        raise ParameterError(f"port set {ports} repeats a node")
+    return ports
+
+
 def _port_matrix(n: int, ports: Sequence[int]) -> np.ndarray:
+    ports = check_ports(n, ports)
     B = np.zeros((n, len(ports)))
     for col, j in enumerate(ports):
-        if not 1 <= j <= n:
-            raise ParameterError(f"port {j} out of range for n={n}")
         B[j - 1, col] = 1.0
     return B
 
@@ -139,8 +155,6 @@ def are_charging_energy(L: np.ndarray, ports: Sequence[int], rho: float = 1e-6) 
     n = L.shape[0]
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
-    if len(ports) == 0:
-        raise ParameterError("port set is empty")
     B = _port_matrix(n, ports)
     k = B.shape[1]
     # Time-reversed LQ data: zdot = L z - B w, cost z'Qz + 2 z'N w + w'R w.
@@ -187,8 +201,6 @@ def gramian_extraction_energy(L: np.ndarray, ports: Sequence[int]) -> float:
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    if len(ports) == 0:
-        raise ParameterError("port set is empty")
     B = _port_matrix(n, ports)
     G = B @ B.T
     Q = lyapunov_solve(-(L + G), G)

@@ -483,7 +483,7 @@ def _agreement(report_obj, row_id, metric):
     for row in report_obj.rows:
         if row.row_id == row_id:
             for agg in row.agreements:
-                if agg.metric is metric:
+                if agg.metric_b is metric:
                     return agg
     raise KeyError((row_id, metric))
 
@@ -565,7 +565,7 @@ def test_criterion_12c_heuristic_columns_reported(comparison_report):
     ok = rep.seed == 424242 and rep.trials == 100
     # every heuristic column present on every row
     for row in rep.rows:
-        metrics = {agg.metric for agg in row.agreements}
+        metrics = {agg.metric_b for agg in row.agreements}
         ok &= metrics == {Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
                           Metric.ARE, Metric.GRAMIAN}
     # qualitative ordering on the tree rows

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from spectral_kcenter import ParameterError
-from spectral_kcenter.experiments import (conjecture_probe, convexity_table,
+from spectral_kcenter import Metric, ParameterError, agreement_rate, experiments
+from spectral_kcenter.experiments import (HEURISTIC_METRICS, _row_instance,
+                                          conjecture_probe, convexity_table,
                                           lambda_profile, parse_graph_source,
                                           path_theory_checks, run_comparison)
 from spectral_kcenter.graphs import serialize_edge_list, path_graph
@@ -92,6 +93,37 @@ def test_run_comparison_deterministic():
     b = run_comparison(["tree:6"], trials=4, seed=9)
     for ra, rb in zip(a.rows[0].agreements, b.rows[0].agreements):
         assert ra.per_k == rb.per_k and ra.pooled == rb.pooled
+
+
+def test_run_comparison_call_contract(monkeypatch):
+    # each (instance, k, metric) is selected once, mplse first and metric-major
+    # within a row, and every column is agreement_rate on the row's instances
+    calls = []
+    select_best = experiments.select_best
+
+    def recording(g, k, metric, *args, **kwargs):
+        calls.append((g.edges, g.n, k, metric))
+        return select_best(g, k, metric, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "select_best", recording)
+    rows = ["path:5", "tree:6"]
+    report = run_comparison(rows, trials=3, seed=1)
+    monkeypatch.undo()
+    assert calls and len(calls) == len(set(calls))
+    first = {}
+    for key in calls:
+        first.setdefault(key[:3], key[3])
+    assert set(first.values()) == {Metric.MPLSE}
+    for n in (5, 6):
+        order = [HEURISTIC_METRICS.index(key[3]) for key in calls
+                 if key[1] == n and key[3] is not Metric.MPLSE]
+        assert order == sorted(order)
+    for row_index, row in enumerate(report.rows):
+        instances = [_row_instance(row.row_id, 1, row_index, t) for t in range(3)]
+        assert [agg.metric_b for agg in row.agreements] == list(HEURISTIC_METRICS)
+        for agg in row.agreements:
+            assert agg == agreement_rate(Metric.MPLSE, agg.metric_b, instances,
+                                         3, (1, 2, 3))
 
 
 def test_run_comparison_rejects_large_order():

@@ -6,9 +6,11 @@ import pytest
 
 from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               MetricParams, ParameterError, agreement_rate,
-                              eigvec_heuristic_score, figure1_graph, laplacian,
-                              mplse_score, msub_score, msup_score, path_graph,
-                              perturbed_laplacian, relabel, select_best)
+                              are_charging_energy, eigvec_heuristic_score,
+                              figure1_graph, gramian_extraction_energy,
+                              laplacian, mplse_score, msub_score, msup_score,
+                              path_graph, perturbed_laplacian, relabel,
+                              select_best)
 from conftest import mixed_corpus
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
@@ -98,6 +100,31 @@ def test_eigvec_score_is_sum_of_magnitudes():
     assert eigvec_heuristic_score(g, (6,), 1) <= 1e-12
     v = eigvec_heuristic_score(g, (1, 2), 1)
     assert v > 0
+
+
+PORT_SCORERS = {
+    "mplse": mplse_score,
+    "msub": msub_score,
+    "msup": msup_score,
+    "eigvec": lambda g, ports: eigvec_heuristic_score(g, ports, 1),
+    "are": lambda g, ports: are_charging_energy(laplacian(g), ports),
+    "gramian": lambda g, ports: gramian_extraction_energy(laplacian(g), ports),
+}
+
+
+@pytest.mark.parametrize("ports", [(0,), (-1,), (6,), (), (2, 2), (2.5,)])
+@pytest.mark.parametrize("scorer", PORT_SCORERS)
+def test_scorers_reject_invalid_port_sets(scorer, ports):
+    # a port set is a nonempty set of distinct nodes in 1..n; negative
+    # indices must not wrap, duplicates must not add eps twice, and a
+    # fractional node must not leave msub with nothing removed
+    with pytest.raises(ParameterError):
+        PORT_SCORERS[scorer](path_graph(5), ports)
+
+
+def test_msub_needs_a_node_left():
+    with pytest.raises(ParameterError):
+        msub_score(path_graph(5), (1, 2, 3, 4, 5))
 
 
 def test_eigvec_degenerate_spectrum():

@@ -36,6 +36,11 @@ def test_sym_eigen_rejects_nonsymmetric():
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_sym_eigen_rejects_nan():
+    with pytest.raises(ParameterError):
+        sym_eigen(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_rayleigh_bounds():
     rng = np.random.default_rng(5)
     for g in (path_graph(6), figure1_graph()):
