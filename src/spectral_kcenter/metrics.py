@@ -1,14 +1,17 @@
 """The six k-center selection metrics and the exhaustive subset engine.
 
 Scores are pure functions of (graph, subset, params), and each metric is
-computed in one place, ``_subset_scorer``: ``select_best`` scores every
-subset through it, and the public ``*_score`` functions check their port set
-and score through it too. Agreement of two selectors over an instance stream
-(``agreement_rate``) lives in ``experiments``. ``select_best``
-enumerates subsets in lexicographic order, optimizes in the metric's
-direction, collects ties and breaks them toward the lexicographically
-smallest subset, so results are schedule-independent. Two scores a, b tie
-when |a - b| <= TIE_RTOL * max(1, |a|, |b|): relative 1e-9 above |score| = 1,
+computed in one place, ``_subset_scorer``, which scores a batch of port sets:
+mplse and msup stack L or Z with eps added on each port diagonal, msub stacks
+principal submatrices of Z, and one ``sym_eigen`` call solves each stack.
+``select_best`` scores every subset, in lexicographic order and in stacks of
+about 2**14 matrix entries; the public ``*_score`` functions check their port
+set and score it as a one-row batch. Agreement of two selectors over an
+instance stream (``agreement_rate``) lives in ``experiments``.
+``select_best`` optimizes in the metric's direction, collects ties and breaks
+them toward the lexicographically smallest subset, so results are
+schedule-independent. Two scores a, b tie when
+|a - b| <= TIE_RTOL * max(1, |a|, |b|): relative 1e-9 above |score| = 1,
 absolute 1e-9 below it (mplse scores, near k*eps/n, fall in the absolute
 range).
 """
@@ -31,6 +34,7 @@ from .spectral import (are_charging_energy, check_ports, gramian_extraction_ener
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
 EIGVEC_GAP_MIN = 1e-9
+_CHUNK_ENTRIES = 2 ** 14
 
 
 class Metric(enum.Enum):
@@ -103,10 +107,14 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
     return L
 
 
+def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) -> float:
+    return float(_subset_scorer(g, k, metric, params)(np.array([ports]))[0])
+
+
 def mplse_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
     """Smallest eigenvalue of the port-perturbed Laplacian (higher is better)."""
     ports = check_ports(g.n, ports)
-    return _subset_scorer(g, len(ports), Metric.MPLSE, params)(ports)
+    return _score_one(g, len(ports), Metric.MPLSE, params, ports)
 
 
 def msub_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
@@ -117,91 +125,82 @@ def msub_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
     ports = check_ports(g.n, ports)
     if len(ports) == g.n:
         raise ParameterError("port set must leave at least one node")
-    return _subset_scorer(g, len(ports), Metric.MSUB_LE, params)(ports)
+    return _score_one(g, len(ports), Metric.MSUB_LE, params, ports)
 
 
 def msup_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
     """Largest eigenvalue of the super-stochastic matrix Z + eps on port
     diagonal entries; lower is better (stubbornness diffuses best at centers)."""
     ports = check_ports(g.n, ports)
-    return _subset_scorer(g, len(ports), Metric.MSUP_LE, params)(ports)
-
-
-def _eigvec_magnitudes(g: Graph, k: int) -> np.ndarray:
-    """|v_{k+1}| for the Laplacian, guarded against a repeated lambda_{k+1}."""
-    dec = sym_eigen(laplacian(g))
-    lam = dec.values
-    if k >= g.n:
-        raise ParameterError(f"need k < n, got k={k}, n={g.n}")
-    gap_below = lam[k] - lam[k - 1]
-    gap_above = lam[k + 1] - lam[k] if k + 1 < g.n else math.inf
-    if min(gap_below, gap_above) <= EIGVEC_GAP_MIN:
-        raise DegenerateEigenvalueError(
-            f"lambda_{k + 1} is repeated (gap {min(gap_below, gap_above):.2e}); "
-            "eigenvector heuristic undefined")
-    return np.abs(dec.vectors[:, k])
+    return _score_one(g, len(ports), Metric.MSUP_LE, params, ports)
 
 
 def eigvec_heuristic_score(g: Graph, ports, k: int) -> float:
     """Sum of |v_{k+1}| over the port set; lower is better."""
     ports = check_ports(g.n, ports)
-    return _subset_scorer(g, k, Metric.EIGVEC, MetricParams())(ports)
+    return _score_one(g, k, Metric.EIGVEC, MetricParams(), ports)
 
 
 def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
-    """Precompute shared matrices and return a subset -> score callable.
+    """Precompute shared matrices and return a batch scorer.
 
-    The only place a metric is computed: ``select_best`` and the public
-    ``*_score`` functions both score through it. The callable trusts its
-    subset to be a valid port set.
+    The scorer maps an (m, k) int array of 1-based port sets to the array of
+    their m scores. It is the only place a metric is computed: ``select_best``
+    and the public ``*_score`` functions (with a one-row batch) both score
+    through it. It trusts every row to be a valid port set.
     """
-    if metric is Metric.MPLSE:
-        L = laplacian(g)
+    if metric in (Metric.MPLSE, Metric.MSUP_LE):
+        # eps on the port diagonal of L or Z, then an end of the spectrum
+        if metric is Metric.MPLSE:
+            base, end = laplacian(g), 0
+        else:
+            base, end = stochastic(g, params.tau_for(g)), -1
         eps = params.epsilon
 
-        def score(S):
-            Lt = L.copy()
-            for j in S:
-                Lt[j - 1, j - 1] += eps
-            return float(sym_eigen(Lt).values[0])
+        def scores(S):
+            mats = np.repeat(base[None], len(S), axis=0)
+            mats[np.arange(len(S))[:, None], S - 1, S - 1] += eps
+            return sym_eigen(mats).values[:, end]
     elif metric is Metric.MSUB_LE:
         Z = stochastic(g, params.tau_for(g))
 
-        def score(S):
-            keep = [i for i in range(g.n) if (i + 1) not in S]
-            return float(sym_eigen(Z[np.ix_(keep, keep)]).values[-1])
-    elif metric is Metric.MSUP_LE:
-        Z0 = stochastic(g, params.tau_for(g))
-        eps = params.epsilon
-
-        def score(S):
-            Z = Z0.copy()
-            for j in S:
-                Z[j - 1, j - 1] += eps
-            return float(sym_eigen(Z).values[-1])
+        def scores(S):
+            keep = np.ones((len(S), g.n), dtype=bool)
+            keep[np.arange(len(S))[:, None], S - 1] = False
+            idx = np.nonzero(keep)[1].reshape(len(S), -1)
+            return sym_eigen(Z[idx[:, :, None], idx[:, None, :]]).values[:, -1]
     elif metric is Metric.EIGVEC:
-        mags = _eigvec_magnitudes(g, k)
+        # |v_{k+1}| of the Laplacian, guarded against a repeated lambda_{k+1}
+        if not 1 <= k < g.n:
+            raise ParameterError(f"need 1 <= k < n, got k={k}, n={g.n}")
+        dec = sym_eigen(laplacian(g))
+        lam = dec.values
+        gap = min(lam[k] - lam[k - 1], lam[k + 1] - lam[k] if k + 1 < g.n else math.inf)
+        if gap <= EIGVEC_GAP_MIN:
+            raise DegenerateEigenvalueError(
+                f"lambda_{k + 1} is repeated (gap {gap:.2e}); "
+                "eigenvector heuristic undefined")
+        mags = np.abs(dec.vectors[:, k])
 
-        def score(S):
-            return float(sum(mags[j - 1] for j in S))
-    elif metric is Metric.ARE:
+        def scores(S):
+            # cumsum adds in port order, bit for bit like a running sum;
+            # sum() would pair the terms of eight or more ports
+            return mags[S - 1].cumsum(axis=1)[:, -1]
+    elif metric in (Metric.ARE, Metric.GRAMIAN):
+        # one Riccati or Lyapunov solve per port set, in the batch's order
         L = laplacian(g)
-        rho = params.rho
 
-        def score(S):
-            return are_charging_energy(L, S, rho)
-    elif metric is Metric.GRAMIAN:
-        L = laplacian(g)
-
-        def score(S):
-            return gramian_extraction_energy(L, S)
+        def scores(S):
+            return np.array([are_charging_energy(L, s, params.rho) if metric is Metric.ARE
+                             else gramian_extraction_energy(L, s) for s in S.tolist()])
     else:  # pragma: no cover
         raise ParameterError(f"unhandled metric {metric}")
-    return score
+    return scores
 
 
-def _is_tie(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_RTOL * max(1.0, abs(a), abs(b))
+def _is_tie(a, b):
+    """Whether scores a and b tie; elementwise over arrays."""
+    return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def select_best(g: Graph, k: int, metric: Metric,
@@ -221,16 +220,13 @@ def select_best(g: Graph, k: int, metric: Metric,
         raise ParameterError(
             f"C({g.n},{k}) = {count} exceeds the enumeration cap {enumeration_cap}")
     score = _subset_scorer(g, k, metric, params)
-    maximize = _MAXIMIZING[metric]
-
-    table: list[tuple[tuple[int, ...], float]] = []
-    best_score = None
-    for S in itertools.combinations(range(1, g.n + 1), k):
-        v = score(S)
-        table.append((S, v))
-        if best_score is None or (v > best_score if maximize else v < best_score):
-            best_score = v
-    ties = [S for (S, v) in table if _is_tie(v, best_score)]
-    ties.sort()
-    return SelectionResult(metric=metric, k=k, best=ties[0], score=float(best_score),
-                           ties=ties, table=table if keep_table else None)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
+        dtype=np.intp, count=count * k).reshape(count, k)
+    chunk = max(1, _CHUNK_ENTRIES // g.n ** 2)  # bounds the memory of a stack
+    scores = np.concatenate([score(subsets[i:i + chunk]) for i in range(0, count, chunk)])
+    best_score = float(scores.max() if _MAXIMIZING[metric] else scores.min())
+    ties = list(map(tuple, subsets[_is_tie(scores, best_score)].tolist()))
+    table = list(zip(map(tuple, subsets.tolist()), scores.tolist())) if keep_table else None
+    return SelectionResult(metric=metric, k=k, best=ties[0], score=best_score,
+                           ties=ties, table=table)

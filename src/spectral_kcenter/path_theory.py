@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AssumptionError, ParameterError
-from .spectral import tridiag_charpoly
+from .spectral import check_ports, tridiag_charpoly
 
 
 def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
@@ -65,12 +65,7 @@ def lambda_min_series_positions(n: int, positions: Sequence[float], eps: float) 
 
 def lambda_min_series_kport(n: int, ports: Sequence[int], eps: float) -> float:
     """Trigonometric second-order series for lambda_min(L_n + eps sum e_p e_p')."""
-    ports = tuple(ports)
-    if len(set(ports)) != len(ports):
-        raise ParameterError(f"ports must be distinct, got {ports}")
-    for p in ports:
-        if not 1 <= p <= n:
-            raise ParameterError(f"port {p} out of range 1..{n}")
+    ports = check_ports(n, ports)
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     return lambda_min_series_positions(n, ports, eps)

@@ -1,5 +1,6 @@
-"""Dense symmetric eigensolving, tridiagonal characteristic polynomials,
-and the small Lyapunov/Riccati solves behind the control-theoretic scores.
+"""Dense symmetric eigensolving of single matrices and stacks, tridiagonal
+characteristic polynomials, and the small Lyapunov/Riccati solves behind the
+control-theoretic scores.
 
 Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 """
@@ -24,25 +25,31 @@ class EigenDecomposition(NamedTuple):
 
 
 def sym_eigen(A: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix with a residual check.
+    """Full eigendecomposition, with a residual check, of a symmetric matrix
+    or of each matrix A_i of an (..., n, n) stack, by one ``eigh`` call that
+    is bitwise equal to solving each matrix alone.
 
-    Raises NumericError instead of silently returning inaccurate pairs:
-    residual must satisfy ||A v - lam v|| <= 1e-9 (1 + ||A||_F) columnwise.
+    Each A_i must be symmetric within 1e-12 and free of NaN (else
+    ParameterError), and its pairs must satisfy ||A_i v - lam v|| <=
+    1e-9 (1 + ||A_i||_F) columnwise (else NumericError, not silently
+    inaccurate pairs).
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ParameterError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     # NaN fails the comparison, so a NaN entry is rejected here too
-    if not (np.abs(A - A.T).max(initial=0.0) <= 1e-12):
+    if not (np.abs(A - np.swapaxes(A, -2, -1)).max(initial=0.0) <= 1e-12):
         raise ParameterError("matrix is not symmetric")
     try:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(A, "fro"))
-    residual = np.linalg.norm(A @ vectors - vectors * values, axis=0)
-    if residual.max(initial=0.0) > tol:
-        raise NumericError(f"eigenpair residual {residual.max():.3e} exceeds {tol:.3e}")
+    tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(A, axis=(-2, -1)))
+    residual = np.linalg.norm(A @ vectors - vectors * values[..., None, :], axis=-2)
+    worst = residual.max(axis=-1, initial=0.0)
+    if np.any(worst > tol):
+        i = np.argmax(worst / tol)  # the matrix furthest over its bound
+        raise NumericError(f"eigenpair residual {worst.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
     return EigenDecomposition(values, vectors)
 
 

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spectral_kcenter
 from spectral_kcenter import Metric, ParameterError, agreement_rate, experiments
 from spectral_kcenter.experiments import (HEURISTIC_METRICS, _row_instance,
                                           conjecture_probe, convexity_table,
@@ -13,9 +16,16 @@ from spectral_kcenter.experiments import (HEURISTIC_METRICS, _row_instance,
 from spectral_kcenter.graphs import serialize_edge_list, path_graph
 
 
+# the CLI child runs the package these tests import, installed or not
+CLI_PATH = os.pathsep.join(filter(None, (
+    str(Path(spectral_kcenter.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH"))))
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "spectral_kcenter.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": CLI_PATH})
 
 
 def test_parse_graph_source_schemes(tmp_path):

@@ -9,8 +9,9 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               are_charging_energy, eigvec_heuristic_score,
                               figure1_graph, gramian_extraction_energy,
                               laplacian, mplse_score, msub_score, msup_score,
-                              path_graph, perturbed_laplacian, relabel,
-                              select_best)
+                              path_graph, perturbed_laplacian,
+                              random_connected_graph, relabel, select_best,
+                              stochastic, sym_eigen)
 from conftest import mixed_corpus
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
@@ -125,6 +126,55 @@ def test_scorers_reject_invalid_port_sets(scorer, ports):
 def test_msub_needs_a_node_left():
     with pytest.raises(ParameterError):
         msub_score(path_graph(5), (1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_eigvec_rejects_bad_k(k):
+    # k indexes the eigenvector v_{k+1}, so it must lie in 1..n-1; a bad k
+    # is a parameter error, not a degenerate spectrum
+    with pytest.raises(ParameterError):
+        eigvec_heuristic_score(path_graph(5), (2,), k)
+
+
+BATCH_CASES = {
+    "fig1-k3": (figure1_graph(), 3),
+    "path40-k2": (path_graph(40), 2),  # 78 batches of 10 port sets
+    "gnp20-k3": (random_connected_graph(20, 0.4, 7), 3),
+    "path10-k8": (path_graph(10), 8),  # numpy's sum() pairs from 8 terms on
+}
+
+
+def _one_at_a_time(g, k, metric, params=MetricParams()):
+    """A scorer of one port set by its own eigensolve or a running sum."""
+    L, Z, eps = laplacian(g), stochastic(g, params.tau_for(g)), params.epsilon
+    if metric is Metric.MPLSE:
+        return lambda S: float(sym_eigen(perturbed_laplacian(L, S, eps)).values[0])
+    if metric is Metric.MSUP_LE:
+        return lambda S: float(sym_eigen(perturbed_laplacian(Z, S, eps)).values[-1])
+    if metric is Metric.MSUB_LE:
+        def msub(S):
+            keep = [i for i in range(g.n) if i + 1 not in S]
+            return float(sym_eigen(Z[np.ix_(keep, keep)]).values[-1])
+        return msub
+    mags = np.abs(sym_eigen(L).vectors[:, k])
+    return lambda S: float(sum(mags[j - 1] for j in S))
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batch_scores_equal_single_scores(case):
+    # select_best scores port sets in stacked batches; every score must be
+    # bitwise the public score of that port set alone and the score of its
+    # own eigensolve
+    g, k = BATCH_CASES[case]
+    single = {Metric.MPLSE: mplse_score, Metric.MSUB_LE: msub_score,
+              Metric.MSUP_LE: msup_score,
+              Metric.EIGVEC: lambda g, S: eigvec_heuristic_score(g, S, k)}
+    for metric, score in single.items():
+        table = select_best(g, k, metric, keep_table=True).table
+        reference = _one_at_a_time(g, k, metric)
+        assert len(table) == math.comb(g.n, k)
+        for S, v in table:
+            assert v == score(g, S) == reference(S), (metric, S)
 
 
 def test_eigvec_degenerate_spectrum():

@@ -85,8 +85,10 @@ def test_series_closed_forms():
 
 
 def test_series_rejects_duplicate_ports():
-    with pytest.raises(ParameterError):
-        lambda_min_series_kport(11, (6, 6), 0.01)
+    # the shared port-set check: distinct integer nodes, at least one
+    for n, ports in ((11, (6, 6)), (5, ()), (5, (1.5,))):
+        with pytest.raises(ParameterError):
+            lambda_min_series_kport(n, ports, 0.01)
 
 
 def test_series_matches_quadratic_on_single_port():

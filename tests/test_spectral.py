@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_kcenter import (IllPosedError, ParameterError, StabilityError,
-                              are_charging_energy, figure1_graph,
+from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
+                              StabilityError, are_charging_energy, figure1_graph,
                               gramian_extraction_energy, lambda_max, lambda_min,
                               laplacian, lyapunov_solve, path_charpoly_lowcoeffs,
-                              path_graph, relabel, stochastic, sym_eigen,
-                              tridiag_charpoly)
+                              path_graph, random_connected_graph, relabel,
+                              stochastic, sym_eigen, tridiag_charpoly)
 from numpy.polynomial import polynomial as P
 
 
@@ -39,6 +39,49 @@ def test_sym_eigen_rejects_nonsymmetric():
 def test_sym_eigen_rejects_nan():
     with pytest.raises(ParameterError):
         sym_eigen(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def _perturbed_stack(n=9, count=12, seed=3):
+    rng = np.random.default_rng(seed)
+    L = laplacian(random_connected_graph(n, 0.4, seed))
+    return L + np.stack([np.diag(rng.random(n) * 0.1) for _ in range(count)])
+
+
+def test_sym_eigen_stack_equals_single_solves():
+    stack = _perturbed_stack()
+    for shaped in (stack, stack.reshape(3, 4, 9, 9)):
+        dec = sym_eigen(shaped)
+        assert dec.values.shape == shaped.shape[:-1]
+        assert dec.vectors.shape == shaped.shape
+        values = dec.values.reshape(-1, 9)
+        vectors = dec.vectors.reshape(-1, 9, 9)
+        for i, A in enumerate(stack):
+            one = sym_eigen(A)
+            assert np.array_equal(values[i], one.values)
+            assert np.array_equal(vectors[i], one.vectors)
+
+
+@pytest.mark.parametrize("defect", ["nan", "asymmetric"])
+def test_sym_eigen_stack_rejects_one_bad_matrix(defect):
+    stack = _perturbed_stack()
+    stack[5, 0, 1] = math.nan if defect == "nan" else stack[5, 0, 1] + 1e-6
+    with pytest.raises(ParameterError):
+        sym_eigen(stack)
+
+
+def test_sym_eigen_stack_checks_each_residual(monkeypatch):
+    stack = _perturbed_stack()
+    eigh = np.linalg.eigh
+
+    def perturbed_eigh(A):
+        values, vectors = eigh(A)
+        vectors = vectors.copy()
+        vectors[7, :, 0] += 1e-6  # one column of one matrix
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    with pytest.raises(NumericError):
+        sym_eigen(stack)
 
 
 def test_rayleigh_bounds():
