@@ -27,9 +27,10 @@ from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
                           lambda_min_quadratic_2port, lambda_min_series_kport,
                           lambda_min_series_positions, optimal_ports,
                           path_eigenpair, pseudo_toeplitz_lambda_min)
-from .spectral import sym_eigen
+from .spectral import check_positive, sym_eigen
 
 COMPARE_MAX_N = 20
+_MAX_GRID_POINTS = 10 ** 5  # bounds the real grid of lambda_profile
 HEURISTIC_METRICS = (Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
                      Metric.ARE, Metric.GRAMIAN)
 
@@ -233,6 +234,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
     assumption are included only when n (and k) satisfy it."""
     if n < 3 or n > 40:
         raise ParameterError(f"path checks support 3 <= n <= 40, got {n}")
+    check_positive("eps", eps)
     results: list[CheckResult] = []
     g = path_graph(n)
     L = laplacian(g)
@@ -332,9 +334,11 @@ def lambda_profile(n: int, eps: float = 0.01,
     L = laplacian(g)
     points: list[float] = []
     if grid_step is not None:
-        if grid_step <= 0:
-            raise ParameterError(f"grid step must be positive, got {grid_step}")
-        m = int(round((n - 1) / grid_step))
+        steps = (n - 1) / check_positive("grid step", grid_step)
+        if not steps < _MAX_GRID_POINTS:  # inf for a tiny step
+            raise ParameterError(f"grid step {grid_step} gives more than "
+                                 f"{_MAX_GRID_POINTS} grid points")
+        m = int(round(steps))
         points = [round(1.0 + i * grid_step, 9) for i in range(m + 1)]
         points = [p for p in points if p <= n]
     points.extend(float(p) for p in range(1, n + 1))

@@ -3,7 +3,9 @@
 Scores are pure functions of (graph, subset, params), and each metric is
 computed in one place, ``_subset_scorer``, which scores a batch of port sets:
 mplse and msup stack L or Z with eps added on each port diagonal, msub stacks
-principal submatrices of Z, and one ``sym_eigen`` call solves each stack.
+principal submatrices of Z, and one ``sym_eigen`` call solves each stack; ARE
+and Gramian pass the whole batch to ``are_charging_energy`` and
+``gramian_extraction_energy``.
 ``select_best`` scores every subset, in lexicographic order and in stacks of
 about 2**14 matrix entries; the public ``*_score`` functions check their port
 set and score it as a one-row batch. Agreement of two selectors over an
@@ -28,8 +30,8 @@ import numpy as np
 
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import Graph, laplacian, max_degree, stochastic
-from .spectral import (are_charging_energy, check_ports, gramian_extraction_energy,
-                       sym_eigen)
+from .spectral import (are_charging_energy, check_ports, check_positive,
+                       gramian_extraction_energy, sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -72,10 +74,8 @@ class MetricParams:
     rho: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.rho <= 0:
-            raise ParameterError(f"rho must be positive, got {self.rho}")
+        check_positive("epsilon", self.epsilon)
+        check_positive("rho", self.rho)
 
     def tau_for(self, g: Graph) -> float:
         """Resolve tau for a graph, validating the stochastic range."""
@@ -99,8 +99,8 @@ class SelectionResult:
 
 def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.ndarray:
     """L with eps added to the diagonal entries indexed by the port set."""
-    if eps < 0:
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ParameterError(f"eps must be finite and nonnegative, got {eps}")
     L = np.array(L, dtype=float)
     for j in check_ports(L.shape[0], ports):
         L[j - 1, j - 1] += eps
@@ -147,7 +147,8 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
     The scorer maps an (m, k) int array of 1-based port sets to the array of
     their m scores. It is the only place a metric is computed: ``select_best``
     and the public ``*_score`` functions (with a one-row batch) both score
-    through it. It trusts every row to be a valid port set.
+    through it. It trusts every row to be a valid port set (the ARE and
+    Gramian functions check each batch again).
     """
     if metric in (Metric.MPLSE, Metric.MSUP_LE):
         # eps on the port diagonal of L or Z, then an end of the spectrum
@@ -186,13 +187,18 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
             # cumsum adds in port order, bit for bit like a running sum;
             # sum() would pair the terms of eight or more ports
             return mags[S - 1].cumsum(axis=1)[:, -1]
-    elif metric in (Metric.ARE, Metric.GRAMIAN):
-        # one Riccati or Lyapunov solve per port set, in the batch's order
+    elif metric is Metric.ARE:
+        # one pencil template per batch, one QZ solve per port set in order
         L = laplacian(g)
 
         def scores(S):
-            return np.array([are_charging_energy(L, s, params.rho) if metric is Metric.ARE
-                             else gramian_extraction_energy(L, s) for s in S.tolist()])
+            return are_charging_energy(L, S, params.rho)
+    elif metric is Metric.GRAMIAN:
+        # one stacked Lyapunov solve per batch
+        L = laplacian(g)
+
+        def scores(S):
+            return gramian_extraction_energy(L, S)
     else:  # pragma: no cover
         raise ParameterError(f"unhandled metric {metric}")
     return scores

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AssumptionError, ParameterError
-from .spectral import check_ports, tridiag_charpoly
+from .spectral import check_positive, check_ports, tridiag_charpoly
 
 
 def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
@@ -66,9 +66,7 @@ def lambda_min_series_positions(n: int, positions: Sequence[float], eps: float) 
 def lambda_min_series_kport(n: int, ports: Sequence[int], eps: float) -> float:
     """Trigonometric second-order series for lambda_min(L_n + eps sum e_p e_p')."""
     ports = check_ports(n, ports)
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    return lambda_min_series_positions(n, ports, eps)
+    return lambda_min_series_positions(n, ports, check_positive("eps", eps))
 
 
 def series_optimum(n: int, k: int, eps: float) -> float:

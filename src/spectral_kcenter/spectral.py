@@ -2,11 +2,17 @@
 characteristic polynomials, and the small Lyapunov/Riccati solves behind the
 control-theoretic scores.
 
+``sym_eigen`` and ``lyapunov_solve`` take one matrix or an (..., n, n) stack
+and solve a stack in one ``eigh`` call, bitwise equal to solving each matrix
+alone. ``are_charging_energy`` and ``gramian_extraction_energy`` score one
+port set or an (m, k) array of port sets: the Gramian as one stacked
+Lyapunov solve, ARE as one QZ solve per set on copies of one pencil template.
 Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -103,22 +109,36 @@ def path_charpoly_lowcoeffs(n: int) -> tuple[float, float, float, float]:
 
 
 def lyapunov_solve(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Solve A^T X + X A + W = 0 for symmetric Hurwitz A by eigenbasis transform."""
+    """Solve A^T X + X A + W = 0 for symmetric Hurwitz A by eigenbasis
+    transform, for one matrix pair or for each pair of matching (..., n, n)
+    stacks, by one stacked ``sym_eigen`` call; each solution is bitwise equal
+    to solving its pair alone.
+
+    Each A_i must be negative definite (else StabilityError) and each X_i
+    must satisfy ||A_i^T X_i + X_i A_i + W_i||_F <= 1e-9 (1 + ||W_i||_F)
+    (else NumericError); a failing stack reports the matrix furthest out.
+    """
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
+    if W.shape != A.shape:
+        raise ParameterError(f"shapes differ: A {A.shape}, W {W.shape}")
     dec = sym_eigen(A)
-    if dec.values[-1] >= -1e-12:
+    top = dec.values[..., -1]
+    if np.any(top >= -1e-12):
         raise StabilityError(
-            f"matrix is not negative definite (lambda_max = {dec.values[-1]:.3e})")
+            f"matrix is not negative definite (lambda_max = {top.max():.3e})")
     V = dec.vectors
-    Wt = V.T @ W @ V
-    denom = dec.values[:, None] + dec.values[None, :]
-    X = V @ (Wt / (-denom)) @ V.T
-    X = 0.5 * (X + X.T)
-    resid = np.linalg.norm(A.T @ X + X @ A + W, "fro")
-    tol = 1e-9 * (1.0 + np.linalg.norm(W, "fro"))
-    if resid > tol:
-        raise NumericError(f"Lyapunov residual {resid:.3e} exceeds {tol:.3e}")
+    Vt = np.swapaxes(V, -2, -1)
+    Wt = Vt @ W @ V
+    denom = dec.values[..., :, None] + dec.values[..., None, :]
+    X = V @ (Wt / (-denom)) @ Vt
+    X = 0.5 * (X + np.swapaxes(X, -2, -1))
+    resid = np.linalg.norm(np.swapaxes(A, -2, -1) @ X + X @ A + W, axis=(-2, -1))
+    tol = 1e-9 * (1.0 + np.linalg.norm(W, axis=(-2, -1)))
+    if np.any(resid > tol):
+        i = np.argmax(resid / tol)  # the pair furthest over its bound
+        raise NumericError(
+            f"Lyapunov residual {resid.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
     return X
 
 
@@ -138,17 +158,35 @@ def check_ports(n: int, ports: Iterable[int]) -> tuple[int, ...]:
     return ports
 
 
-def _port_matrix(n: int, ports: Sequence[int]) -> np.ndarray:
-    ports = check_ports(n, ports)
-    B = np.zeros((n, len(ports)))
-    for col, j in enumerate(ports):
-        B[j - 1, col] = 1.0
-    return B
+def check_positive(name: str, value: float) -> float:
+    """The value, which must be finite and positive (NaN and inf are not)."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
-def are_charging_energy(L: np.ndarray, ports: Sequence[int], rho: float = 1e-6) -> float:
+def _port_sets(n: int, ports) -> tuple[np.ndarray, bool]:
+    """One port set or an (m, k) array of them as an (m, k) int array, with
+    whether ``ports`` was one set. Every row is checked like ``check_ports``."""
+    if np.ndim(ports) != 2:
+        return np.array([check_ports(n, ports)], dtype=np.intp), True
+    S = np.asarray(ports)
+    if S.dtype.kind not in "iu":
+        raise ParameterError(f"port sets must hold node indices, got dtype {S.dtype}")
+    if S.shape[1] == 0:
+        raise ParameterError("port set is empty")
+    if S.size and not (S.min() >= 1 and S.max() <= n):
+        raise ParameterError(f"port out of range 1..{n}")
+    ordered = np.sort(S, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise ParameterError("a port set repeats a node")
+    return S, False
+
+
+def are_charging_energy(L: np.ndarray, ports, rho: float = 1e-6) -> float | np.ndarray:
     """Minimum regularized energy to charge the RC network to all-ones
-    through the given ports.
+    through the given ports: a float for one port set, an array of m values
+    for an (m, k) array of port sets.
 
     The charging trajectory runs from rest to the consensus state; the
     supplied power v^T i is regularized by rho*(|i|^2 + |x|^2) so the
@@ -156,25 +194,40 @@ def are_charging_energy(L: np.ndarray, ports: Sequence[int], rho: float = 1e-6) 
     passivity cost is port-independent: reversible quasistatic charging
     always costs exactly the stored energy n/2). Solved on the stable
     deflating subspace of the extended Hamiltonian pencil, which keeps
-    full accuracy for small rho and for ports on symmetry axes.
+    full accuracy for small rho and for ports on symmetry axes. The
+    pencil's port-independent blocks are built once per call; each port set
+    fills in its 4k port entries and gets its own QZ solve and checks.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    if rho <= 0:
-        raise ParameterError(f"rho must be positive, got {rho}")
-    B = _port_matrix(n, ports)
-    k = B.shape[1]
-    # Time-reversed LQ data: zdot = L z - B w, cost z'Qz + 2 z'N w + w'R w.
-    Q = rho * np.eye(n)
-    N = 0.5 * B
-    R = rho * np.eye(k)
-    M = np.block([
+    check_positive("rho", rho)
+    S, single = _port_sets(n, ports)
+    k = S.shape[1]
+    # Time-reversed LQ data: zdot = L z - B w, cost z'Qz + 2 z'N w + w'R w,
+    # here with B = N = 0; each port set writes its entries of -B, -N, N'
+    # and -B' into a copy.
+    B = np.zeros((n, k))
+    template = np.block([
         [L, np.zeros((n, n)), -B],
-        [-Q, -L.T, -N],
-        [N.T, -B.T, R],
+        [-rho * np.eye(n), -L.T, -0.5 * B],
+        [0.5 * B.T, -B.T, rho * np.eye(k)],
     ])
     E = np.zeros((2 * n + k, 2 * n + k))
     E[: 2 * n, : 2 * n] = np.eye(2 * n)
+    cols = 2 * n + np.arange(k)
+    values = np.empty(len(S))
+    for i, rows in enumerate(S - 1):
+        M = template.copy()
+        M[rows, cols] = -1.0
+        M[n + rows, cols] = -0.5
+        M[cols, rows] = 0.5
+        M[cols, n + rows] = -1.0
+        values[i] = _pencil_energy(M, E, n)
+    return float(values[0]) if single else values
+
+
+def _pencil_energy(M: np.ndarray, E: np.ndarray, n: int) -> float:
+    """1'X1 from the stable deflating subspace of the pencil (M, E)."""
     try:
         _, _, alpha, beta, _, Z = sla.ordqz(M, E, sort="lhp", output="real")
     except Exception as exc:  # LinAlgError or convergence failure
@@ -198,18 +251,24 @@ def are_charging_energy(L: np.ndarray, ports: Sequence[int], rho: float = 1e-6) 
     return value
 
 
-def gramian_extraction_energy(L: np.ndarray, ports: Sequence[int]) -> float:
+def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
     """Energy dissipated in unit port resistors when the network discharges
-    from the all-ones state.
+    from the all-ones state: a float for one port set, an array of m values
+    for an (m, k) array of port sets.
 
     With B the port selector and A = -(L + B B^T), returns 1^T Q 1 for the
     observability Gramian Q solving A^T Q + Q A + B B^T = 0. The grounded
-    system is stable for any connected graph and nonempty port set.
+    system is stable for any connected graph and nonempty port set. A
+    batch is one stacked ``lyapunov_solve``.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    B = _port_matrix(n, ports)
-    G = B @ B.T
+    S, single = _port_sets(n, ports)
+    G = np.zeros((len(S), n, n))
+    G[np.arange(len(S))[:, None], S - 1, S - 1] = 1.0
     Q = lyapunov_solve(-(L + G), G)
     ones = np.ones(n)
-    return float(ones @ Q @ ones)
+    # a row-vector product per matrix, as one solve computes it; ones @ Q @
+    # ones on a stack runs a gemv over the rows and changes the last bits
+    values = ((ones @ Q)[:, None, :] @ ones)[:, 0]
+    return float(values[0]) if single else values

@@ -185,6 +185,41 @@ def test_cli_parameter_errors_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("select", "--graph", "path:3", "--k", "1", "--metric", "gramian",
+     "--epsilon", "nan"),
+    ("select", "--graph", "path:3", "--k", "1", "--metric", "mplse",
+     "--epsilon", "nan"),
+    ("select", "--graph", "path:3", "--k", "1", "--metric", "mplse",
+     "--epsilon", "inf"),
+    ("select", "--graph", "path:4", "--k", "1", "--metric", "are", "--rho", "nan"),
+    ("path-theory", "--n", "8", "--epsilon", "nan"),
+    ("lambda-profile", "--n", "5", "--epsilon", "inf"),
+    ("convexity", "--n", "6", "--epsilon", "nan"),
+], ids=["gramian-eps-nan", "mplse-eps-nan", "mplse-eps-inf", "are-rho-nan",
+        "path-theory-eps-nan", "lambda-profile-eps-inf", "convexity-eps-nan"])
+def test_cli_non_finite_parameters_exit_2(args):
+    # NaN and inf are parameter errors, not a numeric failure or a NaN
+    # written into the JSON output
+    r = run_cli(*args)
+    assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
+    assert "finite and" in r.stderr
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "1e-9"])
+def test_cli_lambda_profile_rejects_bad_grid_step(step):
+    # 1e-9 on P_5 would ask for a 4e9-point grid
+    r = run_cli("lambda-profile", "--n", "5", "--grid-step", step)
+    assert r.returncode == 2, (r.returncode, r.stderr)
+    assert r.stderr.startswith("error: parameter:")
+
+
+@pytest.mark.parametrize("step", [math.nan, -0.1, 1e-9, 1e-320])
+def test_lambda_profile_rejects_bad_grid_step(step):
+    with pytest.raises(ParameterError):
+        lambda_profile(5, grid_step=step)
+
+
 def test_cli_numeric_errors_exit_3(tmp_path):
     star = tmp_path / "star.txt"
     star.write_text("4\n1 2\n1 3\n1 4\n")

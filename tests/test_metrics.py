@@ -8,10 +8,11 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               MetricParams, ParameterError, agreement_rate,
                               are_charging_energy, eigvec_heuristic_score,
                               figure1_graph, gramian_extraction_energy,
-                              laplacian, mplse_score, msub_score, msup_score,
-                              path_graph, perturbed_laplacian,
-                              random_connected_graph, relabel, select_best,
-                              stochastic, sym_eigen)
+                              laplacian, lyapunov_solve, mplse_score,
+                              msub_score, msup_score, path_graph,
+                              perturbed_laplacian, random_connected_graph,
+                              relabel, select_best, stochastic, sym_eigen)
+from spectral_kcenter.spectral import _pencil_energy
 from conftest import mixed_corpus
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
@@ -141,7 +142,12 @@ BATCH_CASES = {
     "path40-k2": (path_graph(40), 2),  # 78 batches of 10 port sets
     "gnp20-k3": (random_connected_graph(20, 0.4, 7), 3),
     "path10-k8": (path_graph(10), 8),  # numpy's sum() pairs from 8 terms on
+    "gnp9-k2": (random_connected_graph(9, 0.4, 11), 2),
 }
+# the control-theoretic scores batched on each case, besides the spectral four
+CONTROL_METRICS = {"fig1-k3": (Metric.ARE, Metric.GRAMIAN),
+                   "gnp9-k2": (Metric.ARE, Metric.GRAMIAN),
+                   "gnp20-k3": (Metric.GRAMIAN,)}
 
 
 def _one_at_a_time(g, k, metric, params=MetricParams()):
@@ -156,8 +162,33 @@ def _one_at_a_time(g, k, metric, params=MetricParams()):
             keep = [i for i in range(g.n) if i + 1 not in S]
             return float(sym_eigen(Z[np.ix_(keep, keep)]).values[-1])
         return msub
-    mags = np.abs(sym_eigen(L).vectors[:, k])
-    return lambda S: float(sum(mags[j - 1] for j in S))
+    if metric is Metric.EIGVEC:
+        mags = np.abs(sym_eigen(L).vectors[:, k])
+        return lambda S: float(sum(mags[j - 1] for j in S))
+    ones = np.ones(g.n)
+
+    def selector(S):
+        B = np.zeros((g.n, len(S)))
+        B[np.subtract(S, 1), np.arange(len(S))] = 1.0
+        return B
+
+    if metric is Metric.GRAMIAN:
+        def gramian(S):
+            B = selector(S)
+            G = B @ B.T
+            return float(ones @ lyapunov_solve(-(L + G), G) @ ones)
+        return gramian
+
+    def are(S):
+        # the whole pencil built for this port set alone
+        B, n, k, rho = selector(S), g.n, len(S), params.rho
+        M = np.block([[L, np.zeros((n, n)), -B],
+                      [-(rho * np.eye(n)), -L.T, -(0.5 * B)],
+                      [(0.5 * B).T, -B.T, rho * np.eye(k)]])
+        E = np.zeros((2 * n + k, 2 * n + k))
+        E[: 2 * n, : 2 * n] = np.eye(2 * n)
+        return _pencil_energy(M, E, n)
+    return are
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
@@ -168,13 +199,40 @@ def test_batch_scores_equal_single_scores(case):
     g, k = BATCH_CASES[case]
     single = {Metric.MPLSE: mplse_score, Metric.MSUB_LE: msub_score,
               Metric.MSUP_LE: msup_score,
-              Metric.EIGVEC: lambda g, S: eigvec_heuristic_score(g, S, k)}
-    for metric, score in single.items():
+              Metric.EIGVEC: lambda g, S: eigvec_heuristic_score(g, S, k),
+              Metric.ARE: lambda g, S: are_charging_energy(laplacian(g), S),
+              Metric.GRAMIAN: lambda g, S: gramian_extraction_energy(laplacian(g), S)}
+    metrics = [Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE, Metric.EIGVEC,
+               *CONTROL_METRICS.get(case, ())]
+    for metric in metrics:
+        score = single[metric]
         table = select_best(g, k, metric, keep_table=True).table
         reference = _one_at_a_time(g, k, metric)
         assert len(table) == math.comb(g.n, k)
         for S, v in table:
             assert v == score(g, S) == reference(S), (metric, S)
+
+
+@pytest.mark.parametrize("defect", ["repeated", "zero", "beyond-n", "fractional"])
+@pytest.mark.parametrize("scorer", ["are", "gramian"])
+def test_port_set_stack_rejects_one_bad_row(scorer, defect):
+    g = figure1_graph()
+    S = np.array(list(itertools.combinations(range(1, g.n + 1), 2)))
+    bad = {"repeated": [4, 4], "zero": [0, 3], "beyond-n": [3, g.n + 1],
+           "fractional": [2.5, 3]}[defect]
+    S = np.vstack([S[:7], [bad], S[7:]])
+    with pytest.raises(ParameterError):
+        PORT_SCORERS[scorer](g, S)
+
+
+def test_control_scores_take_one_set_or_a_stack():
+    L = laplacian(path_graph(6))
+    S = np.array([[1, 4], [2, 5], [3, 6]])
+    for score in (are_charging_energy, gramian_extraction_energy):
+        one = score(L, (2, 5))
+        assert isinstance(one, float)
+        batch = score(L, S)
+        assert batch.shape == (3,) and batch[1] == one
 
 
 def test_eigvec_degenerate_spectrum():
@@ -220,6 +278,18 @@ def test_metric_params_validation():
     with pytest.raises(ParameterError):
         Metric.parse("fiedler")
     assert Metric.parse("MSUB") is Metric.MSUB_LE
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(value):
+    with pytest.raises(ParameterError):
+        MetricParams(epsilon=value)
+    with pytest.raises(ParameterError):
+        MetricParams(rho=value)
+    with pytest.raises(ParameterError):
+        perturbed_laplacian(laplacian(path_graph(3)), (2,), value)
+    with pytest.raises(ParameterError):
+        are_charging_energy(laplacian(path_graph(3)), (2,), rho=value)
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (15, 5)])

@@ -179,6 +179,60 @@ def test_lyapunov_rejects_unstable():
         lyapunov_solve(laplacian(path_graph(3)), np.eye(3))
 
 
+def _lyapunov_stack(n=9, count=12, seed=3):
+    """Grounded systems -(L + D_i) with random positive port weights D_i and
+    symmetric right-hand sides W_i."""
+    rng = np.random.default_rng(seed)
+    L = laplacian(random_connected_graph(n, 0.4, seed))
+    A = -(L + np.stack([np.diag(rng.random(n) * (rng.random(n) < 0.4) + 1e-2)
+                        for _ in range(count)]))
+    W = rng.normal(size=(count, n, n))
+    return A, W @ np.swapaxes(W, -2, -1)
+
+
+def test_lyapunov_stack_equals_single_solves():
+    A, W = _lyapunov_stack()
+    for shape in ((12, 9, 9), (3, 4, 9, 9)):
+        X = lyapunov_solve(A.reshape(shape), W.reshape(shape))
+        assert X.shape == shape
+        for i, Xi in enumerate(X.reshape(12, 9, 9)):
+            assert np.array_equal(Xi, lyapunov_solve(A[i], W[i]))
+
+
+def test_lyapunov_stack_rejects_one_unstable_matrix():
+    A, W = _lyapunov_stack()
+    A[5] = laplacian(path_graph(9))  # positive semidefinite
+    with pytest.raises(StabilityError):
+        lyapunov_solve(A, W)
+
+
+def test_lyapunov_rejects_mismatched_shapes():
+    A, W = _lyapunov_stack()
+    with pytest.raises(ParameterError):
+        lyapunov_solve(A, W[:-1])
+
+
+@pytest.mark.parametrize("layer", ["eigh", "sym_eigen"])
+def test_lyapunov_stack_checks_each_residual(monkeypatch, layer):
+    # perturbing eigh's vectors trips sym_eigen's own residual check;
+    # perturbing the decomposition lyapunov_solve receives reaches its
+    # Lyapunov residual check
+    from spectral_kcenter import spectral
+    A, W = _lyapunov_stack()
+    solve = np.linalg.eigh if layer == "eigh" else spectral.sym_eigen
+
+    def perturbed(M):
+        values, vectors = solve(M)
+        vectors = vectors.copy()
+        vectors[7, :, 0] += 1e-6  # one column of one matrix
+        return spectral.EigenDecomposition(values, vectors)
+
+    monkeypatch.setattr(np.linalg if layer == "eigh" else spectral, layer, perturbed)
+    with pytest.raises(NumericError,
+                       match="eigenpair" if layer == "eigh" else "Lyapunov residual"):
+        lyapunov_solve(A, W)
+
+
 def test_charging_energy_single_capacitor():
     # one unit capacitor charged through its own port: stored energy 1/2,
     # regularization adds O(rho)
