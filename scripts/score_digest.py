@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Digest every selection score on a fixed corpus, one sha256 per metric.
+
+For each metric named on the command line, runs
+``select_best(g, k, metric, keep_table=True)`` for k = 1..3 on every graph of
+the corpus and hashes, in order, each graph's edge list and k, then either
+every table score as float64 bytes with the best set and the tie set, or the
+type of the error raised. Two commits that print the same digest for a metric
+score that metric bit for bit alike on the corpus.
+
+The corpus is fixed: the five comparison rows at 10 trials and seed 424242,
+drawn as ``run_comparison`` draws them, then path:20, a random tree and a
+G(20, 0.4) at the same seed.
+
+    PYTHONPATH=src python3 scripts/score_digest.py are gramian
+"""
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from spectral_kcenter.errors import NumericError
+from spectral_kcenter.experiments import _row_instance
+from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
+from spectral_kcenter.metrics import Metric, select_best
+
+ROWS = ("path:11", "tree:7", "tree:9", "general:7", "general:9")
+TRIALS = 10
+SEED = 424242
+K_LIST = (1, 2, 3)
+
+
+def corpus():
+    graphs = [_row_instance(row, SEED, i, t)
+              for i, row in enumerate(ROWS) for t in range(TRIALS)]
+    return graphs + [path_graph(20), random_tree(20, SEED),
+                     random_connected_graph(20, 0.4, SEED)]
+
+
+def metric_digest(metric: Metric, graphs) -> tuple[str, int, int]:
+    """The digest, the number of scores and the number of errors."""
+    h = hashlib.sha256()
+    scores = errors = 0
+    for g in graphs:
+        for k in K_LIST:
+            h.update(f"n={g.n} edges={g.sorted_edges()} k={k}\n".encode())
+            try:
+                res = select_best(g, k, metric, keep_table=True)
+            except NumericError as exc:
+                errors += 1
+                h.update(f"raised {type(exc).__name__}\n".encode())
+                continue
+            values = np.array([v for _, v in res.table], dtype=np.float64)
+            scores += len(values)
+            h.update(values.tobytes())
+            h.update(f"best={res.best} ties={res.ties}\n".encode())
+    return h.hexdigest(), scores, errors
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("metrics", nargs="+", type=Metric.parse,
+                    help="metric names: " + ", ".join(m.value for m in Metric))
+    args = ap.parse_args()
+    graphs = corpus()
+    for metric in args.metrics:
+        digest, scores, errors = metric_digest(metric, graphs)
+        print(f"{metric.value} {digest} scores={scores} errors={errors}")
+
+
+if __name__ == "__main__":
+    main()

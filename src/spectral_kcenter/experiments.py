@@ -231,9 +231,12 @@ def path_theory_checks(n: int, k: Optional[int] = None,
                        eps: float = 0.01) -> list[CheckResult]:
     """Run the path-graph oracle suite for order n; each check reports a
     residual and pass flag. Checks that need a parity or divisibility
-    assumption are included only when n (and k) satisfy it."""
+    assumption are included only when n (and k) satisfy it; k, if given,
+    must be in 1..n-1."""
     if n < 3 or n > 40:
         raise ParameterError(f"path checks support 3 <= n <= 40, got {n}")
+    if k is not None and not 1 <= k < n:
+        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     check_positive("eps", eps)
     results: list[CheckResult] = []
     g = path_graph(n)

@@ -6,7 +6,9 @@ control-theoretic scores.
 and solve a stack in one ``eigh`` call, bitwise equal to solving each matrix
 alone. ``are_charging_energy`` and ``gramian_extraction_energy`` score one
 port set or an (m, k) array of port sets: the Gramian as one stacked
-Lyapunov solve, ARE as one QZ solve per set on copies of one pencil template.
+Lyapunov solve, ARE as one QZ solve per set on copies of one pencil template,
+LAPACK's ``gges`` and ``tgsen`` called directly with their lookup, workspace
+query and finiteness check done once per batch.
 Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 """
 
@@ -195,8 +197,11 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = 1e-6) -> float | np.n
     always costs exactly the stored energy n/2). Solved on the stable
     deflating subspace of the extended Hamiltonian pencil, which keeps
     full accuracy for small rho and for ports on symmetry axes. The
-    pencil's port-independent blocks are built once per call; each port set
-    fills in its 4k port entries and gets its own QZ solve and checks.
+    pencil's port-independent blocks, their finiteness check, the LAPACK
+    lookup and the workspace query are done once per call; each port set
+    fills in its 4k port entries and gets its own ``gges`` + ``tgsen`` solve
+    (``scipy.linalg.ordqz(sort="lhp")`` without the left Schur vectors, bit
+    for bit) and checks.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -207,31 +212,100 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = 1e-6) -> float | np.n
     # here with B = N = 0; each port set writes its entries of -B, -N, N'
     # and -B' into a copy.
     B = np.zeros((n, k))
-    template = np.block([
+    template = np.asfortranarray(np.block([
         [L, np.zeros((n, n)), -B],
         [-rho * np.eye(n), -L.T, -0.5 * B],
         [0.5 * B.T, -B.T, rho * np.eye(k)],
-    ])
-    E = np.zeros((2 * n + k, 2 * n + k))
+    ]))
+    E = np.zeros((2 * n + k, 2 * n + k), order="F")
     E[: 2 * n, : 2 * n] = np.eye(2 * n)
+    stable_schur = _stable_schur_solver(template, E)
     cols = 2 * n + np.arange(k)
     values = np.empty(len(S))
     for i, rows in enumerate(S - 1):
-        M = template.copy()
+        M = template.copy(order="F")
         M[rows, cols] = -1.0
         M[n + rows, cols] = -0.5
         M[cols, rows] = 0.5
         M[cols, n + rows] = -1.0
-        values[i] = _pencil_energy(M, E, n)
+        values[i] = _pencil_energy(*stable_schur(M), n)
     return float(values[0]) if single else values
 
 
-def _pencil_energy(M: np.ndarray, E: np.ndarray, n: int) -> float:
-    """1'X1 from the stable deflating subspace of the pencil (M, E)."""
-    try:
-        _, _, alpha, beta, _, Z = sla.ordqz(M, E, sort="lhp", output="real")
-    except Exception as exc:  # LinAlgError or convergence failure
-        raise NumericError(f"QZ decomposition failed: {exc}") from exc
+def _no_select(alphar, alphai, beta):
+    return None
+
+
+def _stable_schur_solver(template: np.ndarray, E: np.ndarray):
+    """A solver of the pencils (M, E), for every M that differs from the
+    Fortran-ordered ``template`` only in finite entries, returning
+    ``(alpha, beta, Z)``: the generalized eigenvalues and the right Schur
+    vectors with the left-half-plane eigenvalues ordered first.
+
+    This is ``scipy.linalg.ordqz(M, E, sort="lhp", output="real")`` made of
+    the same ``gges`` and ``tgsen`` calls with the same workspace, so its
+    results are bitwise ordqz's; the finiteness check, the LAPACK lookup and
+    the workspace query run once here. The left Schur vectors are not
+    formed: LAPACK only applies the same rotations to them and never reads
+    them back. Every failure raises NumericError with scipy's message, and
+    so does a QZ iteration that did not converge, where ordqz only warns.
+    """
+    if not (np.isfinite(template).all() and np.isfinite(E).all()):
+        raise NumericError("QZ decomposition failed: array must not contain infs or NaNs")
+    gges, tgsen = sla.get_lapack_funcs(("gges", "tgsen"), (template, E))
+    N = template.shape[0]
+    # the query ordqz makes, left Schur vectors included, so the workspace
+    # and with it the blocking inside gges are ordqz's
+    lwork = gges(_no_select, template, E, lwork=-1)[-2][0].real.astype(int)
+    unused_q = np.empty((N, N), order="F")  # tgsen's Q, never touched when wantq=0
+
+    def solve(M):
+        AA, BB, _, alphar, alphai, beta, _, Z, _, info = gges(
+            _no_select, M, E, jobvsl=0, lwork=lwork, overwrite_a=1, sort_t=0)
+        if info != 0:
+            raise NumericError(f"QZ decomposition failed: {_gges_failure(info, N)}")
+        # scipy's "lhp" sort: Re(alpha/beta) < 0, and never for beta = 0
+        alpha = alphar + alphai * 1.j
+        select = np.zeros(N, dtype=bool)
+        nonzero = beta != 0
+        select[nonzero] = np.real(alpha[nonzero] / beta[nonzero]) < 0.0
+        _, _, alphar, alphai, beta, _, Z, _, _, _, _, info = tgsen(
+            select, AA, BB, unused_q, Z, ijob=0, wantq=0, lwork=4 * N + 16,
+            liwork=1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
+        if info < 0:
+            raise NumericError(
+                f"QZ decomposition failed: Illegal value in argument {-info} of tgsen")
+        if info == 1:
+            raise NumericError(
+                "QZ decomposition failed: Reordering of (A, B) failed because the "
+                "transformed matrix pair (A, B) would be too far from generalized "
+                "Schur form; the problem is very ill-conditioned. (A, B) may have "
+                "been partially reordered.")
+        return alphar + alphai * 1.j, beta, Z
+
+    return solve
+
+
+def _gges_failure(info: int, N: int) -> str:
+    """scipy's message for a nonzero ``gges`` status on an N x N pencil."""
+    if info < 0:
+        return f"Illegal value in argument {-info} of gges"
+    if info <= N:
+        return ("The QZ iteration failed. (a,b) are not in Schur form, but "
+                "ALPHAR(j), ALPHAI(j), and BETA(j) should be correct for "
+                f"J={info - 1},...,N")
+    return {N + 1: "Something other than QZ iteration failed",
+            N + 2: "After reordering, roundoff changed values of some complex "
+                   "eigenvalues so that leading eigenvalues in the Generalized "
+                   "Schur form no longer satisfy sort=True. This could also be "
+                   "due to scaling.",
+            N + 3: "Reordering failed in <s,d,c,z>tgsen"}.get(info, f"gges returned info={info}")
+
+
+def _pencil_energy(alpha: np.ndarray, beta: np.ndarray, Z: np.ndarray, n: int) -> float:
+    """1'X1 from the stable deflating subspace: the first n right Schur
+    vectors Z of a pencil ordered with its stable eigenvalues alpha/beta
+    first."""
     finite = np.abs(beta) > 1e-12 * np.abs(alpha).max(initial=1.0)
     eigs = alpha[finite] / beta[finite]
     if np.abs(eigs.real).min(initial=np.inf) < 1e-10:

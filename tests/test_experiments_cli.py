@@ -48,6 +48,14 @@ def test_path_theory_checks_pass_for_benchmark_orders():
         assert not failed, failed
 
 
+@pytest.mark.parametrize("k", [0, -3, 10])
+def test_path_theory_checks_reject_k_outside_1_to_n_minus_1(k):
+    # k = 0 used to end in a ZeroDivisionError; -3 and 10 silently skipped
+    # the k-port checks
+    with pytest.raises(ParameterError):
+        path_theory_checks(9, k=k)
+
+
 def test_path_theory_check_ids_present():
     ids = {c.check_id for c in path_theory_checks(11)}
     assert {"eigenpair-residual", "fiedler-zero-at-center",
@@ -226,6 +234,26 @@ def test_cli_numeric_errors_exit_3(tmp_path):
     r = run_cli("select", "--graph", str(star), "--k", "1", "--metric", "eigvec")
     assert r.returncode == 3
     assert r.stderr.startswith("error: numeric:")
+
+
+@pytest.mark.parametrize("k", ["0", "-3", "10"])
+def test_cli_path_theory_bad_k_exit_2(k):
+    r = run_cli("path-theory", "--n", "9", "--k", k)
+    assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
+    assert r.stderr.startswith("error: parameter:")
+    assert r.stdout == ""
+
+
+def test_cli_are_reordering_failure_exit_3():
+    # the known ARE failure on path:20 at k = 3, port set (5, 9, 13)
+    r = run_cli("select", "--graph", "path:20", "--k", "3", "--metric", "are")
+    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
+    assert r.stdout == ""
+    assert r.stderr == (
+        "error: numeric: QZ decomposition failed: Reordering of (A, B) failed "
+        "because the transformed matrix pair (A, B) would be too far from "
+        "generalized Schur form; the problem is very ill-conditioned. (A, B) "
+        "may have been partially reordered.\n")
 
 
 def test_cli_path_theory_green_for_11():

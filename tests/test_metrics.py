@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               MetricParams, ParameterError, agreement_rate,
@@ -11,8 +12,8 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               laplacian, lyapunov_solve, mplse_score,
                               msub_score, msup_score, path_graph,
                               perturbed_laplacian, random_connected_graph,
-                              relabel, select_best, stochastic, sym_eigen)
-from spectral_kcenter.spectral import _pencil_energy
+                              random_tree, relabel, select_best, stochastic,
+                              sym_eigen)
 from conftest import mixed_corpus
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
@@ -143,10 +144,12 @@ BATCH_CASES = {
     "gnp20-k3": (random_connected_graph(20, 0.4, 7), 3),
     "path10-k8": (path_graph(10), 8),  # numpy's sum() pairs from 8 terms on
     "gnp9-k2": (random_connected_graph(9, 0.4, 11), 2),
+    "tree9-k3": (random_tree(9, 4), 3),  # 60 of 84 port sets uncontrollable
 }
 # the control-theoretic scores batched on each case, besides the spectral four
 CONTROL_METRICS = {"fig1-k3": (Metric.ARE, Metric.GRAMIAN),
                    "gnp9-k2": (Metric.ARE, Metric.GRAMIAN),
+                   "tree9-k3": (Metric.ARE, Metric.GRAMIAN),
                    "gnp20-k3": (Metric.GRAMIAN,)}
 
 
@@ -180,14 +183,26 @@ def _one_at_a_time(g, k, metric, params=MetricParams()):
         return gramian
 
     def are(S):
-        # the whole pencil built for this port set alone
+        # the whole pencil built for this port set alone, solved by scipy's
+        # own ordqz, then the score's checks and value inline
         B, n, k, rho = selector(S), g.n, len(S), params.rho
         M = np.block([[L, np.zeros((n, n)), -B],
                       [-(rho * np.eye(n)), -L.T, -(0.5 * B)],
                       [(0.5 * B).T, -B.T, rho * np.eye(k)]])
         E = np.zeros((2 * n + k, 2 * n + k))
         E[: 2 * n, : 2 * n] = np.eye(2 * n)
-        return _pencil_energy(M, E, n)
+        _, _, alpha, beta, _, Z = sla.ordqz(M, E, sort="lhp", output="real")
+        finite = np.abs(beta) > 1e-12 * np.abs(alpha).max(initial=1.0)
+        eigs = alpha[finite] / beta[finite]
+        assert np.abs(eigs.real).min(initial=np.inf) >= 1e-10
+        assert int(np.sum(eigs.real < 0)) == n
+        U1 = Z[:n, :n]
+        U2 = Z[n: 2 * n, :n]
+        coeff, *_ = np.linalg.lstsq(U1, ones, rcond=1e-12)
+        assert np.linalg.norm(U1 @ coeff - ones) <= 1e-8 * np.sqrt(n)
+        value = float(ones @ (U2 @ coeff))
+        assert value >= 0
+        return value
     return are
 
 

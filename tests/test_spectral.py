@@ -319,6 +319,56 @@ def test_charging_energy_parameter_errors():
         are_charging_energy(L, (2,), rho=0.0)
 
 
+@pytest.mark.parametrize("ports", [(5, 9, 13), [(1, 2, 3), (5, 9, 13), (6, 9, 13)]],
+                         ids=["one-set", "in-a-stack"])
+def test_charging_energy_reports_reordering_failure(ports):
+    # the QZ reordering of this controllable 3-port pencil on P_20 fails;
+    # it surfaces as LAPACK's tgsen status, with scipy's message
+    L = laplacian(path_graph(20))
+    with pytest.raises(NumericError, match=r"Reordering of \(A, B\) failed"):
+        are_charging_energy(L, np.array(ports) if isinstance(ports, list) else ports)
+
+
+# on P_4 with one port the pencil has order N = 9
+@pytest.mark.parametrize("routine, info, text", [
+    ("gges", -3, "Illegal value in argument 3 of gges"),
+    ("gges", 1, "The QZ iteration failed"),  # ordqz only warns here
+    ("gges", 9, r"The QZ iteration failed\. .* correct for J=8,\.\.\.,N"),
+    ("gges", 10, "Something other than QZ iteration failed"),
+    ("gges", 11, "After reordering, roundoff changed"),
+    ("gges", 12, r"Reordering failed in <s,d,c,z>tgsen"),
+    ("tgsen", -2, "Illegal value in argument 2 of tgsen"),
+    ("tgsen", 1, r"Reordering of \(A, B\) failed"),
+])
+def test_charging_energy_raises_on_every_lapack_status(monkeypatch, routine, info, text):
+    from scipy import linalg as sla
+    lookup = sla.get_lapack_funcs
+
+    def failing_lookup(names, arrays):
+        funcs = dict(zip(names, lookup(names, arrays)))
+        real = funcs[routine]
+
+        def failing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else (*out[:-1], info)
+        funcs[routine] = failing
+        return tuple(funcs[name] for name in names)
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", failing_lookup)
+    with pytest.raises(NumericError, match="QZ decomposition failed: " + text):
+        are_charging_energy(laplacian(path_graph(4)), (2,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_charging_energy_rejects_non_finite_laplacian(bad):
+    L = laplacian(path_graph(5))
+    L[1, 2] = bad
+    with pytest.raises(NumericError, match="must not contain infs or NaNs"):
+        are_charging_energy(L, (1, 3))
+    with pytest.raises(NumericError, match="must not contain infs or NaNs"):
+        are_charging_energy(L, np.array([[1, 3], [2, 4]]))
+
+
 def test_gramian_single_capacitor():
     assert math.isclose(gramian_extraction_energy(np.zeros((1, 1)), (1,)), 0.5,
                         rel_tol=1e-12)
