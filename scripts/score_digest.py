@@ -5,8 +5,9 @@ For each metric named on the command line, runs
 ``select_best(g, k, metric, keep_table=True)`` for k = 1..3 on every graph of
 the corpus and hashes, in order, each graph's edge list and k, then either
 every table score as float64 bytes with the best set and the tie set, or the
-type of the error raised. Two commits that print the same digest for a metric
-score that metric bit for bit alike on the corpus.
+type and the message of the error raised. Two commits that print the same
+digest for a metric score that metric bit for bit alike on the corpus, and
+fail alike where they fail.
 
 The corpus is fixed: the five comparison rows at 10 trials and seed 424242,
 drawn as ``run_comparison`` draws them, then path:20, a random tree and a
@@ -49,7 +50,7 @@ def metric_digest(metric: Metric, graphs) -> tuple[str, int, int]:
                 res = select_best(g, k, metric, keep_table=True)
             except NumericError as exc:
                 errors += 1
-                h.update(f"raised {type(exc).__name__}\n".encode())
+                h.update(f"raised {type(exc).__name__}: {exc}\n".encode())
                 continue
             values = np.array([v for _, v in res.table], dtype=np.float64)
             scores += len(values)

@@ -6,9 +6,11 @@ control-theoretic scores.
 and solve a stack in one ``eigh`` call, bitwise equal to solving each matrix
 alone. ``are_charging_energy`` and ``gramian_extraction_energy`` score one
 port set or an (m, k) array of port sets: the Gramian as one stacked
-Lyapunov solve, ARE as one QZ solve per set on copies of one pencil template,
-LAPACK's ``gges`` and ``tgsen`` called directly with their lookup, workspace
-query and finiteness check done once per batch.
+Lyapunov solve; ARE builds all its pencils as one stack from one template,
+runs one QZ solve per set (LAPACK's ``gges`` and ``tgsen`` called directly,
+their lookup, workspace query and finiteness check done once per batch) and
+runs its checks on the stack of results. A batch raises the error its first
+failing set raises alone.
 Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 """
 
@@ -196,39 +198,58 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = 1e-6) -> float | np.n
     passivity cost is port-independent: reversible quasistatic charging
     always costs exactly the stored energy n/2). Solved on the stable
     deflating subspace of the extended Hamiltonian pencil, which keeps
-    full accuracy for small rho and for ports on symmetry axes. The
-    pencil's port-independent blocks, their finiteness check, the LAPACK
-    lookup and the workspace query are done once per call; each port set
-    fills in its 4k port entries and gets its own ``gges`` + ``tgsen`` solve
+    full accuracy for small rho and for ports on symmetry axes.
+
+    A batch builds all m pencils at once, one (N, N, m) Fortran-ordered
+    stack of the port-independent template with each set's 4k port entries
+    written in; the finiteness check, the LAPACK lookup and the workspace
+    query run once. Each set then gets its own ``gges`` + ``tgsen`` solve
     (``scipy.linalg.ordqz(sort="lhp")`` without the left Schur vectors, bit
-    for bit) and checks.
+    for bit), and the checks and the value are computed on the stack of
+    results. A batch raises the error that its first failing set raises when
+    scored alone; the sets after it are not scored.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     check_positive("rho", rho)
     S, single = _port_sets(n, ports)
-    k = S.shape[1]
+    m, k = S.shape
+    N = 2 * n + k
     # Time-reversed LQ data: zdot = L z - B w, cost z'Qz + 2 z'N w + w'R w,
     # here with B = N = 0; each port set writes its entries of -B, -N, N'
-    # and -B' into a copy.
+    # and -B' into its own pencil of the stack.
     B = np.zeros((n, k))
     template = np.asfortranarray(np.block([
         [L, np.zeros((n, n)), -B],
         [-rho * np.eye(n), -L.T, -0.5 * B],
         [0.5 * B.T, -B.T, rho * np.eye(k)],
     ]))
-    E = np.zeros((2 * n + k, 2 * n + k), order="F")
+    E = np.zeros((N, N), order="F")
     E[: 2 * n, : 2 * n] = np.eye(2 * n)
     stable_schur = _stable_schur_solver(template, E)
-    cols = 2 * n + np.arange(k)
-    values = np.empty(len(S))
-    for i, rows in enumerate(S - 1):
-        M = template.copy(order="F")
-        M[rows, cols] = -1.0
-        M[n + rows, cols] = -0.5
-        M[cols, rows] = 0.5
-        M[cols, n + rows] = -1.0
-        values[i] = _pencil_energy(*stable_schur(M), n)
+    # each pencil M[:, :, i] is Fortran-contiguous and is solved in place
+    M = np.empty((N, N, m), order="F")
+    M[...] = template[:, :, None]
+    rows, cols, sets = S - 1, 2 * n + np.arange(k), np.arange(m)[:, None]
+    M[rows, cols, sets] = -1.0
+    M[n + rows, cols, sets] = -0.5
+    M[cols, rows, sets] = 0.5
+    M[cols, n + rows, sets] = -1.0
+    alpha = np.empty((m, N), dtype=complex)
+    beta = np.empty((m, N))
+    # the first n right Schur vectors, top 2n rows; each set's columns stay
+    # contiguous as in Z, so the products in _stable_energies run the BLAS
+    # calls they would run on Z itself (a C-ordered copy changes the bits)
+    U = np.empty((m, n, 2 * n)).transpose(0, 2, 1)
+    solved, qz_error = m, None
+    for i in range(m):
+        try:
+            alpha[i], beta[i], Z = stable_schur(M[:, :, i])
+        except NumericError as exc:
+            solved, qz_error = i, exc
+            break
+        U[i] = Z[: 2 * n, : n]
+    values = _stable_energies(alpha[:solved], beta[:solved], U[:solved], n, qz_error)
     return float(values[0]) if single else values
 
 
@@ -302,27 +323,58 @@ def _gges_failure(info: int, N: int) -> str:
             N + 3: "Reordering failed in <s,d,c,z>tgsen"}.get(info, f"gges returned info={info}")
 
 
-def _pencil_energy(alpha: np.ndarray, beta: np.ndarray, Z: np.ndarray, n: int) -> float:
-    """1'X1 from the stable deflating subspace: the first n right Schur
-    vectors Z of a pencil ordered with its stable eigenvalues alpha/beta
-    first."""
-    finite = np.abs(beta) > 1e-12 * np.abs(alpha).max(initial=1.0)
-    eigs = alpha[finite] / beta[finite]
-    if np.abs(eigs.real).min(initial=np.inf) < 1e-10:
-        raise IllPosedError("Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis")
-    n_stable = int(np.sum(eigs.real < 0))
-    if n_stable != n:
-        raise IllPosedError(f"stable deflating subspace has dimension {n_stable} != {n}")
-    U1 = Z[:n, :n]
-    U2 = Z[n: 2 * n, :n]
+def _stable_energies(alpha: np.ndarray, beta: np.ndarray, U: np.ndarray, n: int,
+                     next_error: NumericError | None) -> np.ndarray:
+    """1'X1 for each of a stack of m pencils, from their generalized
+    eigenvalues alpha/beta, (m, N) and ordered stable first, and U, the top
+    2n rows of their first n right Schur vectors, (m, 2n, n).
+
+    Every set is checked, in this order: imaginary-axis margin, stable
+    dimension, the least-squares solve, reachability of the all-ones target,
+    sign. Raises the error of the first set that fails a check, or else
+    ``next_error`` (if not None), the error of the set after the stack.
+    """
+    finite = np.abs(beta) > 1e-12 * np.abs(alpha).max(axis=1, initial=1.0)[:, None]
+    real = (alpha / np.where(finite, beta, 1.0)).real
+    margin = np.where(finite, np.abs(real), np.inf).min(axis=1)
+    n_stable = np.sum(finite & (real < 0), axis=1)
+    # each check runs on the sets before the first failure found so far, so
+    # `error` ends as the first failing set's error, from its first failing check
+    end, error = len(alpha), next_error
+    end, error = _first_failure(margin < 1e-10, end, error, lambda i: IllPosedError(
+        "Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis"))
+    end, error = _first_failure(n_stable != n, end, error, lambda i: IllPosedError(
+        f"stable deflating subspace has dimension {n_stable[i]} != {n}"))
+    U1, U2 = U[:, :n], U[:, n:]
     ones = np.ones(n)
-    coeff, *_ = np.linalg.lstsq(U1, ones, rcond=1e-12)
-    if np.linalg.norm(U1 @ coeff - ones) > 1e-8 * np.sqrt(n):
-        raise IllPosedError("all-ones target is not reachable on the stable subspace")
-    value = float(ones @ (U2 @ coeff))
-    if value < 0:
-        raise NumericError(f"charging energy came out negative ({value:.3e})")
-    return value
+    coeff = np.empty((end, n))
+    for i in range(end):
+        try:
+            coeff[i], *_ = np.linalg.lstsq(U1[i], ones, rcond=1e-12)
+        except np.linalg.LinAlgError as exc:
+            end = i
+            error = NumericError(f"least-squares solve on the stable subspace failed: {exc}")
+            break
+    coeff = coeff[:end, :, None]
+    # a gemv and then a dot per set, as for one set alone: one product over
+    # the whole (end, n) stack would run a different BLAS call
+    r = (U1[:end] @ coeff)[:, :, 0] - ones
+    residual = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    values = (ones @ (U2[:end] @ coeff))[:, 0]
+    end, error = _first_failure(residual > 1e-8 * np.sqrt(n), end, error, lambda i: IllPosedError(
+        "all-ones target is not reachable on the stable subspace"))
+    end, error = _first_failure(values < 0, end, error, lambda i: NumericError(
+        f"charging energy came out negative ({values[i]:.3e})"))
+    if error is not None:
+        raise error
+    return values
+
+
+def _first_failure(fails: np.ndarray, end: int, error, make_error):
+    """``(end, error)`` moved to the first set before ``end`` that ``fails``,
+    with ``make_error(i)`` as its error; unchanged if none does."""
+    bad = np.flatnonzero(fails[:end])
+    return (int(bad[0]), make_error(int(bad[0]))) if bad.size else (end, error)
 
 
 def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spectral_kcenter
@@ -254,6 +255,21 @@ def test_cli_are_reordering_failure_exit_3():
         "because the transformed matrix pair (A, B) would be too far from "
         "generalized Schur form; the problem is very ill-conditioned. (A, B) "
         "may have been partially reordered.\n")
+
+
+def test_cli_are_lstsq_failure_exit_3(monkeypatch, capsys):
+    # a least-squares solve that does not converge is a numeric failure
+    # (exit 3), not a traceback (exit 1, the code of failed checks)
+    from spectral_kcenter import cli
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    assert cli.main(["select", "--graph", "path:6", "--k", "2", "--metric", "are"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: numeric: least-squares solve")
 
 
 def test_cli_path_theory_green_for_11():

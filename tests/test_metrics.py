@@ -145,11 +145,15 @@ BATCH_CASES = {
     "path10-k8": (path_graph(10), 8),  # numpy's sum() pairs from 8 terms on
     "gnp9-k2": (random_connected_graph(9, 0.4, 11), 2),
     "tree9-k3": (random_tree(9, 4), 3),  # 60 of 84 port sets uncontrollable
+    # the desk cap: 5 batches of 40 port sets, pencils of order N = 42; seed
+    # 0 fails no set under any metric, and 186 of its 190 sets are uncontrollable
+    "tree20-k2": (random_tree(20, 0), 2),
 }
 # the control-theoretic scores batched on each case, besides the spectral four
 CONTROL_METRICS = {"fig1-k3": (Metric.ARE, Metric.GRAMIAN),
                    "gnp9-k2": (Metric.ARE, Metric.GRAMIAN),
                    "tree9-k3": (Metric.ARE, Metric.GRAMIAN),
+                   "tree20-k2": (Metric.ARE, Metric.GRAMIAN),
                    "gnp20-k3": (Metric.GRAMIAN,)}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -341,22 +342,125 @@ def test_charging_energy_reports_reordering_failure(ports):
     ("tgsen", 1, r"Reordering of \(A, B\) failed"),
 ])
 def test_charging_energy_raises_on_every_lapack_status(monkeypatch, routine, info, text):
+    _fail_lapack(monkeypatch, routine, info)
+    with pytest.raises(NumericError, match="QZ decomposition failed: " + text):
+        are_charging_energy(laplacian(path_graph(4)), (2,))
+
+
+def _fail_lapack(monkeypatch, routine, info, calls=None):
+    """Make the LAPACK ``routine`` that ARE looks up return status ``info``
+    on its solves numbered ``calls`` (from 1; every solve if None), not on
+    the workspace query."""
     from scipy import linalg as sla
     lookup = sla.get_lapack_funcs
+    solves = 0
 
     def failing_lookup(names, arrays):
         funcs = dict(zip(names, lookup(names, arrays)))
         real = funcs[routine]
 
         def failing(*args, **kwargs):
+            nonlocal solves
             out = real(*args, **kwargs)
-            return out if kwargs.get("lwork") == -1 else (*out[:-1], info)
+            if kwargs.get("lwork") == -1:
+                return out
+            solves += 1
+            return (*out[:-1], info) if calls is None or solves in calls else out
         funcs[routine] = failing
         return tuple(funcs[name] for name in names)
 
     monkeypatch.setattr(sla, "get_lapack_funcs", failing_lookup)
-    with pytest.raises(NumericError, match="QZ decomposition failed: " + text):
-        are_charging_energy(laplacian(path_graph(4)), (2,))
+
+
+def test_charging_energy_stack_raises_its_first_failing_sets_error(monkeypatch):
+    # a batch raises what its first failing set raises when scored alone:
+    # the QZ solves stop at the first failure, and the checks of the sets
+    # solved before it come first; the pencils have order N = 12
+    L = laplacian(path_graph(5))
+    S = np.array(list(itertools.combinations(range(1, 6), 2)))
+
+    def error(ports, rho, failing_solve=None):
+        with monkeypatch.context() as patch:
+            if failing_solve:
+                _fail_lapack(patch, "gges", 13, calls={failing_solve})  # N + 1
+            with pytest.raises(NumericError) as caught:
+                are_charging_energy(L, ports, rho)
+        return type(caught.value), str(caught.value)
+
+    # at rho = 1e300 every set fails its stable-dimension check, so set 0's
+    # error comes before the failure of the third QZ solve
+    ill_posed = (IllPosedError, "stable deflating subspace has dimension 0 != 5")
+    for i in range(len(S)):
+        assert error(tuple(S[i]), 1e300) == ill_posed
+    assert error(S, 1e300) == error(S, 1e300, failing_solve=3) == ill_posed
+    # at the default rho every set passes its checks: the first QZ failure
+    # is the batch's, whichever set it hits
+    qz = (NumericError, "QZ decomposition failed: Something other than QZ iteration failed")
+    assert error(S, 1e-6, failing_solve=1) == error(tuple(S[0]), 1e-6, failing_solve=1) == qz
+    assert error(S, 1e-6, failing_solve=3) == error(tuple(S[2]), 1e-6, failing_solve=1) == qz
+
+
+def _pencil_results(defects):
+    """Stable-first eigenvalues and Schur vector blocks of n = 2 pencils
+    (order N = 5) that pass every check of ``_stable_energies``, or fail
+    the checks named in each entry of ``defects``."""
+    alpha = np.tile(np.array([-1, -1, 1, 1, 1], dtype=complex), (len(defects), 1))
+    beta = np.ones((len(defects), 5))
+    U = np.tile(np.eye(2), (len(defects), 2, 1))
+    for i, defect in enumerate(defects):
+        if "margin" in defect:
+            alpha[i, 0] = -1e-11
+        if "dimension" in defect:
+            alpha[i, 1] = 1.0
+        if "reach" in defect:
+            U[i, 1, 1] = 0.0
+        if "sign" in defect:
+            U[i, 2:] *= -1
+    return alpha, beta, U
+
+
+def test_stable_energies_raise_the_first_failing_sets_error():
+    # the stacked checks report what the first failing set reports alone,
+    # and within a set the first check it fails; the QZ failure of the set
+    # after the stack comes last
+    from spectral_kcenter.spectral import _stable_energies
+
+    def outcome(defects, next_error=None):
+        try:
+            return _stable_energies(*_pencil_results(defects), 2, next_error).tolist()
+        except NumericError as exc:
+            return type(exc), str(exc)
+
+    assert outcome([(), ()]) == [2.0, 2.0]
+    kinds = [(), ("sign",), ("reach",), ("reach", "sign"), ("dimension",),
+             ("dimension", "reach"), ("margin",), ("margin", "dimension", "sign")]
+    alone = {kind: outcome([kind]) for kind in kinds}
+    assert alone[("sign",)] == (NumericError, "charging energy came out negative (-2.000e+00)")
+    assert alone[("reach",)] == alone[("reach", "sign")] == (
+        IllPosedError, "all-ones target is not reachable on the stable subspace")
+    assert alone[("dimension",)] == alone[("dimension", "reach")] == (
+        IllPosedError, "stable deflating subspace has dimension 1 != 2")
+    assert alone[("margin",)] == alone[("margin", "dimension", "sign")] == (
+        IllPosedError, "Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis")
+    qz = NumericError("QZ decomposition failed: Reordering failed in <s,d,c,z>tgsen")
+    for a, b in itertools.product(kinds, repeat=2):
+        first = alone[a] if a else alone[b]
+        if first == [2.0]:  # no set fails
+            assert outcome([(), a, b]) == [2.0] * 3
+            assert outcome([(), a, b], qz) == (NumericError, str(qz))
+        else:
+            assert outcome([(), a, b]) == outcome([(), a, b], qz) == first, (a, b)
+
+
+def test_charging_energy_lstsq_failure_is_a_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    L = laplacian(path_graph(5))
+    for ports in [(2, 4), np.array([[1, 3], [2, 4]])]:
+        with pytest.raises(NumericError, match="least-squares solve .* SVD did not converge"):
+            are_charging_energy(L, ports)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
