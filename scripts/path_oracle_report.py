@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full path-graph oracle suite and the two-copy bridging probe.
 
-Covers the benchmark orders (11, 13, 14 and the 9-node three-port case)
-plus the eigenvalue-insensitivity probe for bridged path pairs.
+Covers the orders 11, 13 and 14 and the k-port cases (9, 3) and (15, 5),
+plus the eigenvalue-insensitivity probe for bridged path pairs at n = 5, 7
+and 9.
 """
 
 import argparse

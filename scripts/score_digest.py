@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Digest every selection score on a fixed corpus, one sha256 per metric.
+"""Digest every selection score on a fixed corpus, one sha256 per metric,
+and the path-graph suite's outputs as one more sha256.
 
 For each metric named on the command line, runs
 ``select_best(g, k, metric, keep_table=True)`` for k = 1..3 on every graph of
@@ -13,16 +14,23 @@ The corpus is fixed: the five comparison rows at 10 trials and seed 424242,
 drawn as ``run_comparison`` draws them, then path:20, a random tree and a
 G(20, 0.4) at the same seed.
 
-    PYTHONPATH=src python3 scripts/score_digest.py are gramian
+The target ``path`` hashes every ``path_theory_checks`` result (id, flag,
+residual as float64 bytes and detail) for n = 3..40 and the k-port cases
+(9, 3) and (15, 5), then every ``conjecture_probe`` report for odd
+n = 5..19, the cases of the path-oracle benchmark.
+
+    PYTHONPATH=src python3 scripts/score_digest.py are gramian path
 """
 
 import argparse
 import hashlib
+import json
 
 import numpy as np
 
 from spectral_kcenter.errors import NumericError
-from spectral_kcenter.experiments import _row_instance
+from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
+                                          path_theory_checks)
 from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
 from spectral_kcenter.metrics import Metric, select_best
 
@@ -30,6 +38,8 @@ ROWS = ("path:11", "tree:7", "tree:9", "general:7", "general:9")
 TRIALS = 10
 SEED = 424242
 K_LIST = (1, 2, 3)
+PATH_CASES = [(n, None) for n in range(3, 41)] + [(9, 3), (15, 5)]
+PROBE_ORDERS = range(5, 20, 2)
 
 
 def corpus():
@@ -59,16 +69,43 @@ def metric_digest(metric: Metric, graphs) -> tuple[str, int, int]:
     return h.hexdigest(), scores, errors
 
 
+def path_digest() -> tuple[str, int, int]:
+    """The digest, the number of check results and the number of probes."""
+    h = hashlib.sha256()
+    checks = 0
+    for n, k in PATH_CASES:
+        h.update(f"path n={n} k={k}\n".encode())
+        for c in path_theory_checks(n, k=k):
+            checks += 1
+            h.update(f"{c.check_id} passed={c.passed}\n".encode())
+            h.update(np.float64(c.residual).tobytes())
+            h.update(f"{c.detail}\n".encode())
+    for n in PROBE_ORDERS:
+        # JSON writes each float by its shortest exact repr
+        h.update(f"probe {json.dumps(conjecture_probe(n), sort_keys=True)}\n".encode())
+    return h.hexdigest(), checks, len(PROBE_ORDERS)
+
+
+def _target(name: str):
+    return "path" if name == "path" else Metric.parse(name)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("metrics", nargs="+", type=Metric.parse,
-                    help="metric names: " + ", ".join(m.value for m in Metric))
+    ap.add_argument("targets", nargs="+", type=_target,
+                    help="metric names (" + ", ".join(m.value for m in Metric)
+                         + ") or path")
     args = ap.parse_args()
-    graphs = corpus()
-    for metric in args.metrics:
-        digest, scores, errors = metric_digest(metric, graphs)
-        print(f"{metric.value} {digest} scores={scores} errors={errors}")
+    graphs = None
+    for target in args.targets:
+        if target == "path":
+            digest, checks, probes = path_digest()
+            print(f"path {digest} checks={checks} probes={probes}")
+            continue
+        graphs = graphs or corpus()
+        digest, scores, errors = metric_digest(target, graphs)
+        print(f"{target.value} {digest} scores={scores} errors={errors}")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import (Graph, figure1_graph, laplacian, path_graph,
                      random_connected_graph, random_tree)
-from .metrics import (Metric, MetricParams, msub_score, perturbed_laplacian,
-                      select_best)
+from .metrics import (_CHUNK_ENTRIES, Metric, MetricParams, msub_score,
+                      perturbed_laplacian, select_best)
 from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
                           lambda_min_quadratic_2port, lambda_min_series_kport,
                           lambda_min_series_positions, optimal_ports,
@@ -30,6 +30,7 @@ from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
 from .spectral import check_positive, sym_eigen
 
 COMPARE_MAX_N = 20
+PATH_MAX_N = 40  # largest path order of the oracle suite and the probe
 _MAX_GRID_POINTS = 10 ** 5  # bounds the real grid of lambda_profile
 HEURISTIC_METRICS = (Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
                      Metric.ARE, Metric.GRAMIAN)
@@ -227,17 +228,36 @@ def _exact_lambda_min(L: np.ndarray, ports: Sequence[int], eps: float) -> float:
     return float(sym_eigen(perturbed_laplacian(L, ports, eps)).values[0])
 
 
+def _series_tolerance(eps: float) -> float:
+    """50 eps^3, the bound the suite allows the series' remainder; a
+    ParameterError if it is not finite."""
+    try:
+        tol = 50.0 * eps ** 3
+    except OverflowError:
+        tol = math.inf
+    if not math.isfinite(tol):
+        raise ParameterError(f"eps = {eps:g} makes the series tolerance "
+                             "50 eps^3 overflow")
+    return tol
+
+
 def path_theory_checks(n: int, k: Optional[int] = None,
                        eps: float = 0.01) -> list[CheckResult]:
     """Run the path-graph oracle suite for order n; each check reports a
     residual and pass flag. Checks that need a parity or divisibility
     assumption are included only when n (and k) satisfy it; k, if given,
-    must be in 1..n-1."""
-    if n < 3 or n > 40:
-        raise ParameterError(f"path checks support 3 <= n <= 40, got {n}")
+    must be in 1..n-1, and eps must leave every tolerance finite.
+
+    Each matrix is solved once: the exact one- and two-port values are
+    read from the mplse selection's score table, and each (k, metric) is
+    selected once.
+    """
+    if not 3 <= n <= PATH_MAX_N:
+        raise ParameterError(f"path checks support 3 <= n <= {PATH_MAX_N}, got {n}")
     if k is not None and not 1 <= k < n:
         raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     check_positive("eps", eps)
+    series_tol = _series_tolerance(eps)
     results: list[CheckResult] = []
     g = path_graph(n)
     L = laplacian(g)
@@ -259,22 +279,25 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         add("fiedler-zero-at-center", abs(v2[pstar - 1]), 1e-12,
             f"component {pstar} of the second eigenvector")
         params = MetricParams(epsilon=eps)
+        one_port = select_best(g, 1, Metric.MPLSE, params, keep_table=True)
+        # lambda_min(L + eps e_j e_j') for j = 1..n
+        exact = [score for _, score in one_port.table]
         for metric in (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE):
-            best = select_best(g, 1, metric, params).best
+            best = (one_port.best if metric is Metric.MPLSE
+                    else select_best(g, 1, metric, params).best)
             add(f"one-port-center-{metric.value}",
                 0.0 if best == (pstar,) else 1.0, 0.5,
                 f"selected {list(best)}, center {pstar}")
-        worst = max(abs(_exact_lambda_min(L, (j,), eps)
-                        - lambda_min_quadratic_1port(n, j, eps))
+        worst = max(abs(exact[j - 1] - lambda_min_quadratic_1port(n, j, eps))
                     for j in range(1, n + 1))
-        add("one-port-series-vs-exact", worst, 50.0 * eps ** 3)
+        add("one-port-series-vs-exact", worst, series_tol)
         worst = max(abs(lambda_min_series_kport(n, (j,), eps)
                         - lambda_min_quadratic_1port(n, j, eps))
                     / abs(lambda_min_quadratic_1port(n, j, eps))
                     for j in range(1, n + 1))
         add("trig-vs-quadratic-identity", worst, 1e-10)
         # doubling: optimal 1-port on P_n equals optimal 2-port on P_2n
-        lam_n = _exact_lambda_min(L, (pstar,), eps)
+        lam_n = exact[pstar - 1]
         L2 = laplacian(path_graph(2 * n))
         lam_2n_all = sym_eigen(
             perturbed_laplacian(L2, (pstar, pstar + n), eps)).values
@@ -293,17 +316,20 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         _, v3 = path_eigenpair(n, 3)
         add("v3-zeros-at-centers", max(abs(v3[p1 - 1]), abs(v3[p2 - 1])), 1e-12)
         params = MetricParams(epsilon=eps)
+        two_port = select_best(g, 2, Metric.MPLSE, params, keep_table=True)
         for metric in (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE):
-            best = select_best(g, 2, metric, params).best
+            best = (two_port.best if metric is Metric.MPLSE
+                    else select_best(g, 2, metric, params).best)
             add(f"two-port-centers-{metric.value}",
                 0.0 if best == (p1, p2) else 1.0, 0.5,
                 f"selected {list(best)}, centers ({p1}, {p2})")
-        worst = max(abs(_exact_lambda_min(L, (j1, j2), eps)
-                        - lambda_min_quadratic_2port(n, j1, j2, eps))
+        # lambda_min(L + eps e_j1 e_j1' + eps e_j2 e_j2') by port pair
+        exact = dict(two_port.table)
+        worst = max(abs(exact[(j1, j2)] - lambda_min_quadratic_2port(n, j1, j2, eps))
                     for j1 in range(1, n // 2)
                     for j2 in range(n // 2 + 1, n + 1))
-        add("two-port-series-vs-exact", worst, 50.0 * eps ** 3)
-        lam2 = select_best(g, 2, Metric.MPLSE, params).score
+        add("two-port-series-vs-exact", worst, series_tol)
+        lam2 = two_port.score
         lam1 = select_best(g, 1, Metric.MPLSE, params).score
         add("convexity-exact", 0.0 if lam2 - 2 * lam1 > 0 else 1.0, 0.5,
             f"lambda*(2) - 2 lambda*(1) = {lam2 - 2 * lam1:.3e}")
@@ -333,6 +359,7 @@ def lambda_profile(n: int, eps: float = 0.01,
     Integer p always included with the exact eigensolve; an optional real
     grid adds series-only rows (the series is defined for real positions).
     """
+    check_positive("eps", eps)
     g = path_graph(n)
     L = laplacian(g)
     points: list[float] = []
@@ -381,32 +408,44 @@ def conjecture_probe(n: int, eps: float = 0.01) -> dict:
     """Bridge two optimally perturbed odd paths by every possible edge and
     report how far the smallest eigenvalue moves.
 
-    Exploration only: returns the per-edge worst case, never asserts.
+    The n^2 bridged matrices are solved in stacks, bounded in memory like
+    ``select_best``'s, and scanned in (u, w) order. n must be odd and in
+    3..PATH_MAX_N. Exploration only: returns the per-edge worst case, never
+    asserts.
     """
+    if not 3 <= n <= PATH_MAX_N:
+        raise ParameterError(f"probe supports 3 <= n <= {PATH_MAX_N}, got {n}")
     if n % 2 == 0:
         raise ParameterError(f"probe needs odd n, got {n}")
+    check_positive("eps", eps)
     g = path_graph(n)
     pstar = (n + 1) // 2
-    L = laplacian(g)
-    lam_ref = _exact_lambda_min(L, (pstar,), eps)
-    L1 = perturbed_laplacian(L, (pstar,), eps)
+    L1 = perturbed_laplacian(laplacian(g), (pstar,), eps)
+    lam_ref = float(sym_eigen(L1).values[0])
     base = np.zeros((2 * n, 2 * n))
     base[:n, :n] = L1
     base[n:, n:] = L1
     lam_union = float(sym_eigen(base).values[0])
+    # bridge (u, n + w) for u, w = 1..n, u-major
+    a = np.repeat(np.arange(n), n)
+    b = np.tile(np.arange(n, 2 * n), n)
+    chunk = max(1, _CHUNK_ENTRIES // (2 * n) ** 2)
+    lam_bridged = []
+    for i in range(0, n * n, chunk):
+        ai, bi = a[i:i + chunk], b[i:i + chunk]
+        rows = np.arange(len(ai))
+        bridged = np.repeat(base[None], len(ai), axis=0)
+        bridged[rows, ai, ai] += 1
+        bridged[rows, bi, bi] += 1
+        bridged[rows, ai, bi] -= 1
+        bridged[rows, bi, ai] -= 1
+        lam_bridged.extend(sym_eigen(bridged).values[:, 0].tolist())
     worst = 0.0
     worst_edge = None
-    for u in range(1, n + 1):
-        for w in range(1, n + 1):
-            bridged = base.copy()
-            a, b = u - 1, n + w - 1
-            bridged[a, a] += 1
-            bridged[b, b] += 1
-            bridged[a, b] -= 1
-            bridged[b, a] -= 1
-            dev = abs(float(sym_eigen(bridged).values[0]) - lam_ref)
-            if dev > worst:
-                worst, worst_edge = dev, (u, n + w)
+    for u, w, lam in zip(a.tolist(), b.tolist(), lam_bridged):
+        dev = abs(lam - lam_ref)
+        if dev > worst:
+            worst, worst_edge = dev, (u + 1, w + 1)
     return {
         "n": n,
         "epsilon": eps,

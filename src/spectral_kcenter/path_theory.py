@@ -8,6 +8,7 @@ Everything here is exact path-graph theory; the generic eigensolver in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -47,6 +48,19 @@ def optimal_ports(n: int, k: int) -> tuple[int, ...]:
     return tuple(((2 * i - 1) * n + k) // (2 * k) for i in range(1, k + 1))
 
 
+@functools.lru_cache
+def _series_weights(n: int) -> tuple[tuple[float, float], ...]:
+    """(theta_j, sin^2(theta_j / 2) sum_q cos^2(theta_j (q - 1/2))) for
+    j = 2..n: the port-independent part of the series, once per n."""
+    weights = []
+    for j in range(2, n + 1):
+        theta = math.pi * (j - 1) / n
+        den = (math.sin(0.5 * theta) ** 2
+               * sum(math.cos(theta * (q - 0.5)) ** 2 for q in range(1, n + 1)))
+        weights.append((theta, den))
+    return tuple(weights)
+
+
 def lambda_min_series_positions(n: int, positions: Sequence[float], eps: float) -> float:
     """Second-order series of the smallest perturbed eigenvalue, allowing
     real-valued port positions (used by the continuous-p profile)."""
@@ -54,11 +68,8 @@ def lambda_min_series_positions(n: int, positions: Sequence[float], eps: float) 
         raise ParameterError(f"need n >= 2, got {n}")
     k = len(positions)
     total = 0.0
-    for j in range(2, n + 1):
-        theta = math.pi * (j - 1) / n
+    for theta, den in _series_weights(n):
         num = sum(math.cos(theta * (p - 0.5)) for p in positions) ** 2
-        den = (math.sin(0.5 * theta) ** 2
-               * sum(math.cos(theta * (q - 0.5)) ** 2 for q in range(1, n + 1)))
         total += num / den
     return k * eps / n - eps * eps / (4.0 * n) * total
 

@@ -14,7 +14,12 @@ from spectral_kcenter.experiments import (HEURISTIC_METRICS, _row_instance,
                                           conjecture_probe, convexity_table,
                                           lambda_profile, parse_graph_source,
                                           path_theory_checks, run_comparison)
-from spectral_kcenter.graphs import serialize_edge_list, path_graph
+from spectral_kcenter.graphs import laplacian, serialize_edge_list, path_graph
+from spectral_kcenter.metrics import MetricParams, perturbed_laplacian, select_best
+from spectral_kcenter.path_theory import (lambda_min_quadratic_1port,
+                                          lambda_min_quadratic_2port,
+                                          lambda_min_series_positions)
+from spectral_kcenter.spectral import sym_eigen
 
 
 # the CLI child runs the package these tests import, installed or not
@@ -55,6 +60,90 @@ def test_path_theory_checks_reject_k_outside_1_to_n_minus_1(k):
     # the k-port checks
     with pytest.raises(ParameterError):
         path_theory_checks(9, k=k)
+
+
+@pytest.mark.parametrize("eps", [1e103, 1e300])
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_path_theory_checks_reject_overflowing_tolerance(n, eps):
+    # 50 eps^3 used to raise OverflowError on n = 5 and 6 while n = 8,
+    # which has no series check, passed
+    with pytest.raises(ParameterError):
+        path_theory_checks(n, eps=eps)
+
+
+def _lambda_min(L, ports, eps):
+    """One matrix, one solve: how the suite computed each exact value."""
+    return float(sym_eigen(perturbed_laplacian(L, ports, eps)).values[0])
+
+
+@pytest.mark.parametrize("n", [11, 14, 38])
+def test_path_theory_checks_bitwise_equal_single_solves(n):
+    # the exact values read from the mplse tables equal single solves bit
+    # for bit; n = 38 spreads 703 two-port sets over 64 stacks of 11
+    eps = 0.01
+    g = path_graph(n)
+    L = laplacian(g)
+    params = MetricParams(epsilon=eps)
+    expected = {}
+    if n % 2 == 1:
+        pstar = (n + 1) // 2
+        expected["one-port-series-vs-exact"] = max(
+            abs(_lambda_min(L, (j,), eps) - lambda_min_quadratic_1port(n, j, eps))
+            for j in range(1, n + 1))
+        lam_2n = _lambda_min(laplacian(path_graph(2 * n)), (pstar, pstar + n), eps)
+        expected["doubling-equality"] = abs(_lambda_min(L, (pstar,), eps) - lam_2n)
+    else:
+        expected["two-port-series-vs-exact"] = max(
+            abs(_lambda_min(L, (j1, j2), eps)
+                - lambda_min_quadratic_2port(n, j1, j2, eps))
+            for j1 in range(1, n // 2) for j2 in range(n // 2 + 1, n + 1))
+        lam2 = select_best(g, 2, Metric.MPLSE, params).score
+        lam1 = select_best(g, 1, Metric.MPLSE, params).score
+        expected["convexity-exact"] = (0.0 if lam2 - 2 * lam1 > 0 else 1.0,
+                                       f"lambda*(2) - 2 lambda*(1) = {lam2 - 2 * lam1:.3e}")
+    results = {c.check_id: c for c in path_theory_checks(n, eps=eps)}
+    for check_id, value in expected.items():
+        c = results[check_id]
+        assert c.passed, check_id
+        if check_id == "convexity-exact":
+            assert (c.residual, c.detail) == value
+        else:
+            assert c.residual == value, check_id
+
+
+def test_path_theory_checks_call_contract(monkeypatch):
+    # each (k, metric) is selected once: the two-port mplse selection serves
+    # the centers, the exact series values and lambda*(2)
+    calls = []
+    select_best = experiments.select_best
+
+    def recording(g, k, metric, *args, **kwargs):
+        calls.append((k, metric))
+        return select_best(g, k, metric, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "select_best", recording)
+    path_theory_checks(14)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(2, Metric.MPLSE), (2, Metric.MSUB_LE),
+                          (2, Metric.MSUP_LE), (1, Metric.MPLSE)}
+
+
+def test_series_positions_equal_inline_formula():
+    # the cached port-independent weights give the inline formula's bits
+    eps = 0.01
+    for n in range(2, 61):
+        for positions in ((1.0,), (n / 3.0,), (1.5, n - 0.25), (1, 2, n)):
+            total = 0.0
+            for j in range(2, n + 1):
+                theta = math.pi * (j - 1) / n
+                num = sum(math.cos(theta * (p - 0.5)) for p in positions) ** 2
+                den = (math.sin(0.5 * theta) ** 2
+                       * sum(math.cos(theta * (q - 0.5)) ** 2
+                             for q in range(1, n + 1)))
+                total += num / den
+            expected = len(positions) * eps / n - eps * eps / (4.0 * n) * total
+            assert lambda_min_series_positions(n, positions, eps) == expected, (n, positions)
 
 
 def test_path_theory_check_ids_present():
@@ -98,6 +187,50 @@ def test_conjecture_probe_reports_tiny_deviation():
     assert rep["disconnected_union_deviation"] <= 1e-12
     assert rep["max_abs_deviation"] <= 1e-9
     assert rep["worst_edge"] is not None
+
+
+@pytest.mark.parametrize("n", [5, 19])
+def test_conjecture_probe_equals_single_solves(n):
+    # the stacked probe scans the same values in the same order; n = 19 has
+    # 361 bridges in 33 stacks of 11, the last one partial
+    eps = 0.01
+    pstar = (n + 1) // 2
+    L1 = perturbed_laplacian(laplacian(path_graph(n)), (pstar,), eps)
+    lam_ref = float(sym_eigen(L1).values[0])
+    base = np.zeros((2 * n, 2 * n))
+    base[:n, :n] = L1
+    base[n:, n:] = L1
+    worst, worst_edge = 0.0, None
+    for u in range(1, n + 1):
+        for w in range(1, n + 1):
+            bridged = base.copy()
+            a, b = u - 1, n + w - 1
+            bridged[a, a] += 1
+            bridged[b, b] += 1
+            bridged[a, b] -= 1
+            bridged[b, a] -= 1
+            dev = abs(float(sym_eigen(bridged).values[0]) - lam_ref)
+            if dev > worst:
+                worst, worst_edge = dev, [u, n + w]
+    rep = conjecture_probe(n, eps=eps)
+    assert rep["max_abs_deviation"] == worst
+    assert rep["worst_edge"] == worst_edge
+    assert rep["disconnected_union_deviation"] == abs(
+        float(sym_eigen(base).values[0]) - lam_ref)
+
+
+@pytest.mark.parametrize("n", [1, 41, 501, 6])
+def test_conjecture_probe_rejects_order(n):
+    # odd orders past the path suite's cap used to run for minutes
+    with pytest.raises(ParameterError):
+        conjecture_probe(n)
+
+
+def test_conjecture_probe_and_lambda_profile_reject_zero_eps():
+    with pytest.raises(ParameterError):
+        conjecture_probe(5, eps=0.0)
+    with pytest.raises(ParameterError):
+        lambda_profile(3, eps=0.0)
 
 
 def test_run_comparison_path_row_all_pooled_hundred():
@@ -242,6 +375,25 @@ def test_cli_path_theory_bad_k_exit_2(k):
     r = run_cli("path-theory", "--n", "9", "--k", k)
     assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
     assert r.stderr.startswith("error: parameter:")
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("path-theory", "--n", "5", "--epsilon", "1e103"),
+    ("path-theory", "--n", "6", "--epsilon", "1e103"),
+    ("path-theory", "--n", "8", "--epsilon", "1e103"),
+    ("path-theory", "--n", "15", "--k", "5", "--epsilon", "1e103"),
+    ("conjecture", "--n", "5", "--epsilon", "0"),
+    ("conjecture", "--n", "501"),
+    ("lambda-profile", "--n", "3", "--epsilon", "0"),
+], ids=["path-5-huge-eps", "path-6-huge-eps", "path-8-huge-eps",
+        "path-15-k5-huge-eps", "conjecture-zero-eps", "conjecture-n-501",
+        "lambda-profile-zero-eps"])
+def test_cli_path_suite_parameter_errors_exit_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
+    assert r.stderr.startswith("error: parameter:")
+    assert "Traceback" not in r.stderr
     assert r.stdout == ""
 
 
