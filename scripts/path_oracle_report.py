@@ -9,11 +9,12 @@ and 9.
 import argparse
 
 from spectral_kcenter.experiments import conjecture_probe, path_theory_checks
+from spectral_kcenter.metrics import MetricParams
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--epsilon", type=float, default=0.01)
+    ap.add_argument("--epsilon", type=float, default=MetricParams.epsilon)
     args = ap.parse_args()
 
     failures = 0

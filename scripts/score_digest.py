@@ -19,15 +19,26 @@ residual as float64 bytes and detail) for n = 3..40 and the k-port cases
 (9, 3) and (15, 5), then every ``conjecture_probe`` report for odd
 n = 5..19, the cases of the path-oracle benchmark.
 
-    PYTHONPATH=src python3 scripts/score_digest.py are gramian path
+The target ``cli`` runs each command of CLI_CASES (the README's examples,
+``compare`` at 10 trials, and one ``select`` that sets every selection flag)
+in a fresh interpreter inside an empty directory, and hashes its exit code,
+its stdout bytes and the bytes of every file it wrote there.
+
+    PYTHONPATH=src python3 scripts/score_digest.py are gramian path cli
 """
 
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import spectral_kcenter
 from spectral_kcenter.errors import NumericError
 from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
                                           path_theory_checks)
@@ -40,6 +51,19 @@ SEED = 424242
 K_LIST = (1, 2, 3)
 PATH_CASES = [(n, None) for n in range(3, 41)] + [(9, 3), (15, 5)]
 PROBE_ORDERS = range(5, 20, 2)
+CLI_CASES = [
+    "select --graph path:11 --k 1 --metric mplse --epsilon 0.01",
+    "select --graph fig1 --k 2 --metric mplse",
+    "select --graph path:14 --k 2 --metric msub",
+    "compare --rows path:11,tree:9 --trials 10 --seed 0 --out table.csv",
+    "path-theory --n 11",
+    "path-theory --n 9 --k 3",
+    "lambda-profile --n 11 --grid-step 0.05",
+    "convexity --n 15 --k 1,3,5",
+    "conjecture --n 5,7,9",
+    "select --graph random-graph:7,0.4 --k 2 --metric msub --metric are "
+    "--tau 0.1 --rho 1e-4 --seed 13 --keep-table",
+]
 
 
 def corpus():
@@ -86,8 +110,26 @@ def path_digest() -> tuple[str, int, int]:
     return h.hexdigest(), checks, len(PROBE_ORDERS)
 
 
+def cli_digest() -> tuple[str, int]:
+    """The digest and the number of commands."""
+    h = hashlib.sha256()
+    # the child imports the package this script imports
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(spectral_kcenter.__file__).resolve().parents[1])}
+    for case in CLI_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            r = subprocess.run([sys.executable, "-m", "spectral_kcenter.cli",
+                                *case.split()], cwd=tmp, env=env, capture_output=True)
+            h.update(f"cli {case} exit={r.returncode}\n".encode())
+            h.update(r.stdout)
+            for f in sorted(Path(tmp).iterdir()):
+                h.update(f"file {f.name}\n".encode())
+                h.update(f.read_bytes())
+    return h.hexdigest(), len(CLI_CASES)
+
+
 def _target(name: str):
-    return "path" if name == "path" else Metric.parse(name)
+    return name if name in ("path", "cli") else Metric.parse(name)
 
 
 def main():
@@ -95,13 +137,17 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("targets", nargs="+", type=_target,
                     help="metric names (" + ", ".join(m.value for m in Metric)
-                         + ") or path")
+                         + "), path or cli")
     args = ap.parse_args()
     graphs = None
     for target in args.targets:
         if target == "path":
             digest, checks, probes = path_digest()
             print(f"path {digest} checks={checks} probes={probes}")
+            continue
+        if target == "cli":
+            digest, commands = cli_digest()
+            print(f"cli {digest} commands={commands}")
             continue
         graphs = graphs or corpus()
         digest, scores, errors = metric_digest(target, graphs)

@@ -2,8 +2,9 @@
 
 Subcommands: select | compare | path-theory | lambda-profile | convexity |
 conjecture. Exit codes: 0 success, 1 failed checks or violated report
-invariants, 2 parameter errors, 3 numerical errors. Identical config and
-seed produce byte-identical output.
+invariants, 2 parameter errors (argument errors included), 3 numerical
+errors; each error prints one ``error: <kind>: <reason>`` line on stderr.
+Identical config and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ def _params_from(args) -> MetricParams:
     return MetricParams(epsilon=args.epsilon, tau=args.tau, rho=args.rho)
 
 
-def _check_format(args, native: str):
-    if args.format is not None and args.format != native:
-        raise ParameterError(
-            f"command {args.command!r} emits {native} output only")
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     out = []
     for piece in text.split(","):
@@ -62,21 +57,29 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors, in subcommands too, as parameter errors."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="diagonal perturbation size (default 0.01)")
-    p.add_argument("--tau", type=float, default=None,
-                   help="stochastic step; default 1/(max degree + 1)")
-    p.add_argument("--rho", type=float, default=1e-6,
-                   help="charging-energy regularizer (default 1e-6)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="output format (default per command)")
+    p.add_argument("--epsilon", type=float, default=MetricParams.epsilon,
+                   help="diagonal perturbation size (default %(default)g)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _add_selection(p: argparse.ArgumentParser):
+    """The flags that select and compare read besides the common ones."""
+    p.add_argument("--tau", type=float, default=MetricParams.tau,
+                   help="stochastic step; default 1/(max degree + 1)")
+    p.add_argument("--rho", type=float, default=MetricParams.rho,
+                   help="charging-energy regularizer (default %(default)g)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+
 def _cmd_select(args) -> int:
-    _check_format(args, "json")
     g = parse_graph_source(args.graph, args.seed)
     params = _params_from(args)
     results = []
@@ -124,7 +127,6 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def _cmd_compare(args) -> int:
-    _check_format(args, "csv")
     rows = [r.strip() for r in args.rows.split(",") if r.strip()]
     report = run_comparison(rows, trials=args.trials, seed=args.seed,
                             params=_params_from(args))
@@ -138,7 +140,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_path_theory(args) -> int:
-    _check_format(args, "json")
     checks = path_theory_checks(args.n, k=args.k, eps=args.epsilon)
     payload = {
         "n": args.n,
@@ -158,7 +159,6 @@ def _cmd_path_theory(args) -> int:
 
 
 def _cmd_lambda_profile(args) -> int:
-    _check_format(args, "csv")
     rows = lambda_profile(args.n, eps=args.epsilon, grid_step=args.grid_step)
     lines = [CSV_HEADER, "p,series_value,exact_value"]
     for (p, series, exact) in rows:
@@ -169,7 +169,6 @@ def _cmd_lambda_profile(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    _check_format(args, "csv")
     k_list = _parse_int_list(args.k, "--k")
     rows = convexity_table(args.n, k_list, eps=args.epsilon)
     lines = [CSV_HEADER,
@@ -185,7 +184,6 @@ def _cmd_convexity(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    _check_format(args, "json")
     n_list = _parse_int_list(args.n, "--n")
     reports = [conjecture_probe(n, eps=args.epsilon) for n in n_list]
     payload = reports[0] if len(reports) == 1 else reports
@@ -194,7 +192,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-kcenter",
         description="Optimal k centers of a connected graph under spectral "
                     "perturbation metrics and control-theoretic heuristics.")
@@ -209,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-table", action="store_true",
                    help="include the full per-subset score table")
     _add_common(p)
+    _add_selection(p)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("compare", help="agreement table of all metrics vs mplse")
@@ -216,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rows (path:n, tree:n, general:n)")
     p.add_argument("--trials", type=int, default=100)
     _add_common(p)
+    _add_selection(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("path-theory", help="run the path-graph oracle checks")
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: parameter: {_oneline(exc)}", file=sys.stderr)

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import (Graph, figure1_graph, laplacian, path_graph,
                      random_connected_graph, random_tree)
-from .metrics import (_CHUNK_ENTRIES, Metric, MetricParams, msub_score,
-                      perturbed_laplacian, select_best)
+from .metrics import (_CHUNK_ENTRIES, Metric, MetricParams, mplse_score,
+                      msub_score, perturbed_laplacian, select_best)
 from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
                           lambda_min_quadratic_2port, lambda_min_series_kport,
                           lambda_min_series_positions, optimal_ports,
@@ -30,6 +30,7 @@ from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
 from .spectral import check_positive, sym_eigen
 
 COMPARE_MAX_N = 20
+COMPARE_K_LIST = (1, 2, 3)  # the k values of every comparison row
 PATH_MAX_N = 40  # largest path order of the oracle suite and the probe
 _MAX_GRID_POINTS = 10 ** 5  # bounds the real grid of lambda_profile
 HEURISTIC_METRICS = (Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
@@ -189,8 +190,7 @@ class ComparisonReport:
 
 
 def run_comparison(rows: Sequence[str], trials: int, seed: int,
-                   params: MetricParams = MetricParams(),
-                   k_list: Sequence[int] = (1, 2, 3)) -> ComparisonReport:
+                   params: MetricParams = MetricParams()) -> ComparisonReport:
     """Agreement of every heuristic metric with MPLSE over random instances,
     pooled over k, mirroring the comparison-table layout.
 
@@ -200,7 +200,7 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params,
-                              k_list=tuple(k_list))
+                              k_list=COMPARE_K_LIST)
     memo: dict = {}
     for row_index, row in enumerate(rows):
         instances = [_row_instance(row, seed, row_index, t) for t in range(trials)]
@@ -211,7 +211,7 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
         crow = ComparisonRow(row_id=row, n=n)
         for metric in HEURISTIC_METRICS:
             crow.agreements.append(_agreement(Metric.MPLSE, metric, instances, trials,
-                                              k_list, params, memo))
+                                              COMPARE_K_LIST, params, memo))
         report.rows.append(crow)
     return report
 
@@ -222,10 +222,6 @@ class CheckResult:
     passed: bool
     residual: float
     detail: str
-
-
-def _exact_lambda_min(L: np.ndarray, ports: Sequence[int], eps: float) -> float:
-    return float(sym_eigen(perturbed_laplacian(L, ports, eps)).values[0])
 
 
 def _series_tolerance(eps: float) -> float:
@@ -242,7 +238,7 @@ def _series_tolerance(eps: float) -> float:
 
 
 def path_theory_checks(n: int, k: Optional[int] = None,
-                       eps: float = 0.01) -> list[CheckResult]:
+                       eps: float = MetricParams.epsilon) -> list[CheckResult]:
     """Run the path-graph oracle suite for order n; each check reports a
     residual and pass flag. Checks that need a parity or divisibility
     assumption are included only when n (and k) satisfy it; k, if given,
@@ -288,13 +284,12 @@ def path_theory_checks(n: int, k: Optional[int] = None,
             add(f"one-port-center-{metric.value}",
                 0.0 if best == (pstar,) else 1.0, 0.5,
                 f"selected {list(best)}, center {pstar}")
-        worst = max(abs(exact[j - 1] - lambda_min_quadratic_1port(n, j, eps))
-                    for j in range(1, n + 1))
-        add("one-port-series-vs-exact", worst, series_tol)
-        worst = max(abs(lambda_min_series_kport(n, (j,), eps)
-                        - lambda_min_quadratic_1port(n, j, eps))
-                    / abs(lambda_min_quadratic_1port(n, j, eps))
-                    for j in range(1, n + 1))
+        quad = [lambda_min_quadratic_1port(n, j, eps) for j in range(1, n + 1)]
+        add("one-port-series-vs-exact", max(abs(e - q) for e, q in zip(exact, quad)),
+            series_tol)
+        # relative, but absolute where the quadratic form is exactly 0
+        worst = max(abs(lambda_min_series_kport(n, (j,), eps) - q) / (abs(q) or 1.0)
+                    for j, q in enumerate(quad, start=1))
         add("trig-vs-quadratic-identity", worst, 1e-10)
         # doubling: optimal 1-port on P_n equals optimal 2-port on P_2n
         lam_n = exact[pstar - 1]
@@ -308,7 +303,8 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         add("interlacing", interlace if strict else math.inf, 1e-9,
             "odd-position match and strict alternation")
         add("pseudo-toeplitz-value",
-            abs(_exact_lambda_min(L, (1,), 1.0) - pseudo_toeplitz_lambda_min(n)),
+            abs(mplse_score(g, (1,), MetricParams(epsilon=1.0))
+                - pseudo_toeplitz_lambda_min(n)),
             1e-10)
 
     if n % 2 == 0 and (n // 2) % 2 == 1:
@@ -351,17 +347,17 @@ def path_theory_checks(n: int, k: Optional[int] = None,
     return results
 
 
-def lambda_profile(n: int, eps: float = 0.01,
+def lambda_profile(n: int, eps: float = MetricParams.epsilon,
                    grid_step: Optional[float] = None
                    ) -> list[tuple[float, float, Optional[float]]]:
     """(p, series, exact) rows for the one-port eigenvalue shift on P_n.
 
-    Integer p always included with the exact eigensolve; an optional real
-    grid adds series-only rows (the series is defined for real positions).
+    Integer p always included with the exact value from the mplse table; an
+    optional real grid adds series-only rows (the series is defined for real
+    positions).
     """
     check_positive("eps", eps)
     g = path_graph(n)
-    L = laplacian(g)
     points: list[float] = []
     if grid_step is not None:
         steps = (n - 1) / check_positive("grid step", grid_step)
@@ -372,39 +368,39 @@ def lambda_profile(n: int, eps: float = 0.01,
         points = [round(1.0 + i * grid_step, 9) for i in range(m + 1)]
         points = [p for p in points if p <= n]
     points.extend(float(p) for p in range(1, n + 1))
+    exact = [score for _, score in select_best(
+        g, 1, Metric.MPLSE, MetricParams(epsilon=eps), keep_table=True).table]
     rows = []
     for p in sorted(set(points)):
         series = lambda_min_series_positions(n, (p,), eps)
-        exact = None
-        if abs(p - round(p)) < 1e-12:
-            exact = _exact_lambda_min(L, (int(round(p)),), eps)
-        rows.append((p, series, exact))
+        on_node = abs(p - round(p)) < 1e-12
+        rows.append((p, series, exact[int(round(p)) - 1] if on_node else None))
     return rows
 
 
-def convexity_table(n: int, k_list: Sequence[int], eps: float = 0.01
-                    ) -> list[dict]:
+def convexity_table(n: int, k_list: Sequence[int],
+                    eps: float = MetricParams.epsilon) -> list[dict]:
     """Optimal exact shift per k against the scaled one-port baseline."""
     g = path_graph(n)
     params = MetricParams(epsilon=eps)
-    lam1 = select_best(g, 1, Metric.MPLSE, params).score
+    one_port = select_best(g, 1, Metric.MPLSE, params)
     rows = []
     for k in k_list:
         if not 1 <= k < n:
             raise ParameterError(f"need 1 <= k < n, got k={k}")
-        res = select_best(g, k, Metric.MPLSE, params)
+        res = one_port if k == 1 else select_best(g, k, Metric.MPLSE, params)
         formula = n % k == 0 and (n // k) % 2 == 1
         rows.append({
             "k": k,
             "lambda_min_opt": res.score,
-            "k_times_lambda1": k * lam1,
+            "k_times_lambda1": k * one_port.score,
             "best_ports": list(res.best),
             "closed_form_ports": formula,
         })
     return rows
 
 
-def conjecture_probe(n: int, eps: float = 0.01) -> dict:
+def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     """Bridge two optimally perturbed odd paths by every possible edge and
     report how far the smallest eigenvalue moves.
 

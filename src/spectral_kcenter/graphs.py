@@ -14,6 +14,7 @@ import numpy as np
 from .errors import GenerationError, GraphFormatError, ParameterError
 
 Edge = tuple[int, int]
+GENERATION_RETRIES = 1000  # G(n, p) draws before random_connected_graph gives up
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(n: int, p: float, seed: int, max_retries: int = 1000) -> Graph:
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) sample conditioned on connectivity.
 
     Rejection-resampled on a single advancing RNG stream, so the result
@@ -164,7 +165,7 @@ def random_connected_graph(n: int, p: float, seed: int, max_retries: int = 1000)
     if not (0 < p < 1):
         raise ParameterError(f"edge probability must be in (0,1), got {p}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(GENERATION_RETRIES):
         edges = [(u, v)
                  for u in range(1, n + 1)
                  for v in range(u + 1, n + 1)
@@ -173,7 +174,7 @@ def random_connected_graph(n: int, p: float, seed: int, max_retries: int = 1000)
         if g.is_connected():
             return g
     raise GenerationError(
-        f"no connected G({n},{p}) sample in {max_retries} attempts")
+        f"no connected G({n},{p}) sample in {GENERATION_RETRIES} attempts")
 
 
 def parse_edge_list(text: str) -> Graph:

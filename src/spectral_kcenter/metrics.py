@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import Graph, laplacian, max_degree, stochastic
-from .spectral import (are_charging_energy, check_ports, check_positive,
-                       gramian_extraction_energy, sym_eigen)
+from .spectral import (DEFAULT_RHO, are_charging_energy, check_ports,
+                       check_positive, gramian_extraction_energy, sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -71,7 +71,7 @@ class MetricParams:
 
     epsilon: float = 0.01
     tau: Optional[float] = None
-    rho: float = 1e-6
+    rho: float = DEFAULT_RHO
 
     def __post_init__(self):
         check_positive("epsilon", self.epsilon)
@@ -211,9 +211,9 @@ def _is_tie(a, b):
 
 def select_best(g: Graph, k: int, metric: Metric,
                 params: MetricParams = MetricParams(),
-                keep_table: bool = False,
-                enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> SelectionResult:
-    """Exhaustively score all C(n, k) port sets and return the optimum.
+                keep_table: bool = False) -> SelectionResult:
+    """Exhaustively score all C(n, k) port sets, at most
+    DEFAULT_ENUMERATION_CAP of them, and return the optimum.
 
     Scores that tie with the optimal score are collected, by the module's
     rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
@@ -222,9 +222,9 @@ def select_best(g: Graph, k: int, metric: Metric,
     if not 1 <= k < g.n:
         raise ParameterError(f"need 1 <= k < n, got k={k}, n={g.n}")
     count = math.comb(g.n, k)
-    if count > enumeration_cap:
-        raise ParameterError(
-            f"C({g.n},{k}) = {count} exceeds the enumeration cap {enumeration_cap}")
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise ParameterError(f"C({g.n},{k}) = {count} exceeds the enumeration "
+                             f"cap {DEFAULT_ENUMERATION_CAP}")
     score = _subset_scorer(g, k, metric, params)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),

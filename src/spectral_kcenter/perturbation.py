@@ -12,6 +12,7 @@ from .errors import AssumptionError, DegenerateEigenvalueError, RootFindError
 from .spectral import sym_eigen
 
 EIGENGAP_MIN = 1e-8
+NEWTON_MAX_ITER = 200  # iterations of smallest_root_numeric
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def root_series_double(a, b, c) -> RootSeries:
     return RootSeries(beta1=-b0 / a1, beta2=beta2)
 
 
-def smallest_root_numeric(poly, guess: float, max_iter: int = 200) -> float:
+def smallest_root_numeric(poly, guess: float) -> float:
     """Real root of the polynomial near ``guess`` by safeguarded Newton.
 
     Once a sign change is bracketed, iterates that escape the bracket are
@@ -112,7 +113,7 @@ def smallest_root_numeric(poly, guess: float, max_iter: int = 200) -> float:
     x = float(guess)
     lo = hi = None  # bracket endpoints with opposite signs, once found
     flo = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fx = P.polyval(x, coeffs)
         if abs(fx) <= tol:
             return float(x)
@@ -141,4 +142,4 @@ def smallest_root_numeric(poly, guess: float, max_iter: int = 200) -> float:
     if abs(fx) <= 1e3 * tol:
         return float(x)
     raise RootFindError(
-        f"no root within {max_iter} iterations from guess {guess} (residual {fx:.3e})")
+        f"no root within {NEWTON_MAX_ITER} iterations from guess {guess} (residual {fx:.3e})")

@@ -25,6 +25,7 @@ from scipy import linalg as sla
 from .errors import IllPosedError, NumericError, ParameterError, StabilityError
 
 EIGEN_RESIDUAL_FACTOR = 1e-9
+DEFAULT_RHO = 1e-6  # the ARE regularizer of MetricParams and are_charging_energy
 
 
 class EigenDecomposition(NamedTuple):
@@ -187,7 +188,7 @@ def _port_sets(n: int, ports) -> tuple[np.ndarray, bool]:
     return S, False
 
 
-def are_charging_energy(L: np.ndarray, ports, rho: float = 1e-6) -> float | np.ndarray:
+def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | np.ndarray:
     """Minimum regularized energy to charge the RC network to all-ones
     through the given ports: a float for one port set, an array of m values
     for an (m, k) array of port sets.

@@ -18,7 +18,8 @@ from spectral_kcenter.graphs import laplacian, serialize_edge_list, path_graph
 from spectral_kcenter.metrics import MetricParams, perturbed_laplacian, select_best
 from spectral_kcenter.path_theory import (lambda_min_quadratic_1port,
                                           lambda_min_quadratic_2port,
-                                          lambda_min_series_positions)
+                                          lambda_min_series_positions,
+                                          pseudo_toeplitz_lambda_min)
 from spectral_kcenter.spectral import sym_eigen
 
 
@@ -92,6 +93,8 @@ def test_path_theory_checks_bitwise_equal_single_solves(n):
             for j in range(1, n + 1))
         lam_2n = _lambda_min(laplacian(path_graph(2 * n)), (pstar, pstar + n), eps)
         expected["doubling-equality"] = abs(_lambda_min(L, (pstar,), eps) - lam_2n)
+        expected["pseudo-toeplitz-value"] = abs(
+            _lambda_min(L, (1,), 1.0) - pseudo_toeplitz_lambda_min(n))
     else:
         expected["two-port-series-vs-exact"] = max(
             abs(_lambda_min(L, (j1, j2), eps)
@@ -109,6 +112,16 @@ def test_path_theory_checks_bitwise_equal_single_solves(n):
             assert (c.residual, c.detail) == value
         else:
             assert c.residual == value, check_id
+
+
+def test_path_theory_checks_vanishing_quadratic_form():
+    # lambda_min_quadratic_1port(37, j, 0.1) is exactly 0 at j = 3 and 35;
+    # the identity check used to divide by it and raise ZeroDivisionError
+    assert lambda_min_quadratic_1port(37, 3, 0.1) == 0.0
+    assert lambda_min_quadratic_1port(37, 35, 0.1) == 0.0
+    results = {c.check_id: c for c in path_theory_checks(37, eps=0.1)}
+    c = results["trig-vs-quadratic-identity"]
+    assert c.passed and math.isfinite(c.residual)
 
 
 def test_path_theory_checks_call_contract(monkeypatch):
@@ -165,6 +178,16 @@ def test_lambda_profile_integer_sweep():
     assert math.isclose(exact[1.0], exact[11.0], rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1])
+@pytest.mark.parametrize("n", [3, 12, 40])
+def test_lambda_profile_exact_column_equals_single_solves(n, eps):
+    # the column is read from the k = 1 mplse table, bit for bit one solve
+    # per port
+    L = laplacian(path_graph(n))
+    exact = [e for (_, _, e) in lambda_profile(n, eps=eps)]
+    assert exact == [_lambda_min(L, (j,), eps) for j in range(1, n + 1)]
+
+
 def test_lambda_profile_real_grid_has_local_series_minimum():
     rows = lambda_profile(11, eps=0.01, grid_step=0.05)
     series = {round(p, 4): s for (p, s, _) in rows}
@@ -179,6 +202,20 @@ def test_convexity_table_small_orders():
     assert rows[5]["lambda_min_opt"] > rows[5]["k_times_lambda1"]
     rows14 = {r["k"]: r for r in convexity_table(14, [2])}
     assert rows14[2]["lambda_min_opt"] > rows14[2]["k_times_lambda1"]
+
+
+def test_convexity_table_selects_each_k_once(monkeypatch):
+    calls = []
+    select_best = experiments.select_best
+
+    def recording(g, k, metric, *args, **kwargs):
+        calls.append(k)
+        return select_best(g, k, metric, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "select_best", recording)
+    convexity_table(15, [1, 3, 5])
+    monkeypatch.undo()
+    assert calls == [1, 3, 5]
 
 
 def test_conjecture_probe_reports_tiny_deviation():
@@ -430,6 +467,62 @@ def test_cli_path_theory_green_for_11():
     out = json.loads(r.stdout)
     assert out["all_passed"] is True
     assert any(c["id"] == "fiedler-zero-at-center" for c in out["checks"])
+
+
+def test_cli_path_theory_vanishing_quadratic_form():
+    r = run_cli("path-theory", "--n", "37", "--epsilon", "0.1")
+    assert "Traceback" not in r.stderr
+    out = json.loads(r.stdout)
+    check = {c["id"]: c for c in out["checks"]}["trig-vs-quadratic-identity"]
+    assert check["passed"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ("select", "--graph", "path:5", "--k", "1", "--metric", "mplse", "--bogus", "1"),
+    ("path-theory", "--n", "9", "--rho", "-5"),
+    ("select", "--graph", "path:5", "--k", "x", "--metric", "mplse"),
+], ids=["unknown-flag", "removed-flag", "bad-int"])
+def test_cli_argument_errors_print_one_line(args):
+    r = run_cli(*args)
+    assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: parameter: ")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+
+
+def test_cli_help_exits_0():
+    r = run_cli("path-theory", "--help")
+    assert r.returncode == 0, r.stderr
+    assert "--epsilon" in r.stdout and "--rho" not in r.stdout
+
+
+SUITE_COMMANDS = {"path-theory": ["--n", "9"], "lambda-profile": ["--n", "5"],
+                  "convexity": ["--n", "6"], "conjecture": ["--n", "5"]}
+
+
+@pytest.mark.parametrize("flag,value", [("--tau", "0.1"), ("--rho", "1e-4"),
+                                        ("--seed", "3"), ("--format", "json")])
+@pytest.mark.parametrize("command", sorted(SUITE_COMMANDS))
+def test_cli_suite_commands_reject_selection_flags(command, flag, value, capsys):
+    # only select and compare read tau, rho and seed; no command has --format
+    from spectral_kcenter import cli
+
+    assert cli.main([command, *SUITE_COMMANDS[command], flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: parameter: unrecognized arguments: {flag} {value}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("select", "--graph", "random-graph:6,0.5", "--k", "1", "--metric", "are"),
+    ("compare", "--rows", "path:5", "--trials", "1"),
+], ids=["select", "compare"])
+def test_cli_selection_commands_accept_tau_rho_seed(args, capsys):
+    from spectral_kcenter import cli
+
+    assert cli.main([*args, "--tau", "0.1", "--rho", "1e-4", "--seed", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 def test_cli_lambda_profile_csv():
