@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Optional
 
 from .errors import NumericError, ParameterError
@@ -33,27 +34,45 @@ def _write_output(text: str, out: Optional[str]):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {out!r}: {exc.strerror}")
+
+
+def _check_out(out: Optional[str]):
+    """Reject an --out target that cannot be written as a file, before the
+    command computes anything; other write failures surface in _write_output."""
+    if out in (None, "-"):
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ParameterError(f"--out {out!r} is a directory")
+    if not path.parent.is_dir():
+        raise ParameterError(f"--out {out!r}: {str(path.parent)!r} is not an existing directory")
 
 
 def _params_from(args) -> MetricParams:
     return MetricParams(epsilon=args.epsilon, tau=args.tau, rho=args.rho)
 
 
+def _parse_list(text: str, flag: str) -> list[str]:
+    """The non-blank comma-separated pieces of ``text``, at least one."""
+    out = [piece.strip() for piece in text.split(",") if piece.strip()]
+    if not out:
+        raise ParameterError(f"{flag} list is empty")
+    return out
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _parse_list(text, flag):
         try:
             out.append(int(piece))
         except ValueError:
             raise ParameterError(f"{flag} expects comma-separated integers, "
                                  f"got {piece!r}")
-    if not out:
-        raise ParameterError(f"{flag} list is empty")
     return out
 
 
@@ -127,7 +146,7 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def _cmd_compare(args) -> int:
-    rows = [r.strip() for r in args.rows.split(",") if r.strip()]
+    rows = _parse_list(args.rows, "--rows")
     report = run_comparison(rows, trials=args.trials, seed=args.seed,
                             params=_params_from(args))
     _write_output(comparison_csv(report), args.out)
@@ -252,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: parameter: {_oneline(exc)}", file=sys.stderr)

@@ -39,7 +39,9 @@ HEURISTIC_METRICS = (Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
 
 def parse_graph_source(source: str, seed: int = 0) -> Graph:
     """Build a graph from a source string: path:n | fig1 | random-tree:n |
-    random-graph:n,p | a file path (edge-list format)."""
+    random-graph:n,p | a file path (edge-list format, UTF-8). Every source
+    gives a connected graph: a file that describes a disconnected one, or
+    that cannot be read, is a ParameterError."""
     if source == "fig1":
         return figure1_graph()
     if source.startswith("path:"):
@@ -61,10 +63,18 @@ def parse_graph_source(source: str, seed: int = 0) -> Graph:
     from pathlib import Path
 
     from .graphs import parse_edge_list
-    path = Path(source)
-    if not path.exists():
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except FileNotFoundError:
         raise ParameterError(f"graph source {source!r} is not a known scheme or a file")
-    return parse_edge_list(path.read_text())
+    except OSError as exc:
+        raise ParameterError(f"graph file {source!r} cannot be read: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParameterError(f"graph file {source!r} is not UTF-8 text")
+    g = parse_edge_list(text)
+    if not g.is_connected():
+        raise ParameterError(f"graph {source!r} is not connected")
+    return g
 
 
 def _parse_int(text: str, what: str) -> int:

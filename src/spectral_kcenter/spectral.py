@@ -11,6 +11,9 @@ runs one QZ solve per set (LAPACK's ``gges`` and ``tgsen`` called directly,
 their lookup, workspace query and finiteness check done once per batch) and
 runs its checks on the stack of results. A batch raises the error its first
 failing set raises alone.
+``scipy.linalg`` is imported by the first ARE batch, not with this module:
+everything else here needs only NumPy, and SciPy's import costs more than
+NumPy's, so a process that never scores ARE never loads it.
 Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 """
 
@@ -20,7 +23,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import IllPosedError, NumericError, ParameterError, StabilityError
 
@@ -272,6 +274,8 @@ def _stable_schur_solver(template: np.ndarray, E: np.ndarray):
     them back. Every failure raises NumericError with scipy's message, and
     so does a QZ iteration that did not converge, where ordqz only warns.
     """
+    from scipy import linalg as sla  # deferred: see the module docstring
+
     if not (np.isfinite(template).all() and np.isfinite(E).all()):
         raise NumericError("QZ decomposition failed: array must not contain infs or NaNs")
     gges, tgsen = sla.get_lapack_funcs(("gges", "tgsen"), (template, E))

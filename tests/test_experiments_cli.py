@@ -481,13 +481,122 @@ def test_cli_path_theory_vanishing_quadratic_form():
     ("select", "--graph", "path:5", "--k", "1", "--metric", "mplse", "--bogus", "1"),
     ("path-theory", "--n", "9", "--rho", "-5"),
     ("select", "--graph", "path:5", "--k", "x", "--metric", "mplse"),
-], ids=["unknown-flag", "removed-flag", "bad-int"])
+    ("compare", "--rows", ","),
+], ids=["unknown-flag", "removed-flag", "bad-int", "empty-rows"])
 def test_cli_argument_errors_print_one_line(args):
     r = run_cli(*args)
     assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
     assert r.stdout == ""
     assert r.stderr.startswith("error: parameter: ")
     assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+
+
+def _assert_one_parameter_error(capsys, reason):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: parameter: ") and reason in err, err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _not_computed(*args, **kwargs):
+    raise AssertionError("the command computed before its input was checked")
+
+
+@pytest.mark.parametrize("args, out, reason", [
+    (["select", "--graph", "fig1", "--k", "1", "--metric", "mplse"],
+     "missing/x.json", "is not an existing directory"),
+    (["compare", "--rows", "path:5", "--trials", "2"], ".", "is a directory"),
+], ids=["select-missing-dir", "compare-directory"])
+def test_cli_rejects_unwritable_out_before_computing(tmp_path, monkeypatch, capsys,
+                                                     args, out, reason):
+    from spectral_kcenter import cli
+
+    monkeypatch.setattr(cli, "select_best", _not_computed)
+    monkeypatch.setattr(cli, "run_comparison", _not_computed)
+    assert cli.main([*args, "--out", str(tmp_path / out)]) == 2
+    _assert_one_parameter_error(capsys, reason)
+
+
+def test_cli_out_write_failure_exit_2(tmp_path, monkeypatch, capsys):
+    # a failure the up-front check cannot see, such as a full disk
+    from spectral_kcenter import cli
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    argv = ["path-theory", "--n", "5", "--out", str(tmp_path / "x.json")]
+    assert cli.main(argv) == 2
+    _assert_one_parameter_error(capsys, "No space left on device")
+
+
+@pytest.mark.parametrize("name, content, reason", [
+    (None, None, "Is a directory"),
+    ("latin1.txt", "3\n1 2\n2 3 # \xe9\n".encode("latin-1"), "is not UTF-8 text"),
+    ("split.txt", b"6\n1 2\n2 3\n4 5\n5 6\n", "is not connected"),
+], ids=["directory", "not-utf8", "disconnected"])
+def test_cli_rejects_bad_graph_file(tmp_path, monkeypatch, capsys, name, content, reason):
+    from spectral_kcenter import cli
+
+    source = tmp_path
+    if name is not None:
+        source = tmp_path / name
+        source.write_bytes(content)
+    monkeypatch.setattr(cli, "select_best", _not_computed)
+    metrics = [arg for m in ("mplse", "msub", "msup", "eigvec", "are", "gramian")
+               for arg in ("--metric", m)]
+    assert cli.main(["select", "--graph", str(source), "--k", "2", *metrics]) == 2
+    _assert_one_parameter_error(capsys, reason)
+
+
+def test_parse_graph_source_rejects_unreadable_file(tmp_path, monkeypatch):
+    f = tmp_path / "g.txt"
+    f.write_text(serialize_edge_list(path_graph(4)))
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    with pytest.raises(ParameterError, match="cannot be read: Permission denied"):
+        parse_graph_source(str(f))
+
+
+# run in a fresh interpreter: imports the package, makes one library call and
+# then runs each command of argv[1] through cli.main, and prints, per call,
+# its exit code, whether scipy.linalg was loaded after it, and its stdout
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from spectral_kcenter import Metric, cli, path_graph, select_best
+select_best(path_graph(11), 1, Metric.MPLSE)
+calls = [[0, "scipy.linalg" in sys.modules, ""]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    calls.append([code, "scipy.linalg" in sys.modules, out.getvalue()])
+print(json.dumps(calls))
+"""
+
+
+def test_only_are_loads_scipy():
+    # SciPy's import costs more than NumPy's, and only ARE's QZ solve needs it
+    without_are = [
+        *(["select", "--graph", "fig1", "--k", "2", "--metric", m]
+          for m in ("mplse", "msub", "msup", "eigvec", "gramian")),
+        ["path-theory", "--n", "9", "--k", "3"],
+        ["lambda-profile", "--n", "7"],
+        ["convexity", "--n", "9", "--k", "1,3"],
+        ["conjecture", "--n", "5"],
+    ]
+    are = ["select", "--graph", "path:6", "--k", "2", "--metric", "are"]
+    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps([*without_are, are])],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": CLI_PATH})
+    assert r.returncode == 0, r.stderr
+    calls = json.loads(r.stdout)
+    assert [(code, loaded) for code, loaded, _ in calls[:-1]] == [(0, False)] * len(calls[:-1])
+    code, loaded, out = calls[-1]
+    assert code == 0 and loaded
+    result = json.loads(out)
+    assert result["best"] == [2, 5] and 0 < result["score"] < math.inf
 
 
 def test_cli_help_exits_0():
