@@ -416,8 +416,16 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
 
     The n^2 bridged matrices are solved in stacks, bounded in memory like
     ``select_best``'s, and scanned in (u, w) order. n must be odd and in
-    3..PATH_MAX_N. Exploration only: returns the per-edge worst case, never
-    asserts.
+    3..PATH_MAX_N.
+
+    In exact arithmetic nothing moves, for every bridge, port and eps >= 0.
+    Let L1 = L(P_n) + eps e_p e_p' and v > 0 the eigenvector of
+    lambda = lambda_min(L1) (positive because P_n is connected). The bridge
+    adds b b' with b = e_u - e_{n+w}, which is positive semidefinite, so by
+    Weyl's inequality no eigenvalue goes down; and x = (v_w v, v_u v) is
+    nonzero with b'x = 0, so lambda is still an eigenvalue of the bridged
+    matrix. Hence ``max_abs_deviation``, ``disconnected_union_deviation``
+    and ``worst_edge`` report rounding noise only.
     """
     if not 3 <= n <= PATH_MAX_N:
         raise ParameterError(f"probe supports 3 <= n <= {PATH_MAX_N}, got {n}")

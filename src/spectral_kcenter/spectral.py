@@ -156,7 +156,8 @@ def check_ports(n: int, ports: Iterable[int]) -> tuple[int, ...]:
     if not ports:
         raise ParameterError("port set is empty")
     for j in ports:
-        if not isinstance(j, (int, np.integer)):
+        # bool is an int subclass, but True is not node 1
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
             raise ParameterError(f"port {j!r} is not a node index")
         if not 1 <= j <= n:
             raise ParameterError(f"port {j} out of range 1..{n}")

@@ -115,12 +115,13 @@ PORT_SCORERS = {
 }
 
 
-@pytest.mark.parametrize("ports", [(0,), (-1,), (6,), (), (2, 2), (2.5,)])
+@pytest.mark.parametrize("ports", [(0,), (-1,), (6,), (), (2, 2), (2.5,), (True,)])
 @pytest.mark.parametrize("scorer", PORT_SCORERS)
 def test_scorers_reject_invalid_port_sets(scorer, ports):
     # a port set is a nonempty set of distinct nodes in 1..n; negative
-    # indices must not wrap, duplicates must not add eps twice, and a
-    # fractional node must not leave msub with nothing removed
+    # indices must not wrap, duplicates must not add eps twice, a
+    # fractional node must not leave msub with nothing removed, and True
+    # is not node 1
     with pytest.raises(ParameterError):
         PORT_SCORERS[scorer](path_graph(5), ports)
 
@@ -130,10 +131,10 @@ def test_msub_needs_a_node_left():
         msub_score(path_graph(5), (1, 2, 3, 4, 5))
 
 
-@pytest.mark.parametrize("k", [0, -1, 5])
+@pytest.mark.parametrize("k", [0, -1, 5, 2.0, True])
 def test_eigvec_rejects_bad_k(k):
-    # k indexes the eigenvector v_{k+1}, so it must lie in 1..n-1; a bad k
-    # is a parameter error, not a degenerate spectrum
+    # k indexes the eigenvector v_{k+1}, so it must be an integer in
+    # 1..n-1; a bad k is a parameter error, not a degenerate spectrum
     with pytest.raises(ParameterError):
         eigvec_heuristic_score(path_graph(5), (2,), k)
 
@@ -285,6 +286,11 @@ def test_select_best_table_covers_all_subsets():
 def test_select_best_guards():
     with pytest.raises(ParameterError):
         select_best(path_graph(5), 5, Metric.MPLSE)
+    # k is an integer: not a float, even an integral one, and not a bool
+    for k in (2.0, True):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            select_best(path_graph(5), k, Metric.MPLSE)
+    assert select_best(path_graph(5), np.int64(1), Metric.MPLSE).best == (3,)
     # C(40, 8) = 76,904,685 port sets exceed the cap of 2,000,000; the check
     # comes before any scoring, so this is quick
     with pytest.raises(ParameterError, match="enumeration cap"):
