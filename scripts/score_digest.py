@@ -19,12 +19,20 @@ residual as float64 bytes and detail) for n = 3..40 and the k-port cases
 (9, 3) and (15, 5), then every ``conjecture_probe`` report for odd
 n = 5..19, the cases of the path-oracle benchmark.
 
+The target ``oracle`` hashes, as float64 bytes, the outputs of the path
+oracle's closed forms for n = 2..40 and eps in ORACLE_EPS, at every port
+or port pair each function accepts: the path, segment and perturbed
+characteristic polynomials, the eigenpairs, the k-port series for one and
+two ports, both quadratic forms, both eps-slices with the root series of
+each, the convexity gap, the optimal ports and the pseudo-Toeplitz value.
+It calls public names only, so it runs against any commit that has them.
+
 The target ``cli`` runs each command of CLI_CASES (the README's examples,
 ``compare`` at 10 trials, and one ``select`` that sets every selection flag)
 in a fresh interpreter inside an empty directory, and hashes its exit code,
 its stdout bytes and the bytes of every file it wrote there.
 
-    PYTHONPATH=src python3 scripts/score_digest.py are gramian path cli
+    PYTHONPATH=src python3 scripts/score_digest.py are gramian path oracle cli
 """
 
 import argparse
@@ -39,11 +47,20 @@ from pathlib import Path
 import numpy as np
 
 import spectral_kcenter
+from spectral_kcenter import (RootSeries, charpoly_eps_slices_1port,
+                              charpoly_eps_slices_2port, end_segment_charpoly,
+                              inner_segment_charpoly, lambda_min_quadratic_1port,
+                              lambda_min_quadratic_2port, lambda_min_series_kport,
+                              optimal_ports, path_charpoly, path_charpoly_lowcoeffs,
+                              path_eigenpair, perturbed_charpoly_1port,
+                              perturbed_charpoly_2port, pseudo_toeplitz_lambda_min,
+                              root_series_double, root_series_single)
 from spectral_kcenter.errors import NumericError
 from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
                                           path_theory_checks)
 from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
 from spectral_kcenter.metrics import Metric, select_best
+from spectral_kcenter.path_theory import convexity_series_gap
 
 ROWS = ("path:11", "tree:7", "tree:9", "general:7", "general:9")
 TRIALS = 10
@@ -51,6 +68,8 @@ SEED = 424242
 K_LIST = (1, 2, 3)
 PATH_CASES = [(n, None) for n in range(3, 41)] + [(9, 3), (15, 5)]
 PROBE_ORDERS = range(5, 20, 2)
+ORACLE_ORDERS = range(2, 41)
+ORACLE_EPS = (1e-4, 0.01, 0.3, 1.0)
 CLI_CASES = [
     "select --graph path:11 --k 1 --metric mplse --epsilon 0.01",
     "select --graph fig1 --k 2 --metric mplse",
@@ -110,6 +129,71 @@ def path_digest() -> tuple[str, int, int]:
     return h.hexdigest(), checks, len(PROBE_ORDERS)
 
 
+def _floats(value) -> np.ndarray:
+    """Every number in a (nested) oracle output, in order, as float64."""
+    if isinstance(value, RootSeries):
+        value = (value.beta1, value.beta2)
+    if isinstance(value, tuple):
+        return np.concatenate([np.empty(0)] + [_floats(v) for v in value])
+    return np.ravel(np.asarray(value, dtype=np.float64))
+
+
+def oracle_outputs(n: int):
+    """(name, output) for every oracle call on P_n, in a fixed order."""
+    ports = range(1, n + 1)
+    pairs = [(p1, p2) for p1 in ports for p2 in ports if p1 < p2]
+    yield "path_charpoly", path_charpoly(n)
+    yield "path_charpoly_lowcoeffs", path_charpoly_lowcoeffs(n)
+    yield "end_segment_charpoly", end_segment_charpoly(n)
+    yield "inner_segment_charpoly", inner_segment_charpoly(n)
+    yield "pseudo_toeplitz_lambda_min", pseudo_toeplitz_lambda_min(n)
+    for j in ports:
+        yield "path_eigenpair", path_eigenpair(n, j)
+    for k in range(1, n):
+        if n % k == 0 and (n // k) % 2 == 1:
+            yield "optimal_ports", optimal_ports(n, k)
+    one_port = n % 2 == 1
+    two_port = n % 4 == 2
+    halves = [(j1, j2) for j1, j2 in pairs if j1 < n / 2 < j2]
+    split = [(p1, p2) for p1, p2 in pairs if 1 < p1 and p2 < n and p2 - p1 >= 2]
+    if one_port:
+        for j in ports:
+            a, b = charpoly_eps_slices_1port(n, j)
+            yield "charpoly_eps_slices_1port", (a, b, root_series_single(a, b))
+    if two_port:
+        for j1, j2 in halves:
+            a, b, c = charpoly_eps_slices_2port(n, j1, j2)
+            yield "charpoly_eps_slices_2port", (a, b, c, root_series_double(a, b, c))
+    for eps in ORACLE_EPS:
+        yield "convexity_series_gap", convexity_series_gap(n, eps)
+        for p in ports:
+            yield "perturbed_charpoly_1port", perturbed_charpoly_1port(n, p, eps)
+            yield "lambda_min_series_kport", lambda_min_series_kport(n, (p,), eps)
+        for pair in pairs:
+            yield "lambda_min_series_kport", lambda_min_series_kport(n, pair, eps)
+        if n >= 6:
+            for p1, p2 in split:
+                yield "perturbed_charpoly_2port", perturbed_charpoly_2port(n, p1, p2, eps)
+        if one_port:
+            for j in ports:
+                yield "lambda_min_quadratic_1port", lambda_min_quadratic_1port(n, j, eps)
+        if two_port:
+            for j1, j2 in halves:
+                yield "lambda_min_quadratic_2port", lambda_min_quadratic_2port(n, j1, j2, eps)
+
+
+def oracle_digest() -> tuple[str, int]:
+    """The digest and the number of oracle outputs."""
+    h = hashlib.sha256()
+    outputs = 0
+    for n in ORACLE_ORDERS:
+        for name, value in oracle_outputs(n):
+            outputs += 1
+            h.update(f"{name} n={n}\n".encode())
+            h.update(_floats(value).tobytes())
+    return h.hexdigest(), outputs
+
+
 def cli_digest() -> tuple[str, int]:
     """The digest and the number of commands."""
     h = hashlib.sha256()
@@ -129,7 +213,7 @@ def cli_digest() -> tuple[str, int]:
 
 
 def _target(name: str):
-    return name if name in ("path", "cli") else Metric.parse(name)
+    return name if name in ("path", "oracle", "cli") else Metric.parse(name)
 
 
 def main():
@@ -137,13 +221,17 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("targets", nargs="+", type=_target,
                     help="metric names (" + ", ".join(m.value for m in Metric)
-                         + "), path or cli")
+                         + "), path, oracle or cli")
     args = ap.parse_args()
     graphs = None
     for target in args.targets:
         if target == "path":
             digest, checks, probes = path_digest()
             print(f"path {digest} checks={checks} probes={probes}")
+            continue
+        if target == "oracle":
+            digest, outputs = oracle_digest()
+            print(f"oracle {digest} outputs={outputs}")
             continue
         if target == "cli":
             digest, commands = cli_digest()

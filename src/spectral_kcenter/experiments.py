@@ -27,7 +27,7 @@ from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
                           lambda_min_quadratic_2port, lambda_min_series_kport,
                           lambda_min_series_positions, optimal_ports,
                           path_eigenpair, pseudo_toeplitz_lambda_min)
-from .spectral import check_positive, sym_eigen
+from .spectral import check_index, check_positive, sym_eigen
 
 COMPARE_MAX_N = 20
 COMPARE_K_LIST = (1, 2, 3)  # the k values of every comparison row
@@ -130,8 +130,7 @@ def agreement_rate(metric_a: Metric, metric_b: Metric,
     eigenvector heuristic) are excluded from the denominator and counted
     as skipped.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    check_index("trials", trials, 1)
     return _agreement(metric_a, metric_b, instances, trials, k_list, params, {})
 
 
@@ -207,8 +206,7 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
     Each (instance, k, metric) is selected once, row by row and metric by
     metric in HEURISTIC_METRICS order, with mplse before the other metric.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    check_index("trials", trials, 1)
     report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params,
                               k_list=COMPARE_K_LIST)
     memo: dict = {}
@@ -258,10 +256,9 @@ def path_theory_checks(n: int, k: Optional[int] = None,
     read from the mplse selection's score table, and each (k, metric) is
     selected once.
     """
-    if not 3 <= n <= PATH_MAX_N:
-        raise ParameterError(f"path checks support 3 <= n <= {PATH_MAX_N}, got {n}")
-    if k is not None and not 1 <= k < n:
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    check_index("n", n, 3, PATH_MAX_N)
+    if k is not None:
+        check_index("k", k, 1, n - 1)
     check_positive("eps", eps)
     series_tol = _series_tolerance(eps)
     results: list[CheckResult] = []
@@ -280,7 +277,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
     add("eigenpair-residual", worst, 1e-9)
 
     if n % 2 == 1:
-        pstar = (n + 1) // 2
+        (pstar,) = optimal_ports(n, 1)
         _, v2 = path_eigenpair(n, 2)
         add("fiedler-zero-at-center", abs(v2[pstar - 1]), 1e-12,
             f"component {pstar} of the second eigenvector")
@@ -318,7 +315,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
             1e-10)
 
     if n % 2 == 0 and (n // 2) % 2 == 1:
-        p1, p2 = (n + 2) // 4, (3 * n + 2) // 4
+        p1, p2 = optimal_ports(n, 2)
         _, v3 = path_eigenpair(n, 3)
         add("v3-zeros-at-centers", max(abs(v3[p1 - 1]), abs(v3[p2 - 1])), 1e-12)
         params = MetricParams(epsilon=eps)
@@ -396,8 +393,7 @@ def convexity_table(n: int, k_list: Sequence[int],
     one_port = select_best(g, 1, Metric.MPLSE, params)
     rows = []
     for k in k_list:
-        if not 1 <= k < n:
-            raise ParameterError(f"need 1 <= k < n, got k={k}")
+        check_index("k", k, 1, n - 1)
         res = one_port if k == 1 else select_best(g, k, Metric.MPLSE, params)
         formula = n % k == 0 and (n // k) % 2 == 1
         rows.append({
@@ -427,14 +423,12 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     matrix. Hence ``max_abs_deviation``, ``disconnected_union_deviation``
     and ``worst_edge`` report rounding noise only.
     """
-    if not 3 <= n <= PATH_MAX_N:
-        raise ParameterError(f"probe supports 3 <= n <= {PATH_MAX_N}, got {n}")
+    check_index("n", n, 3, PATH_MAX_N)
     if n % 2 == 0:
         raise ParameterError(f"probe needs odd n, got {n}")
     check_positive("eps", eps)
     g = path_graph(n)
-    pstar = (n + 1) // 2
-    L1 = perturbed_laplacian(laplacian(g), (pstar,), eps)
+    L1 = perturbed_laplacian(laplacian(g), optimal_ports(n, 1), eps)
     lam_ref = float(sym_eigen(L1).values[0])
     base = np.zeros((2 * n, 2 * n))
     base[:n, :n] = L1

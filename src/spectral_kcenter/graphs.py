@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, GraphFormatError, ParameterError
+from .spectral import check_index
 
 Edge = tuple[int, int]
 GENERATION_RETRIES = 1000  # G(n, p) draws before random_connected_graph gives up
@@ -25,8 +26,7 @@ class Graph:
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"node count must be positive, got {self.n}")
+        check_index("node count", self.n, 1)
         for (u, v) in self.edges:
             if u == v:
                 raise ParameterError(f"self-loop at node {u}")
@@ -79,8 +79,7 @@ class Graph:
 
 def path_graph(n: int) -> Graph:
     """Path on n nodes with edges (i, i+1)."""
-    if n < 2:
-        raise ParameterError(f"path graph needs n >= 2, got {n}")
+    check_index("path order", n, 2)
     return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
 
 
@@ -129,8 +128,7 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n nodes via Pruefer decoding."""
-    if n < 2:
-        raise ParameterError(f"random tree needs n >= 2, got {n}")
+    check_index("tree order", n, 2)
     if n == 2:
         return Graph(2, frozenset({(1, 2)}))
     rng = np.random.default_rng(seed)
@@ -160,8 +158,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     Rejection-resampled on a single advancing RNG stream, so the result
     is deterministic per seed.
     """
-    if n < 2:
-        raise ParameterError(f"random graph needs n >= 2, got {n}")
+    check_index("graph order", n, 2)
     if not (0 < p < 1):
         raise ParameterError(f"edge probability must be in (0,1), got {p}")
     rng = np.random.default_rng(seed)

@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import Graph, laplacian, max_degree, stochastic
-from .spectral import (DEFAULT_RHO, are_charging_energy, check_ports,
-                       check_positive, gramian_extraction_energy, sym_eigen)
+from .spectral import (DEFAULT_RHO, are_charging_energy, check_index,
+                       check_ports, check_positive, gramian_extraction_energy,
+                       sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -107,14 +108,6 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
     return L
 
 
-def _check_k(k, n: int):
-    """k must be an integer (not a bool, not a float) in 1..n-1."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ParameterError(f"k must be an integer, got {k!r}")
-    if not 1 <= k < n:
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
-
-
 def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) -> float:
     return float(_subset_scorer(g, k, metric, params)(np.array([ports]))[0])
 
@@ -180,7 +173,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
             return sym_eigen(Z[idx[:, :, None], idx[:, None, :]]).values[:, -1]
     elif metric is Metric.EIGVEC:
         # |v_{k+1}| of the Laplacian, guarded against a repeated lambda_{k+1}
-        _check_k(k, g.n)
+        check_index("k", k, 1, g.n - 1)
         dec = sym_eigen(laplacian(g))
         lam = dec.values
         gap = min(lam[k] - lam[k - 1], lam[k + 1] - lam[k] if k + 1 < g.n else math.inf)
@@ -226,7 +219,7 @@ def select_best(g: Graph, k: int, metric: Metric,
     rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
     is the lexicographically smallest of them.
     """
-    _check_k(k, g.n)
+    check_index("k", k, 1, g.n - 1)
     count = math.comb(g.n, k)
     if count > DEFAULT_ENUMERATION_CAP:
         raise ParameterError(f"C({g.n},{k}) = {count} exceeds the enumeration "

@@ -4,6 +4,9 @@ eigenvalues, and perturbed characteristic polynomials.
 
 Everything here is exact path-graph theory; the generic eigensolver in
 ``spectral`` serves as the independent cross-check in the test suite.
+Every optimal center comes from ``optimal_ports``, the one place that states
+where the centers sit, and every argument is checked by ``spectral``'s
+``check_index``, ``check_ports`` and ``check_positive``.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AssumptionError, ParameterError
-from .spectral import check_positive, check_ports, tridiag_charpoly
+from .errors import AssumptionError
+from .spectral import check_index, check_positive, check_ports, tridiag_charpoly
 
 
 def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
@@ -24,10 +27,8 @@ def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
     lambda_j = 2(1 - cos(pi (j-1)/n)), component p of the eigenvector is
     cos(pi (j-1)(p-0.5)/n); j = 1 gives the all-ones kernel vector.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if not 1 <= j <= n:
-        raise ParameterError(f"eigenpair index {j} out of range 1..{n}")
+    check_index("n", n, 2)
+    check_index("eigenpair index", j, 1, n)
     lam = 2.0 * (1.0 - math.cos(math.pi * (j - 1) / n))
     vec = np.array([math.cos(math.pi * (j - 1) * (p - 0.5) / n)
                     for p in range(1, n + 1)])
@@ -40,12 +41,32 @@ def optimal_ports(n: int, k: int) -> tuple[int, ...]:
     Defined when k divides n and n/k is odd, which makes every port an
     integer in [1, n].
     """
-    if not 1 <= k < n:
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    check_index("n", n, 2)
+    check_index("k", k, 1, n - 1)
     if n % k != 0 or (n // k) % 2 == 0:
         raise AssumptionError(
             f"ports are integral only when k | n with n/k odd (n={n}, k={k})")
     return tuple(((2 * i - 1) * n + k) // (2 * k) for i in range(1, k + 1))
+
+
+def _center_offsets(n: int, ports: tuple[int, ...]) -> list[int]:
+    """Each port's offset j_i - p_i* from its center in ``optimal_ports(n,
+    k)``, k = len(ports), for distinct nodes with one port per segment:
+    0 < j_1 < n/k < j_2 <= n for two ports."""
+    k = len(ports)
+    centers = optimal_ports(n, k)
+    check_ports(n, ports)
+    if any(not ports[i - 1] < i * n / k < ports[i] for i in range(1, k)):
+        raise AssumptionError(f"ports must lie one per segment, split at multiples "
+                              f"of n/{k} = {n / k:g}; got {ports}")
+    return [j - p for j, p in zip(ports, centers)]
+
+
+def _centered_series(n: int, k: int, offsets_sq: int, eps: float) -> float:
+    """The k-port series, k in {1, 2}, as a quadratic in the ports' offsets
+    from their centers: k eps/n - eps^2 [(n^2 - k^2) + 12 k sum_i (j_i -
+    p_i*)^2] / (12 n^2), given the sum of squared offsets."""
+    return k * eps / n - eps * eps * ((n * n - k * k) + 12.0 * k * offsets_sq) / (12.0 * n * n)
 
 
 @functools.lru_cache
@@ -64,8 +85,7 @@ def _series_weights(n: int) -> tuple[tuple[float, float], ...]:
 def lambda_min_series_positions(n: int, positions: Sequence[float], eps: float) -> float:
     """Second-order series of the smallest perturbed eigenvalue, allowing
     real-valued port positions (used by the continuous-p profile)."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    check_index("n", n, 2)
     k = len(positions)
     total = 0.0
     for theta, den in _series_weights(n):
@@ -80,19 +100,10 @@ def lambda_min_series_kport(n: int, ports: Sequence[int], eps: float) -> float:
     return lambda_min_series_positions(n, ports, check_positive("eps", eps))
 
 
-def series_optimum(n: int, k: int, eps: float) -> float:
-    """Closed-form series value at the (real-valued) optimal k centers.
-
-    k*eps/n - eps^2 (n^2 - k^2) / (12 n^2), valid for k in {1, 2}.
-    """
-    if k not in (1, 2):
-        raise ParameterError(f"closed-form optimum available for k in {{1,2}}, got {k}")
-    return k * eps / n - eps * eps * (n * n - k * k) / (12.0 * n * n)
-
-
 def convexity_series_gap(n: int, eps: float) -> float:
-    """Series value of lambda*_min(2) - 2 lambda*_min(1): eps^2 (n^2+2)/(12 n^2)."""
-    return series_optimum(n, 2, eps) - 2.0 * series_optimum(n, 1, eps)
+    """Series value of lambda*_min(2) - 2 lambda*_min(1), each optimum taken
+    at its (real-valued) centers: eps^2 (n^2+2)/(12 n^2)."""
+    return _centered_series(n, 2, 0, eps) - 2.0 * _centered_series(n, 1, 0, eps)
 
 
 def lambda_min_quadratic_1port(n: int, j: int, eps: float) -> float:
@@ -100,12 +111,8 @@ def lambda_min_quadratic_1port(n: int, j: int, eps: float) -> float:
 
     eps/n - eps^2 [(n^2-1) + 12 (j-p*)^2] / (12 n^2) with p* = (n+1)/2.
     """
-    if n % 2 == 0:
-        raise AssumptionError(f"one-port quadratic form needs odd n, got {n}")
-    if not 1 <= j <= n:
-        raise ParameterError(f"port {j} out of range 1..{n}")
-    pstar = (n + 1) / 2.0
-    return eps / n - eps * eps * ((n * n - 1) + 12.0 * (j - pstar) ** 2) / (12.0 * n * n)
+    (d,) = _center_offsets(n, (j,))
+    return _centered_series(n, 1, d * d, eps)
 
 
 def lambda_min_quadratic_2port(n: int, j1: int, j2: int, eps: float) -> float:
@@ -114,15 +121,8 @@ def lambda_min_quadratic_2port(n: int, j1: int, j2: int, eps: float) -> float:
     2eps/n - eps^2 [(n^2-4) + 24 {(j1-p1*)^2 + (j2-p2*)^2}] / (12 n^2)
     with p1* = (n+2)/4, p2* = (3n+2)/4 and j1 < n/2 < j2 required.
     """
-    if n % 2 != 0 or (n // 2) % 2 == 0:
-        raise AssumptionError(f"two-port quadratic form needs n even, n/2 odd; got {n}")
-    if not (1 <= j1 < n / 2 < j2 <= n):
-        raise AssumptionError(
-            f"ports must satisfy 1 <= j1 < n/2 < j2 <= n, got ({j1}, {j2})")
-    p1 = (n + 2) / 4.0
-    p2 = (3 * n + 2) / 4.0
-    quad = (j1 - p1) ** 2 + (j2 - p2) ** 2
-    return 2.0 * eps / n - eps * eps * ((n * n - 4) + 24.0 * quad) / (12.0 * n * n)
+    d1, d2 = _center_offsets(n, (j1, j2))
+    return _centered_series(n, 2, d1 * d1 + d2 * d2, eps)
 
 
 def pseudo_toeplitz_lambda_min(n: int) -> float:
@@ -131,34 +131,35 @@ def pseudo_toeplitz_lambda_min(n: int) -> float:
     Equals the smallest eigenvalue of L_{2n} + e_1 e_1^T + e_{2n} e_{2n}^T
     and decreases strictly in n.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    check_index("n", n, 1)
     return 2.0 - 2.0 * math.cos(math.pi / (2 * n + 1))
 
 
 def end_segment_charpoly(m: int) -> np.ndarray:
     """psi_m: char poly of an m-node path segment grounded at one end
     (diagonal 1, 2, ..., 2). psi_0 = 1, psi_1 = s - 1."""
-    if m < 0:
-        raise ParameterError(f"segment length must be >= 0, got {m}")
-    diag = [1.0] + [2.0] * (m - 1) if m >= 1 else []
-    return tridiag_charpoly(diag, [-1.0] * max(m - 1, 0), [-1.0] * max(m - 1, 0))
+    check_index("segment length", m, 0)
+    return _path_tridiag([1.0] + [2.0] * (m - 1) if m else [])
 
 
 def inner_segment_charpoly(m: int) -> np.ndarray:
     """theta_m: char poly of an m-node path segment grounded at both ends
     (diagonal 2, ..., 2)."""
-    if m < 0:
-        raise ParameterError(f"segment length must be >= 0, got {m}")
-    return tridiag_charpoly([2.0] * m, [-1.0] * max(m - 1, 0), [-1.0] * max(m - 1, 0))
+    check_index("segment length", m, 0)
+    return _path_tridiag([2.0] * m)
 
 
 def path_charpoly(n: int) -> np.ndarray:
-    """det(sI - L_n) assembled by the tridiagonal recursion."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    diag = [1.0] * n if n == 1 else [1.0] + [2.0] * (n - 2) + [1.0]
-    return tridiag_charpoly(diag, [-1.0] * (n - 1), [-1.0] * (n - 1))
+    """det(sI - L_n) assembled by the tridiagonal recursion, n >= 2."""
+    check_index("n", n, 2)
+    return _path_tridiag([1.0] + [2.0] * (n - 2) + [1.0])
+
+
+def _path_tridiag(diag: list[float]) -> np.ndarray:
+    """det(sI - T) for the tridiagonal T with the given diagonal and -1 on
+    both off-diagonals, the shape of every path segment's matrix."""
+    off = [-1.0] * max(len(diag) - 1, 0)
+    return tridiag_charpoly(diag, off, off)
 
 
 def _polyadd(*polys: np.ndarray) -> np.ndarray:
@@ -176,14 +177,12 @@ def perturbed_charpoly_1port(n: int, p: int, eps: float) -> np.ndarray:
     (s-2-eps) psi_{p-1} psi_{n-p} - psi_{p-2} psi_{n-p} - psi_{p-1} psi_{n-p-1};
     boundary ports are assembled directly from the tridiagonal recursion.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if not 1 <= p <= n:
-        raise ParameterError(f"port {p} out of range 1..{n}")
+    check_index("n", n, 2)
+    check_index("port", p, 1, n)
     if p in (1, n):
         diag = [1.0] + [2.0] * (n - 2) + [1.0]
         diag[p - 1] += eps
-        return tridiag_charpoly(diag, [-1.0] * (n - 1), [-1.0] * (n - 1))
+        return _path_tridiag(diag)
     psi = [end_segment_charpoly(m) for m in range(n)]
     head = np.array([-2.0 - eps, 1.0])  # (s - 2 - eps)
     lead = np.convolve(head, np.convolve(psi[p - 1], psi[n - p]))
@@ -201,6 +200,7 @@ def perturbed_charpoly_2port(n: int, p1: int, p2: int, eps: float) -> np.ndarray
     Requires interior, non-adjacent ports (the index decomposition assumes
     both neighbours of each port exist and the middle segment is nonempty).
     """
+    check_ports(n, (p1, p2))
     if n < 6:
         raise AssumptionError(f"two-port split needs n >= 6, got {n}")
     if not (1 < p1 < p2 < n):
@@ -222,12 +222,8 @@ def charpoly_eps_slices_1port(n: int, j: int) -> tuple[np.ndarray, tuple[float, 
     Returns a(s) = det(sI - L_n) and the two lowest coefficients of b_j:
     b0 = -1, b1 = ((n-1)^2 + 2(n-1))/4 + (j - p*)^2.
     """
-    if n % 2 == 0:
-        raise AssumptionError(f"one-port slices need odd n, got {n}")
-    if not 1 <= j <= n:
-        raise ParameterError(f"port {j} out of range 1..{n}")
-    pstar = (n + 1) // 2
-    b1 = ((n - 1) ** 2 + 2 * (n - 1)) / 4.0 + float(j - pstar) ** 2
+    (d,) = _center_offsets(n, (j,))
+    b1 = ((n - 1) ** 2 + 2 * (n - 1)) / 4.0 + float(d) ** 2
     return path_charpoly(n), (-1.0, b1)
 
 
@@ -239,13 +235,6 @@ def charpoly_eps_slices_2port(n: int, j1: int, j2: int
     b0 = 2, b1 = -[(3n^2-4)/8 - n(j1-j2)/2 + (j1-p1*)^2 + (j2-p2*)^2],
     c0 = j2 - j1.
     """
-    if n % 2 != 0 or (n // 2) % 2 == 0:
-        raise AssumptionError(f"two-port slices need n even with n/2 odd, got {n}")
-    if not (1 <= j1 < n / 2 < j2 <= n):
-        raise AssumptionError(
-            f"ports must satisfy 1 <= j1 < n/2 < j2 <= n, got ({j1}, {j2})")
-    p1 = (n + 2) / 4.0
-    p2 = (3 * n + 2) / 4.0
-    b1 = -((3.0 * n * n - 4) / 8.0 - n * (j1 - j2) / 2.0
-           + (j1 - p1) ** 2 + (j2 - p2) ** 2)
+    d1, d2 = _center_offsets(n, (j1, j2))
+    b1 = -((3.0 * n * n - 4) / 8.0 - n * (j1 - j2) / 2.0 + d1 ** 2 + d2 ** 2)
     return path_charpoly(n), (2.0, b1), (float(j2 - j1),)

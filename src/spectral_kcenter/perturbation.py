@@ -9,7 +9,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import AssumptionError, DegenerateEigenvalueError, RootFindError
-from .spectral import sym_eigen
+from .spectral import check_index, sym_eigen
 
 EIGENGAP_MIN = 1e-8
 NEWTON_MAX_ITER = 200  # iterations of smallest_root_numeric
@@ -36,8 +36,7 @@ def perturbed_eigvec_first_order(A: np.ndarray, pert: np.ndarray, j: int,
     """
     dec = sym_eigen(A)
     n = len(dec.values)
-    if not 1 <= j <= n:
-        raise AssumptionError(f"eigenpair index {j} out of range 1..{n}")
+    check_index("eigenpair index", j, 1, n)
     gaps = np.diff(dec.values)
     if n > 1 and gaps.min() <= EIGENGAP_MIN:
         raise DegenerateEigenvalueError(
@@ -52,30 +51,13 @@ def perturbed_eigvec_first_order(A: np.ndarray, pert: np.ndarray, j: int,
     return out
 
 
-def _check_single_hypotheses(a: np.ndarray, b: np.ndarray):
-    scale = max(1.0, np.abs(a).max(initial=0.0))
-    if abs(a[0]) > 1e-12 * scale:
-        raise AssumptionError(f"a(0) must vanish, got {a[0]:.3e}")
-    if len(a) < 2 or a[1] == 0:
-        raise AssumptionError("coefficient a_1 must be nonzero")
-    if len(b) == 0 or b[0] == 0:
-        raise AssumptionError("coefficient b_0 must be nonzero")
-
-
 def root_series_single(a, b) -> RootSeries:
     """Series of the root of a(s) + eps*b(s) emanating from s = 0.
 
     beta1 = -b0/a1 and beta2 = (a1 b1 b0 - a2 b0^2) / a1^3; requires
-    a0 = 0, a1 != 0, b0 != 0.
+    a0 = 0, a1 != 0, b0 != 0. The c = 0 case of ``root_series_double``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_single_hypotheses(a, b)
-    a1 = a[1]
-    a2 = a[2] if len(a) > 2 else 0.0
-    b0 = b[0]
-    b1 = b[1] if len(b) > 1 else 0.0
-    return RootSeries(beta1=-b0 / a1, beta2=(a1 * b1 * b0 - a2 * b0 * b0) / a1 ** 3)
+    return _root_series(a, b, 0.0)
 
 
 def root_series_double(a, b, c) -> RootSeries:
@@ -84,15 +66,27 @@ def root_series_double(a, b, c) -> RootSeries:
     beta1 = -b0/a1 and beta2 = (a1 b1 b0 - a2 b0^2 - a1^2 c0) / a1^3;
     requires a0 = 0 and a1, b0, c0 all nonzero.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    _check_single_hypotheses(a, b)
     if len(c) == 0 or c[0] == 0:
         raise AssumptionError("coefficient c_0 must be nonzero")
+    return _root_series(a, b, c[0])
+
+
+def _root_series(a, b, c0: float) -> RootSeries:
+    """The series of both ``root_series_*`` functions, c0 = 0 for a single
+    eps term; checks a0 = 0, a1 != 0 and b0 != 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = max(1.0, np.abs(a).max(initial=0.0))
+    if abs(a[0]) > 1e-12 * scale:
+        raise AssumptionError(f"a(0) must vanish, got {a[0]:.3e}")
+    if len(a) < 2 or a[1] == 0:
+        raise AssumptionError("coefficient a_1 must be nonzero")
+    if len(b) == 0 or b[0] == 0:
+        raise AssumptionError("coefficient b_0 must be nonzero")
     a1 = a[1]
     a2 = a[2] if len(a) > 2 else 0.0
-    b0, c0 = b[0], c[0]
+    b0 = b[0]
     b1 = b[1] if len(b) > 1 else 0.0
     beta2 = (a1 * b1 * b0 - a2 * b0 * b0 - a1 * a1 * c0) / a1 ** 3
     return RootSeries(beta1=-b0 / a1, beta2=beta2)

@@ -106,8 +106,7 @@ def path_charpoly_lowcoeffs(n: int) -> tuple[float, float, float, float]:
     Returns the coefficients of s, s^2, s^3 and s^(n-1):
     (n, n(n^2-1)/6, n(n^2-1)(n^2-4)/120, 2(n-1)).
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    check_index("n", n, 2)
     c1 = float(n)
     c2 = n * (n * n - 1) / 6.0
     c3 = n * (n * n - 1) * (n * n - 4) / 120.0
@@ -156,14 +155,21 @@ def check_ports(n: int, ports: Iterable[int]) -> tuple[int, ...]:
     if not ports:
         raise ParameterError("port set is empty")
     for j in ports:
-        # bool is an int subclass, but True is not node 1
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-            raise ParameterError(f"port {j!r} is not a node index")
-        if not 1 <= j <= n:
-            raise ParameterError(f"port {j} out of range 1..{n}")
+        check_index("port", j, 1, n)
     if len(set(ports)) != len(ports):
         raise ParameterError(f"port set {ports} repeats a node")
     return ports
+
+
+def check_index(name: str, value: int, lo: int, hi: float = math.inf):
+    """Raise ParameterError unless the value is an integer in lo..hi: not a
+    float, even an integral one, and not a bool (an int subclass, but True
+    is not 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ParameterError(f"{name} must be {bound}, got {value}")
 
 
 def check_positive(name: str, value: float) -> float:

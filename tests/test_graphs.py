@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spectral_kcenter import (Graph, GraphFormatError, ParameterError,
                               figure1_graph, laplacian, max_degree,
-                              parse_edge_list, path_graph,
+                              parse_edge_list, path_charpoly, path_graph,
                               random_connected_graph, random_tree, relabel,
                               serialize_edge_list, stochastic)
 
@@ -27,6 +27,10 @@ def test_path_graph_chain():
 def test_path_graph_rejects_small_order():
     with pytest.raises(ParameterError):
         path_graph(1)
+    # nor is there a path characteristic polynomial of order 1 (it used to
+    # come out as s - 1, though L(P_1) = [0])
+    with pytest.raises(ParameterError):
+        path_charpoly(1)
 
 
 def test_figure1_graph_shape():

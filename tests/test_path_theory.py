@@ -5,7 +5,8 @@ import pytest
 
 from spectral_kcenter import (AssumptionError, ParameterError,
                               charpoly_eps_slices_1port,
-                              charpoly_eps_slices_2port, lambda_min_quadratic_1port,
+                              charpoly_eps_slices_2port, end_segment_charpoly,
+                              lambda_min_quadratic_1port,
                               lambda_min_quadratic_2port, lambda_min_series_kport,
                               laplacian, optimal_ports, path_charpoly,
                               path_eigenpair, path_graph, perturbed_charpoly_1port,
@@ -59,6 +60,31 @@ def test_path_eigenpair_range_errors():
         path_eigenpair(5, 0)
     with pytest.raises(ParameterError):
         path_eigenpair(5, 6)
+
+
+NON_INTEGER_CASES = [
+    (lambda_min_quadratic_1port, (11, 6.5, 0.01)),
+    (lambda_min_quadratic_2port, (14, 4.5, 11, 0.01)),
+    (charpoly_eps_slices_1port, (11, True)),
+    (charpoly_eps_slices_1port, (11, 6.5)),
+    (path_eigenpair, (5, 2.5)),
+    (optimal_ports, (9, True)),
+    (optimal_ports, (9, 3.0)),
+    (perturbed_charpoly_1port, (11, 6.5, 0.01)),
+    (perturbed_charpoly_2port, (14, 4.5, 11, 0.01)),
+    (end_segment_charpoly, (2.5,)),
+]
+
+
+@pytest.mark.parametrize("func,args", NON_INTEGER_CASES,
+                         ids=[f"{f.__name__}{a}" for f, a in NON_INTEGER_CASES])
+def test_oracle_rejects_non_integer_arguments(func, args):
+    # a bool or a float is not a node, an order or an index, even when its
+    # value is integral; each of these used to return a number or end in a
+    # TypeError, and none of them is a structural assumption
+    with pytest.raises(ParameterError) as exc:
+        func(*args)
+    assert not isinstance(exc.value, AssumptionError)
 
 
 def test_optimal_ports_formulas():
