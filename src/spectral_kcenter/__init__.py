@@ -22,8 +22,7 @@ from .perturbation import (RootSeries, perturbed_eigvec_first_order,
                            root_series_double, root_series_single,
                            smallest_root_numeric)
 from .spectral import (EigenDecomposition, are_charging_energy,
-                       gramian_extraction_energy, lambda_max, lambda_min,
-                       lyapunov_solve, path_charpoly_lowcoeffs, sym_eigen,
-                       tridiag_charpoly)
+                       gramian_extraction_energy, lyapunov_solve,
+                       path_charpoly_lowcoeffs, sym_eigen, tridiag_charpoly)
 
 __version__ = "0.1.0"

@@ -21,17 +21,17 @@ import numpy as np
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import (Graph, figure1_graph, laplacian, path_graph,
                      random_connected_graph, random_tree)
-from .metrics import (_CHUNK_ENTRIES, Metric, MetricParams, mplse_score,
-                      msub_score, perturbed_laplacian, select_best)
-from .path_theory import (convexity_series_gap, lambda_min_quadratic_1port,
-                          lambda_min_quadratic_2port, lambda_min_series_kport,
-                          lambda_min_series_positions, optimal_ports,
-                          path_eigenpair, pseudo_toeplitz_lambda_min)
+from .metrics import (Metric, MetricParams, mplse_score, msub_score,
+                      perturbed_laplacian, select_best, stack_rows)
+from .path_theory import (convexity_series_gap, has_optimal_ports,
+                          lambda_min_quadratic_1port, lambda_min_quadratic_2port,
+                          lambda_min_series_kport, lambda_min_series_positions,
+                          optimal_ports, path_eigenpair, pseudo_toeplitz_lambda_min)
 from .spectral import check_index, check_positive, sym_eigen
 
 COMPARE_MAX_N = 20
 COMPARE_K_LIST = (1, 2, 3)  # the k values of every comparison row
-PATH_MAX_N = 40  # largest path order of the oracle suite and the probe
+PATH_MAX_N = 40  # largest order of every path-family experiment
 _MAX_GRID_POINTS = 10 ** 5  # bounds the real grid of lambda_profile
 HEURISTIC_METRICS = (Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
                      Metric.ARE, Metric.GRAMIAN)
@@ -113,10 +113,6 @@ class AgreementReport:
     pooled: float = 0.0
     skipped_per_k: dict[int, int] = field(default_factory=dict)
     counted_per_k: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def skipped_total(self) -> int:
-        return sum(self.skipped_per_k.values())
 
 
 def agreement_rate(metric_a: Metric, metric_b: Metric,
@@ -276,7 +272,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         worst = max(worst, float(np.linalg.norm(L @ vec - lam * vec)))
     add("eigenpair-residual", worst, 1e-9)
 
-    if n % 2 == 1:
+    if has_optimal_ports(n, 1):
         (pstar,) = optimal_ports(n, 1)
         _, v2 = path_eigenpair(n, 2)
         add("fiedler-zero-at-center", abs(v2[pstar - 1]), 1e-12,
@@ -314,7 +310,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
                 - pseudo_toeplitz_lambda_min(n)),
             1e-10)
 
-    if n % 2 == 0 and (n // 2) % 2 == 1:
+    if has_optimal_ports(n, 2):
         p1, p2 = optimal_ports(n, 2)
         _, v3 = path_eigenpair(n, 3)
         add("v3-zeros-at-centers", max(abs(v3[p1 - 1]), abs(v3[p2 - 1])), 1e-12)
@@ -340,7 +336,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         ident = eps * eps * (n * n + 2) / (12.0 * n * n)
         add("convexity-series-identity", abs(gap - ident) / ident, 1e-10)
 
-    if k is not None and n % k == 0 and (n // k) % 2 == 1 and k > 1:
+    if k is not None and k > 1 and has_optimal_ports(n, k):
         ports = optimal_ports(n, k)
         tau_params = MetricParams(epsilon=eps, tau=0.5)
         value = msub_score(g, ports, tau_params)
@@ -361,8 +357,9 @@ def lambda_profile(n: int, eps: float = MetricParams.epsilon,
 
     Integer p always included with the exact value from the mplse table; an
     optional real grid adds series-only rows (the series is defined for real
-    positions).
+    positions). n must be in 2..PATH_MAX_N.
     """
+    check_index("n", n, 2, PATH_MAX_N)
     check_positive("eps", eps)
     g = path_graph(n)
     points: list[float] = []
@@ -387,7 +384,9 @@ def lambda_profile(n: int, eps: float = MetricParams.epsilon,
 
 def convexity_table(n: int, k_list: Sequence[int],
                     eps: float = MetricParams.epsilon) -> list[dict]:
-    """Optimal exact shift per k against the scaled one-port baseline."""
+    """Optimal exact shift per k against the scaled one-port baseline, for n
+    in 2..PATH_MAX_N."""
+    check_index("n", n, 2, PATH_MAX_N)
     g = path_graph(n)
     params = MetricParams(epsilon=eps)
     one_port = select_best(g, 1, Metric.MPLSE, params)
@@ -395,13 +394,12 @@ def convexity_table(n: int, k_list: Sequence[int],
     for k in k_list:
         check_index("k", k, 1, n - 1)
         res = one_port if k == 1 else select_best(g, k, Metric.MPLSE, params)
-        formula = n % k == 0 and (n // k) % 2 == 1
         rows.append({
             "k": k,
             "lambda_min_opt": res.score,
             "k_times_lambda1": k * one_port.score,
             "best_ports": list(res.best),
-            "closed_form_ports": formula,
+            "closed_form_ports": has_optimal_ports(n, k),
         })
     return rows
 
@@ -424,7 +422,7 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     and ``worst_edge`` report rounding noise only.
     """
     check_index("n", n, 3, PATH_MAX_N)
-    if n % 2 == 0:
+    if not has_optimal_ports(n, 1):
         raise ParameterError(f"probe needs odd n, got {n}")
     check_positive("eps", eps)
     g = path_graph(n)
@@ -437,7 +435,7 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     # bridge (u, n + w) for u, w = 1..n, u-major
     a = np.repeat(np.arange(n), n)
     b = np.tile(np.arange(n, 2 * n), n)
-    chunk = max(1, _CHUNK_ENTRIES // (2 * n) ** 2)
+    chunk = stack_rows(2 * n)
     lam_bridged = []
     for i in range(0, n * n, chunk):
         ai, bi = a[i:i + chunk], b[i:i + chunk]

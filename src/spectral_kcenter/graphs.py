@@ -28,26 +28,23 @@ class Graph:
     def __post_init__(self):
         check_index("node count", self.n, 1)
         for (u, v) in self.edges:
+            check_index("edge endpoint", u, 1, self.n)
+            check_index("edge endpoint", v, 1, self.n)
             if u == v:
                 raise ParameterError(f"self-loop at node {u}")
-            if not (1 <= u < v <= self.n):
-                raise ParameterError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if u > v:
+                raise ParameterError(f"edge ({u}, {v}) must have u < v")
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph, normalizing each edge to (min, max) order."""
         canon = set()
         for (u, v) in edges:
-            if u == v:
-                raise ParameterError(f"self-loop at node {u}")
             e = (min(u, v), max(u, v))
             if e in canon:
                 raise ParameterError(f"duplicate edge {e}")
             canon.add(e)
         return Graph(n, frozenset(canon))
-
-    def degree(self, u: int) -> int:
-        return sum(1 for (a, b) in self.edges if a == u or b == u)
 
     def degrees(self) -> list[int]:
         d = [0] * (self.n + 1)
@@ -105,18 +102,24 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees())
 
 
+def check_tau(g: Graph, tau: float) -> float:
+    """The step tau, which must lie in (0, 1/max_degree] for a graph with an
+    edge: the range where Z = I - tau*L is stochastic."""
+    d = max_degree(g)
+    if d == 0:
+        raise ParameterError("graph has no edges")
+    if not (0 < tau <= 1.0 / d):
+        raise ParameterError(f"tau={tau} outside (0, 1/{d}]")
+    return tau
+
+
 def stochastic(g: Graph, tau: float) -> np.ndarray:
     """Doubly stochastic Z = I - tau*L for 0 < tau <= 1/max_degree.
 
     The boundary tau = 1/max_degree is admitted: entries stay nonnegative
     and the path closed forms at tau = 1/2 need it.
     """
-    d = max_degree(g)
-    if d == 0:
-        raise ParameterError("graph has no edges")
-    if not (0 < tau <= 1.0 / d):
-        raise ParameterError(f"tau={tau} outside (0, 1/{d}]")
-    return np.eye(g.n) - tau * laplacian(g)
+    return np.eye(g.n) - check_tau(g, tau) * laplacian(g)
 
 
 def relabel(g: Graph, perm: dict[int, int]) -> Graph:
@@ -129,8 +132,6 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n nodes via Pruefer decoding."""
     check_index("tree order", n, 2)
-    if n == 2:
-        return Graph(2, frozenset({(1, 2)}))
     rng = np.random.default_rng(seed)
     seq = [int(x) for x in rng.integers(1, n + 1, size=n - 2)]
     deg = [1] * (n + 1)

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DegenerateEigenvalueError, ParameterError
-from .graphs import Graph, laplacian, max_degree, stochastic
+from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
 from .spectral import (DEFAULT_RHO, are_charging_energy, check_index,
                        check_ports, check_positive, gramian_extraction_energy,
                        sym_eigen)
@@ -82,10 +82,7 @@ class MetricParams:
         """Resolve tau for a graph, validating the stochastic range."""
         if self.tau is None:
             return 1.0 / (max_degree(g) + 1)
-        if not (0 < self.tau <= 1.0 / max_degree(g)):
-            raise ParameterError(
-                f"tau={self.tau} outside (0, 1/{max_degree(g)}] for this graph")
-        return self.tau
+        return check_tau(g, self.tau)
 
 
 @dataclass(frozen=True)
@@ -204,6 +201,13 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
     return scores
 
 
+def stack_rows(order: int) -> int:
+    """How many matrices of the given order one stacked solve takes: about
+    _CHUNK_ENTRIES entries in all, which bounds the memory of a stack, and
+    at least one matrix."""
+    return max(1, _CHUNK_ENTRIES // order ** 2)
+
+
 def _is_tie(a, b):
     """Whether scores a and b tie; elementwise over arrays."""
     return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
@@ -228,7 +232,7 @@ def select_best(g: Graph, k: int, metric: Metric,
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
-    chunk = max(1, _CHUNK_ENTRIES // g.n ** 2)  # bounds the memory of a stack
+    chunk = stack_rows(g.n)
     scores = np.concatenate([score(subsets[i:i + chunk]) for i in range(0, count, chunk)])
     best_score = float(scores.max() if _MAXIMIZING[metric] else scores.min())
     ties = list(map(tuple, subsets[_is_tie(scores, best_score)].tolist()))

@@ -5,8 +5,9 @@ eigenvalues, and perturbed characteristic polynomials.
 Everything here is exact path-graph theory; the generic eigensolver in
 ``spectral`` serves as the independent cross-check in the test suite.
 Every optimal center comes from ``optimal_ports``, the one place that states
-where the centers sit, and every argument is checked by ``spectral``'s
-``check_index``, ``check_ports`` and ``check_positive``.
+where the centers sit, and ``has_optimal_ports`` says where they exist; every
+argument is checked by ``spectral``'s ``check_index``, ``check_ports`` and
+``check_positive``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import AssumptionError
 from .spectral import check_index, check_positive, check_ports, tridiag_charpoly
@@ -35,15 +37,18 @@ def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
     return lam, vec
 
 
-def optimal_ports(n: int, k: int) -> tuple[int, ...]:
-    """The k equispaced physical centers ((2i-1)n + k) / (2k), i = 1..k.
-
-    Defined when k divides n and n/k is odd, which makes every port an
-    integer in [1, n].
-    """
+def has_optimal_ports(n: int, k: int) -> bool:
+    """Whether ``optimal_ports(n, k)`` is defined: k divides n and n/k is
+    odd, which makes every port an integer in [1, n]."""
     check_index("n", n, 2)
     check_index("k", k, 1, n - 1)
-    if n % k != 0 or (n // k) % 2 == 0:
+    return n % k == 0 and (n // k) % 2 == 1
+
+
+def optimal_ports(n: int, k: int) -> tuple[int, ...]:
+    """The k equispaced physical centers ((2i-1)n + k) / (2k), i = 1..k,
+    where ``has_optimal_ports(n, k)`` holds."""
+    if not has_optimal_ports(n, k):
         raise AssumptionError(
             f"ports are integral only when k | n with n/k odd (n={n}, k={k})")
     return tuple(((2 * i - 1) * n + k) // (2 * k) for i in range(1, k + 1))
@@ -162,14 +167,6 @@ def _path_tridiag(diag: list[float]) -> np.ndarray:
     return tridiag_charpoly(diag, off, off)
 
 
-def _polyadd(*polys: np.ndarray) -> np.ndarray:
-    size = max(len(p) for p in polys)
-    out = np.zeros(size)
-    for p in polys:
-        out[: len(p)] += p
-    return out
-
-
 def perturbed_charpoly_1port(n: int, p: int, eps: float) -> np.ndarray:
     """det(sI - L_n - eps e_p e_p^T) as a degree-n polynomial.
 
@@ -183,12 +180,12 @@ def perturbed_charpoly_1port(n: int, p: int, eps: float) -> np.ndarray:
         diag = [1.0] + [2.0] * (n - 2) + [1.0]
         diag[p - 1] += eps
         return _path_tridiag(diag)
-    psi = [end_segment_charpoly(m) for m in range(n)]
+    psi = end_segment_charpoly
     head = np.array([-2.0 - eps, 1.0])  # (s - 2 - eps)
-    lead = np.convolve(head, np.convolve(psi[p - 1], psi[n - p]))
-    return _polyadd(lead,
-                    -np.convolve(psi[p - 2], psi[n - p]),
-                    -np.convolve(psi[p - 1], psi[n - p - 1]))
+    left, right = psi(p - 1), psi(n - p)
+    lead = np.convolve(head, np.convolve(left, right))
+    return P.polysub(P.polysub(lead, np.convolve(psi(p - 2), right)),
+                     np.convolve(left, psi(n - p - 1)))
 
 
 def perturbed_charpoly_2port(n: int, p1: int, p2: int, eps: float) -> np.ndarray:
@@ -207,13 +204,13 @@ def perturbed_charpoly_2port(n: int, p1: int, p2: int, eps: float) -> np.ndarray
         raise AssumptionError(f"ports must be interior: 1 < p1 < p2 < n, got ({p1}, {p2})")
     if p2 - p1 < 2:
         raise AssumptionError(f"ports must be non-adjacent, got ({p1}, {p2})")
-    psi = [end_segment_charpoly(m) for m in range(n)]
+    psi = end_segment_charpoly
+    left, right = psi(p1 - 1), psi(n - p2)
     theta_mid = inner_segment_charpoly(p2 - p1 - 1)
     a = path_charpoly(n)
-    b = _polyadd(np.convolve(psi[p1 - 1], psi[n - p1]),
-                 np.convolve(psi[p2 - 1], psi[n - p2]))
-    c = np.convolve(np.convolve(psi[p1 - 1], theta_mid), psi[n - p2])
-    return _polyadd(a, -eps * b, eps * eps * c)
+    b = P.polyadd(np.convolve(left, psi(n - p1)), np.convolve(psi(p2 - 1), right))
+    c = np.convolve(np.convolve(left, theta_mid), right)
+    return P.polyadd(P.polyadd(a, -eps * b), eps * eps * c)
 
 
 def charpoly_eps_slices_1port(n: int, j: int) -> tuple[np.ndarray, tuple[float, float]]:

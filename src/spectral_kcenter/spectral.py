@@ -66,14 +66,6 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def lambda_min(A: np.ndarray) -> float:
-    return float(sym_eigen(A).values[0])
-
-
-def lambda_max(A: np.ndarray) -> float:
-    return float(sym_eigen(A).values[-1])
-
-
 def tridiag_charpoly(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> np.ndarray:
     """det(sI - Q_m) for the tridiagonal matrix with diagonal a, sub b, super c.
 

@@ -523,6 +523,38 @@ def test_cli_rejects_unwritable_out_before_computing(tmp_path, monkeypatch, caps
     _assert_one_parameter_error(capsys, reason)
 
 
+@pytest.mark.parametrize("command", ["lambda-profile", "convexity"])
+def test_cli_path_family_order_cap(monkeypatch, capsys, command):
+    # the profile and the convexity table share the path suite's order cap
+    from spectral_kcenter import cli
+
+    monkeypatch.setattr(experiments, "select_best", _not_computed)
+    assert cli.main([command, "--n", "41"]) == 2
+    _assert_one_parameter_error(capsys, "n must be in 2..40, got 41")
+
+
+def test_bench_patch_points_are_bound(monkeypatch):
+    # the benchmark's recorder reads every patched name when it is built, on
+    # untraced runs too: a name the package stops binding fails here first
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    select_best = experiments.select_best
+    recorder = tracing.Recorder()
+    recorder.set_tracing(True)
+    recorder.close()
+    assert experiments.select_best is select_best
+    for _, module, attr in tracing.PATCHES:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
+    for name, fn in tracing.ENTRY_POINTS.items():
+        module, attr = name.split(".")
+        assert getattr(getattr(spectral_kcenter, module), attr) is fn, name
+
+
 def test_cli_out_write_failure_exit_2(tmp_path, monkeypatch, capsys):
     # a failure the up-front check cannot see, such as a full disk
     from spectral_kcenter import cli

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_kcenter import (Graph, GraphFormatError, ParameterError,
-                              figure1_graph, laplacian, max_degree,
+from spectral_kcenter import (Graph, GraphFormatError, MetricParams,
+                              ParameterError, figure1_graph, laplacian,
+                              max_degree, msub_score, msup_score,
                               parse_edge_list, path_charpoly, path_graph,
                               random_connected_graph, random_tree, relabel,
                               serialize_edge_list, stochastic)
@@ -38,8 +39,6 @@ def test_figure1_graph_shape():
     assert g.n == 11
     assert len(g.edges) == 11
     assert g.is_connected()
-    assert g.degree(5) == 3
-    assert g.degree(10) == 3
     assert g.degrees() == FIG1_DEGREES
 
 
@@ -50,6 +49,14 @@ def test_graph_validation():
         Graph(3, frozenset({(1, 4)}))
     with pytest.raises(ParameterError):
         Graph.from_edges(3, [(1, 2), (2, 1)])  # duplicate after normalization
+    with pytest.raises(ParameterError):
+        Graph(3, frozenset({(2, 1)}))  # u < v required
+    # an endpoint is a node index: not a float, even an integral one, nor a bool
+    for build in (lambda: Graph.from_edges(3, [(1.0, 2.0), (2, 3)]),
+                  lambda: Graph.from_edges(2, [(True, 2)]),
+                  lambda: Graph(3, frozenset({(1, 2.0)}))):
+        with pytest.raises(ParameterError, match="edge endpoint must be an integer"):
+            build()
 
 
 def test_laplacian_small_paths():
@@ -100,6 +107,14 @@ def test_stochastic_rejects_bad_tau():
             stochastic(g, tau)
     with pytest.raises(ParameterError):
         stochastic(Graph(3), 0.1)  # edgeless
+    # MetricParams checks tau by the same rule, so msub and msup reject an
+    # edgeless graph too
+    params = MetricParams(tau=0.5)
+    with pytest.raises(ParameterError, match="graph has no edges"):
+        params.tau_for(Graph(3))
+    for score in (msup_score, msub_score):
+        with pytest.raises(ParameterError, match="graph has no edges"):
+            score(Graph(3), (1,), params)
 
 
 @settings(max_examples=40, deadline=None)

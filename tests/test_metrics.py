@@ -359,7 +359,7 @@ def test_agreement_rate_self_is_total():
     rep = agreement_rate(Metric.MPLSE, Metric.MPLSE, iter(graphs), 3, [1, 2])
     assert rep.pooled == 100.0
     assert rep.per_k == {1: 100.0, 2: 100.0}
-    assert rep.skipped_total == 0
+    assert sum(rep.skipped_per_k.values()) == 0
 
 
 def test_agreement_rate_counts_skips():
