@@ -29,14 +29,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_output(text: str, out: Optional[str]):
+    if not text.endswith("\n"):
+        text += "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise ParameterError(f"cannot write --out {out!r}: {exc.strerror}")
 
@@ -127,21 +127,17 @@ def comparison_csv(report: ComparisonReport) -> str:
     lines = [CSV_HEADER,
              "graph_class,n,metric,k,agreement_pct,counted,skipped,trials,seed,"
              "epsilon,tau,rho"]
+    tail = [str(report.trials), str(report.seed), _fmt(report.params.epsilon),
+            tau_echo, _fmt(report.params.rho)]
     for row in report.rows:
         for agg in row.agreements:
-            for k in report.k_list:
-                lines.append(",".join([
-                    row.row_id, str(row.n), agg.metric_b.value, str(k),
-                    _fmt(agg.per_k[k]), str(agg.counted_per_k[k]),
-                    str(agg.skipped_per_k[k]), str(report.trials),
-                    str(report.seed), _fmt(report.params.epsilon), tau_echo,
-                    _fmt(report.params.rho)]))
-            lines.append(",".join([
-                row.row_id, str(row.n), agg.metric_b.value, "pooled",
-                _fmt(agg.pooled), str(sum(agg.counted_per_k.values())),
-                str(sum(agg.skipped_per_k.values())), str(report.trials),
-                str(report.seed), _fmt(report.params.epsilon), tau_echo,
-                _fmt(report.params.rho)]))
+            cells = [(str(k), agg.per_k[k], agg.counted_per_k[k], agg.skipped_per_k[k])
+                     for k in report.k_list]
+            cells.append(("pooled", agg.pooled, sum(agg.counted_per_k.values()),
+                          sum(agg.skipped_per_k.values())))
+            for k, pct, counted, skipped in cells:
+                lines.append(",".join([row.row_id, str(row.n), agg.metric_b.value, k,
+                                       _fmt(pct), str(counted), str(skipped), *tail]))
     return "\n".join(lines)
 
 

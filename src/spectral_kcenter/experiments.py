@@ -29,7 +29,7 @@ from .path_theory import (convexity_series_gap, has_optimal_ports,
                           optimal_ports, path_eigenpair, pseudo_toeplitz_lambda_min)
 from .spectral import check_index, check_positive, sym_eigen
 
-COMPARE_MAX_N = 20
+DESK_MAX_N = 20  # largest order of every select and compare graph
 COMPARE_K_LIST = (1, 2, 3)  # the k values of every comparison row
 PATH_MAX_N = 40  # largest order of every path-family experiment
 _MAX_GRID_POINTS = 10 ** 5  # bounds the real grid of lambda_profile
@@ -40,20 +40,21 @@ HEURISTIC_METRICS = (Metric.MSUP_LE, Metric.MSUB_LE, Metric.EIGVEC,
 def parse_graph_source(source: str, seed: int = 0) -> Graph:
     """Build a graph from a source string: path:n | fig1 | random-tree:n |
     random-graph:n,p | a file path (edge-list format, UTF-8). Every source
-    gives a connected graph: a file that describes a disconnected one, or
-    that cannot be read, is a ParameterError."""
+    gives a connected graph with n in 2..DESK_MAX_N: a file that describes
+    a disconnected or larger one, or that cannot be read, is a
+    ParameterError."""
     if source == "fig1":
         return figure1_graph()
     if source.startswith("path:"):
-        return path_graph(_parse_int(source[5:], "path order"))
+        return path_graph(_parse_order(source[5:], "path order"))
     if source.startswith("random-tree:"):
-        return random_tree(_parse_int(source[12:], "tree order"), seed)
+        return random_tree(_parse_order(source[12:], "tree order"), seed)
     if source.startswith("random-graph:"):
         body = source[13:]
         parts = body.split(",")
         if len(parts) != 2:
             raise ParameterError(f"random-graph needs n,p; got {body!r}")
-        n = _parse_int(parts[0], "graph order")
+        n = _parse_order(parts[0], "graph order")
         try:
             p = float(parts[1])
         except ValueError:
@@ -72,16 +73,21 @@ def parse_graph_source(source: str, seed: int = 0) -> Graph:
     except UnicodeDecodeError:
         raise ParameterError(f"graph file {source!r} is not UTF-8 text")
     g = parse_edge_list(text)
+    check_index("graph order", g.n, 2, DESK_MAX_N)
     if not g.is_connected():
         raise ParameterError(f"graph {source!r} is not connected")
     return g
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse_order(text: str, what: str) -> int:
+    """The graph order written in ``text``, which must be in 2..DESK_MAX_N;
+    checked before any generator runs."""
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
         raise ParameterError(f"bad {what}: {text!r}")
+    check_index(what, n, 2, DESK_MAX_N)
+    return n
 
 
 def _trial_seed(seed: int, row_index: int, trial: int) -> int:
@@ -92,12 +98,12 @@ def _trial_seed(seed: int, row_index: int, trial: int) -> int:
 
 def _row_instance(row: str, seed: int, row_index: int, trial: int) -> Graph:
     if row.startswith("path:"):
-        return path_graph(_parse_int(row[5:], "path order"))
+        return path_graph(_parse_order(row[5:], "path order"))
     if row.startswith("tree:"):
-        return random_tree(_parse_int(row[5:], "tree order"),
+        return random_tree(_parse_order(row[5:], "tree order"),
                            _trial_seed(seed, row_index, trial))
     if row.startswith("general:"):
-        return random_connected_graph(_parse_int(row[8:], "graph order"), 0.4,
+        return random_connected_graph(_parse_order(row[8:], "graph order"), 0.4,
                                       _trial_seed(seed, row_index, trial))
     raise ParameterError(f"unknown comparison row {row!r} "
                          "(expected path:n, tree:n or general:n)")
@@ -205,14 +211,12 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
     check_index("trials", trials, 1)
     report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params,
                               k_list=COMPARE_K_LIST)
+    # every row is drawn, and so checked, before the first selection
+    drawn = [[_row_instance(row, seed, row_index, t) for t in range(trials)]
+             for row_index, row in enumerate(rows)]
     memo: dict = {}
-    for row_index, row in enumerate(rows):
-        instances = [_row_instance(row, seed, row_index, t) for t in range(trials)]
-        n = instances[0].n
-        if n > COMPARE_MAX_N:
-            raise ParameterError(
-                f"row {row!r}: n={n} exceeds the desk-scale cap {COMPARE_MAX_N}")
-        crow = ComparisonRow(row_id=row, n=n)
+    for row, instances in zip(rows, drawn):
+        crow = ComparisonRow(row_id=row, n=instances[0].n)
         for metric in HEURISTIC_METRICS:
             crow.agreements.append(_agreement(Metric.MPLSE, metric, instances, trials,
                                               COMPARE_K_LIST, params, memo))
@@ -387,12 +391,13 @@ def convexity_table(n: int, k_list: Sequence[int],
     """Optimal exact shift per k against the scaled one-port baseline, for n
     in 2..PATH_MAX_N."""
     check_index("n", n, 2, PATH_MAX_N)
+    for k in k_list:
+        check_index("k", k, 1, n - 1)
     g = path_graph(n)
     params = MetricParams(epsilon=eps)
     one_port = select_best(g, 1, Metric.MPLSE, params)
     rows = []
     for k in k_list:
-        check_index("k", k, 1, n - 1)
         res = one_port if k == 1 else select_best(g, k, Metric.MPLSE, params)
         rows.append({
             "k": k,
@@ -445,19 +450,15 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
         bridged[rows, bi, bi] += 1
         bridged[rows, ai, bi] -= 1
         bridged[rows, bi, ai] -= 1
-        lam_bridged.extend(sym_eigen(bridged).values[:, 0].tolist())
-    worst = 0.0
-    worst_edge = None
-    for u, w, lam in zip(a.tolist(), b.tolist(), lam_bridged):
-        dev = abs(lam - lam_ref)
-        if dev > worst:
-            worst, worst_edge = dev, (u + 1, w + 1)
+        lam_bridged.append(sym_eigen(bridged).values[:, 0])
+    dev = np.abs(np.concatenate(lam_bridged) - lam_ref)
+    i = int(np.argmax(dev))  # the first maximum in (u, w) order
     return {
         "n": n,
         "epsilon": eps,
         "lambda_reference": lam_ref,
         "disconnected_union_deviation": abs(lam_union - lam_ref),
         "edges_checked": n * n,
-        "max_abs_deviation": worst,
-        "worst_edge": list(worst_edge) if worst_edge else None,
+        "max_abs_deviation": float(dev[i]),
+        "worst_edge": [int(a[i]) + 1, int(b[i]) + 1] if dev[i] else None,
     }

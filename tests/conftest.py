@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spectral_kcenter import Graph, random_connected_graph, random_tree
+from spectral_kcenter import (Graph, laplacian, path_graph, perturbed_laplacian,
+                              random_connected_graph, random_tree, sym_eigen)
 
 
 def mixed_corpus(count: int, seed: int, n_lo: int = 4, n_hi: int = 9) -> list[Graph]:
@@ -17,6 +18,12 @@ def mixed_corpus(count: int, seed: int, n_lo: int = 4, n_hi: int = 9) -> list[Gr
         else:
             out.append(random_connected_graph(n, 0.4, child))
     return out
+
+
+def exact_lambda_min(n, ports, eps):
+    """lambda_min(L(P_n) + eps E_S) for the 1-based ports S, by one eigensolve."""
+    Lt = perturbed_laplacian(laplacian(path_graph(n)), ports, eps)
+    return float(sym_eigen(Lt).values[0])
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ from spectral_kcenter.metrics import _is_tie
 from spectral_kcenter.path_theory import (convexity_series_gap,
                                           lambda_min_series_positions)
 
-from conftest import lambda_min_taylor, mixed_corpus
+from conftest import exact_lambda_min, lambda_min_taylor, mixed_corpus
 
 # C2 from one eigh of L is good to a few ulps: exact second-order ties in
 # the C04 and C12b corpora differ by at most 4e-16, the nearest non-tie by
@@ -53,11 +53,6 @@ def report(cid: str, passed: bool, detail: str = ""):
     tag = "PASS" if passed else "FAIL"
     suffix = f" - {detail}" if detail else ""
     print(f"\nACCEPTANCE {cid}: {tag}{suffix}")
-
-
-def exact_lambda_min(n, ports, eps):
-    Lt = perturbed_laplacian(laplacian(path_graph(n)), ports, eps)
-    return float(sym_eigen(Lt).values[0])
 
 
 def test_criterion_01_path_centers():

@@ -533,6 +533,52 @@ def test_cli_path_family_order_cap(monkeypatch, capsys, command):
     _assert_one_parameter_error(capsys, "n must be in 2..40, got 41")
 
 
+SELECT_MPLSE = ["--k", "1", "--metric", "mplse"]
+
+
+@pytest.mark.parametrize("args, patched, reason", [
+    (["compare", "--rows", "general:21", "--trials", "2"], "random_connected_graph",
+     "graph order must be in 2..20, got 21"),
+    (["compare", "--rows", "path:11,bogus:3"], "select_best",
+     "unknown comparison row 'bogus:3'"),
+    (["select", "--graph", "path:21", *SELECT_MPLSE], "path_graph",
+     "path order must be in 2..20, got 21"),
+    (["select", "--graph", "random-tree:21", *SELECT_MPLSE], "random_tree",
+     "tree order must be in 2..20, got 21"),
+    (["select", "--graph", "random-graph:21,0.4", *SELECT_MPLSE],
+     "random_connected_graph", "graph order must be in 2..20, got 21"),
+    (["convexity", "--n", "40", "--k", "1,50"], "select_best",
+     "k must be in 1..39, got 50"),
+], ids=["compare-order", "compare-late-row", "select-path", "select-tree",
+        "select-graph", "convexity-late-k"])
+def test_cli_checks_every_input_before_computing(monkeypatch, capsys, args,
+                                                 patched, reason):
+    from spectral_kcenter import cli
+
+    monkeypatch.setattr(experiments, patched, _not_computed)
+    monkeypatch.setattr(cli, "select_best", _not_computed)
+    assert cli.main(args) == 2
+    _assert_one_parameter_error(capsys, reason)
+
+
+def test_cli_select_graph_file_order_cap(tmp_path, monkeypatch, capsys):
+    from spectral_kcenter import cli
+
+    f = tmp_path / "p21.txt"
+    f.write_text(serialize_edge_list(path_graph(21)))
+    monkeypatch.setattr(cli, "select_best", _not_computed)
+    assert cli.main(["select", "--graph", str(f), *SELECT_MPLSE]) == 2
+    _assert_one_parameter_error(capsys, "graph order must be in 2..20, got 21")
+
+
+def test_cli_select_at_desk_cap(capsys):
+    from spectral_kcenter import cli
+
+    assert cli.main(["select", "--graph", "path:20", *SELECT_MPLSE]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["k"] == 1
+
+
 def test_bench_patch_points_are_bound(monkeypatch):
     # the benchmark's recorder reads every patched name when it is built, on
     # untraced runs too: a name the package stops binding fails here first

@@ -14,6 +14,8 @@ from spectral_kcenter import (AssumptionError, ParameterError,
                               pseudo_toeplitz_lambda_min, sym_eigen)
 from spectral_kcenter.path_theory import lambda_min_series_positions
 
+from conftest import exact_lambda_min
+
 
 def bump_diagonal(M, ports, eps):
     # test-side helper: unlike perturbed_laplacian it admits eps < 0,
@@ -22,11 +24,6 @@ def bump_diagonal(M, ports, eps):
     for j in ports:
         M[j - 1, j - 1] += eps
     return M
-
-
-def exact_lambda_min(n, ports, eps):
-    Lt = perturbed_laplacian(laplacian(path_graph(n)), ports, eps)
-    return float(sym_eigen(Lt).values[0])
 
 
 def charpoly_from_eigensolve(M):
