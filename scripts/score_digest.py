@@ -14,6 +14,14 @@ The corpus is fixed: the five comparison rows at 10 trials and seed 424242,
 drawn as ``run_comparison`` draws them, then path:20, a random tree and a
 G(20, 0.4) at the same seed.
 
+The target ``select`` hashes, for every metric, graph of the corpus and k,
+the best set, the tie set and the score bytes of ``select_best(g, k,
+metric)`` without the table: the call that skips the ARE port sets ruled
+out by their lower bound. A case where the full-table selection raises is
+hashed by that error instead, so a selection that the skip lets succeed
+where every set used to be solved leaves the digest unchanged; everywhere
+else the two commits must select bit for bit alike.
+
 The target ``path`` hashes every ``path_theory_checks`` result (id, flag,
 residual as float64 bytes and detail) for n = 3..40 and the k-port cases
 (9, 3) and (15, 5), then every ``conjecture_probe`` report for odd
@@ -32,7 +40,7 @@ The target ``cli`` runs each command of CLI_CASES (the README's examples,
 in a fresh interpreter inside an empty directory, and hashes its exit code,
 its stdout bytes and the bytes of every file it wrote there.
 
-    PYTHONPATH=src python3 scripts/score_digest.py are gramian path oracle cli
+    PYTHONPATH=src python3 scripts/score_digest.py are gramian select path oracle cli
 """
 
 import argparse
@@ -110,6 +118,32 @@ def metric_digest(metric: Metric, graphs) -> tuple[str, int, int]:
             h.update(values.tobytes())
             h.update(f"best={res.best} ties={res.ties}\n".encode())
     return h.hexdigest(), scores, errors
+
+
+def select_digest(graphs) -> tuple[str, int, int]:
+    """The digest, the number of selections and the number of full-table
+    errors."""
+    h = hashlib.sha256()
+    selections = errors = 0
+    for metric in Metric:
+        for g in graphs:
+            for k in K_LIST:
+                h.update(f"{metric.value} n={g.n} edges={g.sorted_edges()} k={k}\n".encode())
+                try:
+                    select_best(g, k, metric, keep_table=True)
+                except NumericError as exc:
+                    errors += 1
+                    h.update(f"raised {type(exc).__name__}: {exc}\n".encode())
+                    continue
+                try:
+                    res = select_best(g, k, metric)
+                except NumericError as exc:
+                    h.update(f"plain raised {type(exc).__name__}: {exc}\n".encode())
+                    continue
+                selections += 1
+                h.update(np.float64(res.score).tobytes())
+                h.update(f"best={res.best} ties={res.ties}\n".encode())
+    return h.hexdigest(), selections, errors
 
 
 def path_digest() -> tuple[str, int, int]:
@@ -213,7 +247,7 @@ def cli_digest() -> tuple[str, int]:
 
 
 def _target(name: str):
-    return name if name in ("path", "oracle", "cli") else Metric.parse(name)
+    return name if name in ("select", "path", "oracle", "cli") else Metric.parse(name)
 
 
 def main():
@@ -221,7 +255,7 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("targets", nargs="+", type=_target,
                     help="metric names (" + ", ".join(m.value for m in Metric)
-                         + "), path, oracle or cli")
+                         + "), select, path, oracle or cli")
     args = ap.parse_args()
     graphs = None
     for target in args.targets:
@@ -238,6 +272,10 @@ def main():
             print(f"cli {digest} commands={commands}")
             continue
         graphs = graphs or corpus()
+        if target == "select":
+            digest, selections, errors = select_digest(graphs)
+            print(f"select {digest} selections={selections} errors={errors}")
+            continue
         digest, scores, errors = metric_digest(target, graphs)
         print(f"{target.value} {digest} scores={scores} errors={errors}")
 

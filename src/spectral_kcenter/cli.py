@@ -101,6 +101,7 @@ def _add_selection(p: argparse.ArgumentParser):
 def _cmd_select(args) -> int:
     g = parse_graph_source(args.graph, args.seed)
     params = _params_from(args)
+    tau = params.tau_for(g)  # checked before the first selection
     results = []
     for name in args.metric:
         metric = Metric.parse(name)
@@ -109,7 +110,7 @@ def _cmd_select(args) -> int:
             "metric": metric.value,
             "k": res.k,
             "epsilon": params.epsilon,
-            "tau": params.tau_for(g),
+            "tau": tau,
             "best": list(res.best),
             "score": res.score,
             "ties": [list(t) for t in res.ties],

@@ -12,6 +12,7 @@ benchmark's recorder, the call-contract test) sees every selection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -42,7 +43,8 @@ def parse_graph_source(source: str, seed: int = 0) -> Graph:
     random-graph:n,p | a file path (edge-list format, UTF-8). Every source
     gives a connected graph with n in 2..DESK_MAX_N: a file that describes
     a disconnected or larger one, or that cannot be read, is a
-    ParameterError."""
+    ParameterError, and so is a negative seed, whatever the source."""
+    check_index("seed", seed, 0)
     if source == "fig1":
         return figure1_graph()
     if source.startswith("path:"):
@@ -209,11 +211,15 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
     metric in HEURISTIC_METRICS order, with mplse before the other metric.
     """
     check_index("trials", trials, 1)
+    check_index("seed", seed, 0)
     report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params,
                               k_list=COMPARE_K_LIST)
-    # every row is drawn, and so checked, before the first selection
+    # every row is drawn, and every instance's tau resolved, so all of them
+    # are checked before the first selection
     drawn = [[_row_instance(row, seed, row_index, t) for t in range(trials)]
              for row_index, row in enumerate(rows)]
+    for g in itertools.chain.from_iterable(drawn):
+        params.tau_for(g)
     memo: dict = {}
     for row, instances in zip(rows, drawn):
         crow = ComparisonRow(row_id=row, n=instances[0].n)

@@ -132,6 +132,7 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n nodes via Pruefer decoding."""
     check_index("tree order", n, 2)
+    check_index("seed", seed, 0)
     rng = np.random.default_rng(seed)
     seq = [int(x) for x in rng.integers(1, n + 1, size=n - 2)]
     deg = [1] * (n + 1)
@@ -160,6 +161,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     is deterministic per seed.
     """
     check_index("graph order", n, 2)
+    check_index("seed", seed, 0)
     if not (0 < p < 1):
         raise ParameterError(f"edge probability must be in (0,1), got {p}")
     rng = np.random.default_rng(seed)

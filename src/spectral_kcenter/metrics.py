@@ -7,8 +7,10 @@ principal submatrices of Z, and one ``sym_eigen`` call solves each stack; ARE
 and Gramian pass the whole batch to ``are_charging_energy`` and
 ``gramian_extraction_energy``.
 ``select_best`` scores every subset, in lexicographic order and in stacks of
-about 2**14 matrix entries; the public ``*_score`` functions check their port
-set and score it as a one-row batch. Agreement of two selectors over an
+about 2**14 matrix entries, except that ARE on a connected graph solves only
+the subsets that its proven lower bound cannot rule out (``_are_candidates``);
+the public ``*_score`` functions check their port set and score it as a
+one-row batch. Agreement of two selectors over an
 instance stream (``agreement_rate``) lives in ``experiments``.
 ``select_best`` optimizes in the metric's direction, collects ties and breaks
 them toward the lexicographically smallest subset, so results are
@@ -28,15 +30,19 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DegenerateEigenvalueError, ParameterError
+from .errors import DegenerateEigenvalueError, NumericError, ParameterError
 from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
-from .spectral import (DEFAULT_RHO, are_charging_energy, check_index,
-                       check_ports, check_positive, gramian_extraction_energy,
-                       sym_eigen)
+from .spectral import (DEFAULT_RHO, are_charging_energy, are_lower_bound,
+                       check_index, check_ports, check_positive,
+                       gramian_extraction_energy, sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
 EIGVEC_GAP_MIN = 1e-9
+# ARE skips a port set whose lower bound exceeds (1 + ARE_SKIP_MARGIN) times
+# a solved value, both less n/2: five times the pencil's largest measured
+# relative error in that difference, 1'D1, which is 1.9e-3
+ARE_SKIP_MARGIN = 1e-2
 _CHUNK_ENTRIES = 2 ** 14
 
 
@@ -222,6 +228,11 @@ def select_best(g: Graph, k: int, metric: Metric,
     Scores that tie with the optimal score are collected, by the module's
     rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
     is the lexicographically smallest of them.
+
+    ARE on a connected graph without ``keep_table`` solves only the sets
+    that ``_are_candidates`` cannot rule out; ``best``, ``ties`` and
+    ``score`` are bit for bit those of scoring every set, and the selection
+    fails only where a set that it solves fails.
     """
     check_index("k", k, 1, g.n - 1)
     count = math.comb(g.n, k)
@@ -233,9 +244,46 @@ def select_best(g: Graph, k: int, metric: Metric,
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
     chunk = stack_rows(g.n)
-    scores = np.concatenate([score(subsets[i:i + chunk]) for i in range(0, count, chunk)])
+    if metric is Metric.ARE and not keep_table and g.is_connected():
+        subsets, scores = _are_candidates(laplacian(g), subsets, params.rho, score, chunk)
+    else:
+        scores = np.concatenate([score(subsets[i:i + chunk]) for i in range(0, count, chunk)])
     best_score = float(scores.max() if _MAXIMIZING[metric] else scores.min())
     ties = list(map(tuple, subsets[_is_tie(scores, best_score)].tolist()))
     table = list(zip(map(tuple, subsets.tolist()), scores.tolist())) if keep_table else None
     return SelectionResult(metric=metric, k=k, best=ties[0], score=best_score,
                            ties=ties, table=table)
+
+
+def _are_candidates(L: np.ndarray, subsets: np.ndarray, rho: float, score,
+                    chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets that may hold the ARE optimum or tie with it, in
+    lexicographic order, and their scores.
+
+    Every subset's ``are_lower_bound`` comes first, in stacks of ``chunk``.
+    The subset with the smallest bound is solved, then every other subset
+    whose bound is at most (1 + ARE_SKIP_MARGIN) times that value (each less
+    n/2), in order and in stacks of ``chunk``. A skipped subset's value is at
+    least its bound, so it can neither beat nor tie the optimum unless the
+    solver errs by more than the margin. Each solved value must be at least
+    (1 - ARE_SKIP_MARGIN/2) times its own bound, else NumericError: where
+    the solver's error can be seen, it is checked.
+    """
+    half = L.shape[0] / 2
+    bound = np.concatenate([are_lower_bound(L, subsets[i:i + chunk], rho)
+                            for i in range(0, len(subsets), chunk)])
+    scores = np.full(len(subsets), np.nan)
+    first = int(np.argmin(bound))
+    scores[first] = score(subsets[first:first + 1])[0]
+    rest = np.flatnonzero(bound <= (1 + ARE_SKIP_MARGIN) * (scores[first] - half))
+    rest = rest[rest != first]
+    for i in range(0, len(rest), chunk):
+        scores[rest[i:i + chunk]] = score(subsets[rest[i:i + chunk]])
+    solved = ~np.isnan(scores)
+    low = scores[solved] - half < (1 - ARE_SKIP_MARGIN / 2) * bound[solved]
+    if low.any():
+        i = np.flatnonzero(solved)[np.argmax(low)]
+        raise NumericError(
+            f"ARE value of {tuple(subsets[i].tolist())} is {scores[i] - half:.6e} above "
+            f"n/2, below its proven lower bound {bound[i]:.6e}")
+    return subsets[solved], scores[solved]

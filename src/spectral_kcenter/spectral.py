@@ -10,7 +10,8 @@ Lyapunov solve; ARE builds all its pencils as one stack from one template,
 runs one QZ solve per set (LAPACK's ``gges`` and ``tgsen`` called directly,
 their lookup, workspace query and finiteness check done once per batch) and
 runs its checks on the stack of results. A batch raises the error its first
-failing set raises alone.
+failing set raises alone. ``are_lower_bound`` gives each set a proven lower
+bound on its ARE value from one grounded-Laplacian solve, with no QZ solve.
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
 NumPy's, so a process that never scores ARE never loads it.
@@ -45,7 +46,8 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
     Each A_i must be symmetric within 1e-12 and free of NaN (else
     ParameterError), and its pairs must satisfy ||A_i v - lam v|| <=
     1e-9 (1 + ||A_i||_F) columnwise (else NumericError, not silently
-    inaccurate pairs).
+    inaccurate pairs). A bound or a residual that overflows to inf is a
+    NumericError too: the check cannot be skipped unseen.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
@@ -57,9 +59,12 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(A, axis=(-2, -1)))
-    residual = np.linalg.norm(A @ vectors - vectors * values[..., None, :], axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(A, axis=(-2, -1)))
+        residual = np.linalg.norm(A @ vectors - vectors * values[..., None, :], axis=-2)
     worst = residual.max(axis=-1, initial=0.0)
+    if not (np.isfinite(tol).all() and np.isfinite(worst).all()):
+        raise NumericError("eigenpair residual check overflowed: entries too large")
     if np.any(worst > tol):
         i = np.argmax(worst / tol)  # the matrix furthest over its bound
         raise NumericError(f"eigenpair residual {worst.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
@@ -253,6 +258,64 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
         U[i] = Z[: 2 * n, : n]
     values = _stable_energies(alpha[:solved], beta[:solved], U[:solved], n, qz_error)
     return float(values[0]) if single else values
+
+
+def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | np.ndarray:
+    """A proven lower bound on ``are_charging_energy(L, S, rho) - n/2`` for
+    each port set S of a connected graph's Laplacian L: a float for one port
+    set, an array of m bounds for an (m, k) array of port sets.
+
+        LB(S) = c^2 / (|a||b| - a'b),  c = 1'v,  a = K^(-1/2) L v,  b = K^(-1/2) v,
+
+    where K = L + rho I and v = L_RR^(-1) 1 on the non-ports R, 0 on S.
+
+    Proof. (i) The pencil's value is n/2 + 1'D1, where D is the stabilizing
+    solution of L D + D L - D (E_S/rho) D + L + rho I = 0: completing the
+    square on the cross term N = B/2 leaves the LQ problem with A = L,
+    B = I_S, Q = K and R = rho I. (ii) Any P with Ric(P) = L P + P L -
+    P (E_S/rho) P + K >= 0 gives 1'D1 >= 1'P1: along every path from 1 to 0,
+    d/dt x'Px >= -(x'Qx + rho |u|^2), so every path costs at least 1'P1.
+    (iii) Take P = beta v v'. Since v_S = 0, E_S P = 0, and Ric(P) =
+    K + beta (w v' + v w') with w = L v. Under the congruence by K^(-1/2)
+    this is I + beta (a b' + b a'), whose rank-two term has the eigenvalues
+    beta (a'b +- |a||b|); so Ric(P) >= 0 exactly when
+    beta <= 1/(|a||b| - a'b), and that beta gives 1'P1 = LB(S). As rho -> 0,
+    LB(S) -> sqrt(rho n c(S)), the leading term of 1'D1.
+
+    Evaluated through the well-conditioned G = (L + 11'/n + rho I)^(-1):
+    K^(-1) = G + 11'/(n rho (1 + rho)), so the 1/rho direction is exact,
+    a'b = v'LGv and |a|^2 = v'LGLv; the denominator is written as
+    (|a|^2 |b|^2 - (a'b)^2) / (|a||b| + a'b), free of cancellation
+    (a'b >= 0 since L and G commute). One grounded solve per set, on a stack
+    of the (n-k) x (n-k) matrices L_RR.
+    """
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    check_positive("rho", rho)
+    S, single = _port_sets(n, ports)
+    m, k = S.shape
+    if k >= n:
+        raise ParameterError("port set must leave at least one node")
+    grounded = np.ones((m, n), dtype=bool)
+    grounded[np.arange(m)[:, None], S - 1] = False
+    R = np.nonzero(grounded)[1].reshape(m, n - k)
+    v = np.zeros((m, n))
+    try:
+        v[grounded] = np.linalg.solve(L[R[:, :, None], R[:, None, :]],
+                                      np.ones((m, n - k, 1))).ravel()
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"grounded Laplacian is singular: {exc}") from exc
+    c = v.sum(axis=1)
+    G = np.linalg.inv(L + 1.0 / n + rho * np.eye(n))
+    w = v @ L
+    Gv, Gw = v @ G, w @ G
+    ab = (w * Gv).sum(axis=1)
+    aa = (w * Gw).sum(axis=1)
+    bb = (v * Gv).sum(axis=1) + c * c / (n * rho * (1.0 + rho))
+    bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
+    if not np.all((bounds > 0) & (bounds < np.inf)):
+        raise NumericError("ARE lower bound is not finite and positive")
+    return float(bounds[0]) if single else bounds
 
 
 def _no_select(alphar, alphai, beta):

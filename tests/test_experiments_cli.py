@@ -441,8 +441,16 @@ def test_cli_path_suite_parameter_errors_exit_2(args):
 
 
 def test_cli_are_reordering_failure_exit_3():
-    # the known ARE failure on path:20 at k = 3, port set (5, 9, 13)
+    # the known ARE failure on path:20 at k = 3, port set (5, 9, 13): the
+    # full table still reaches it, while the plain selection never solves
+    # that set (its lower bound rules it out) and succeeds
     r = run_cli("select", "--graph", "path:20", "--k", "3", "--metric", "are")
+    assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+    out = json.loads(r.stdout)
+    assert out["best"] == [4, 10, 17]
+    assert out["ties"] == [[4, 10, 17], [4, 11, 17]]
+    r = run_cli("select", "--graph", "path:20", "--k", "3", "--metric", "are",
+                "--keep-table")
     assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
     assert r.stdout == ""
     assert r.stderr == (
@@ -450,6 +458,16 @@ def test_cli_are_reordering_failure_exit_3():
         "because the transformed matrix pair (A, B) would be too far from "
         "generalized Schur form; the problem is very ill-conditioned. (A, B) "
         "may have been partially reordered.\n")
+
+
+def test_cli_overflowing_residual_check_exit_3():
+    # a bound of 1e-9 (1 + ||A||_F) that overflows to inf would pass any pair
+    r = run_cli("select", "--graph", "path:7", "--k", "1", "--metric", "mplse",
+                "--epsilon", "1e200")
+    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
+    assert r.stdout == ""
+    assert r.stderr == ("error: numeric: eigenpair residual check overflowed: "
+                        "entries too large\n")
 
 
 def test_cli_are_lstsq_failure_exit_3(monkeypatch, capsys):
@@ -549,8 +567,22 @@ SELECT_MPLSE = ["--k", "1", "--metric", "mplse"]
      "random_connected_graph", "graph order must be in 2..20, got 21"),
     (["convexity", "--n", "40", "--k", "1,50"], "select_best",
      "k must be in 1..39, got 50"),
+    (["compare", "--rows", "path:11,general:9", "--trials", "20", "--tau", "0.3",
+      "--seed", "1"], "select_best", "tau=0.3 outside (0, 1/"),
+    (["select", "--graph", "path:9", "--k", "2", "--metric", "mplse", "--tau", "0.9"],
+     "select_best", "tau=0.9 outside (0, 1/2]"),
+    (["select", "--graph", "random-tree:7", *SELECT_MPLSE, "--seed", "-1"],
+     "random_tree", "seed must be >= 0, got -1"),
+    (["select", "--graph", "path:7", *SELECT_MPLSE, "--seed", "-1"], "path_graph",
+     "seed must be >= 0, got -1"),
+    (["compare", "--rows", "tree:7", "--seed", "-1"], "random_tree",
+     "seed must be >= 0, got -1"),
+    (["compare", "--rows", "path:5", "--trials", "1", "--seed", "-1"], "path_graph",
+     "seed must be >= 0, got -1"),
 ], ids=["compare-order", "compare-late-row", "select-path", "select-tree",
-        "select-graph", "convexity-late-k"])
+        "select-graph", "convexity-late-k", "compare-late-tau", "select-tau",
+        "select-tree-seed", "select-path-seed", "compare-tree-seed",
+        "compare-path-seed"])
 def test_cli_checks_every_input_before_computing(monkeypatch, capsys, args,
                                                  patched, reason):
     from spectral_kcenter import cli

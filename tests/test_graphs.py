@@ -157,6 +157,15 @@ def test_random_connected_graph_contract():
     assert random_connected_graph(2, 0.99, seed=0).edges == frozenset({(1, 2)})
 
 
+@pytest.mark.parametrize("make", [lambda seed: random_tree(7, seed),
+                                  lambda seed: random_connected_graph(7, 0.4, seed)],
+                         ids=["tree", "graph"])
+def test_generators_take_a_nonnegative_integer_seed(make):
+    for seed in (-1, 2.0, True):
+        with pytest.raises(ParameterError, match="seed must be"):
+            make(seed)
+
+
 def test_parse_edge_list_examples():
     assert parse_edge_list("3\n1 2\n2 3\n").edges == path_graph(3).edges
     assert serialize_edge_list(path_graph(2)) == "2\n1 2\n"

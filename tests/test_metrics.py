@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,14 +7,18 @@ import pytest
 from scipy import linalg as sla
 
 from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
-                              MetricParams, ParameterError, agreement_rate,
-                              are_charging_energy, eigvec_heuristic_score,
+                              MetricParams, NumericError, ParameterError,
+                              agreement_rate, are_charging_energy,
+                              are_lower_bound, eigvec_heuristic_score,
                               figure1_graph, gramian_extraction_energy,
                               laplacian, lyapunov_solve, mplse_score,
                               msub_score, msup_score, path_graph,
                               perturbed_laplacian, random_connected_graph,
                               random_tree, relabel, select_best, stochastic,
                               sym_eigen)
+from spectral_kcenter import metrics
+from spectral_kcenter.experiments import _row_instance
+from spectral_kcenter.spectral import DEFAULT_RHO
 from conftest import mixed_corpus
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
@@ -381,3 +386,99 @@ def test_all_metrics_agree_on_path11():
 def test_all_metrics_pick_equispaced_ports_on_p9():
     for metric in Metric:
         assert select_best(path_graph(9), 3, metric).best == (2, 5, 8)
+
+
+# the comparison rows of the benchmark at 10 trials and seed 424242, then one
+# graph of each kind at the desk cap
+ARE_SEED = 424242
+ARE_ROWS = ("path:11", "tree:7", "tree:9", "general:7", "general:9")
+ARE_CORPUS = ([_row_instance(row, ARE_SEED, i, t)
+               for i, row in enumerate(ARE_ROWS) for t in range(10)]
+              + [path_graph(20), random_tree(20, ARE_SEED),
+                 random_connected_graph(20, 0.4, ARE_SEED)])
+
+
+@functools.lru_cache(maxsize=None)
+def _are_full_table(g, k, rho):
+    """The ARE selection that solves every port set, or its NumericError."""
+    try:
+        return select_best(g, k, Metric.ARE, MetricParams(rho=rho), keep_table=True)
+    except NumericError as exc:
+        return exc
+
+
+def test_are_bound_is_below_every_compare_value():
+    for g in ARE_CORPUS[:50]:
+        L = laplacian(g)
+        for k in (1, 2, 3):
+            res = _are_full_table(g, k, DEFAULT_RHO)
+            assert not isinstance(res, NumericError), (g, k, res)
+            subsets = np.array([s for s, _ in res.table])
+            values = np.array([v for _, v in res.table])
+            assert np.all(are_lower_bound(L, subsets, DEFAULT_RHO) <= values - g.n / 2)
+
+
+@pytest.mark.parametrize("rho", [1e-10, DEFAULT_RHO, 1e-2])
+def test_are_skip_selects_bit_for_bit_like_the_full_table(rho):
+    succeeded = 0
+    for g in ARE_CORPUS:
+        for k in (1, 2, 3):
+            full = _are_full_table(g, k, rho)
+            try:
+                res = select_best(g, k, Metric.ARE, MetricParams(rho=rho))
+            except NumericError:
+                # only a selection that fails on some set may fail
+                assert isinstance(full, NumericError), (g, k)
+                continue
+            if isinstance(full, NumericError):
+                continue  # a failing set was skipped
+            assert (res.best, res.ties) == (full.best, full.ties), (g, k)
+            assert np.float64(res.score).tobytes() == np.float64(full.score).tobytes()
+            succeeded += 1
+    assert succeeded >= 100
+
+
+def _recording_are(monkeypatch):
+    """Record the port sets that select_best hands to the ARE solver."""
+    seen = []
+    solve = metrics.are_charging_energy
+
+    def recording(L, S, rho):
+        seen.extend(map(tuple, S.tolist()))
+        return solve(L, S, rho)
+
+    monkeypatch.setattr(metrics, "are_charging_energy", recording)
+    return seen
+
+
+def test_are_skip_solves_few_sets_and_keep_table_all(monkeypatch):
+    seen = _recording_are(monkeypatch)
+    res = select_best(path_graph(20), 3, Metric.ARE)
+    assert res.best == (4, 10, 17) and res.ties == [(4, 10, 17), (4, 11, 17)]
+    assert (5, 9, 13) not in seen  # the set whose QZ reordering fails
+    assert len(seen) <= 0.05 * math.comb(20, 3)
+    seen.clear()
+    with pytest.raises(NumericError, match=r"Reordering of \(A, B\) failed"):
+        select_best(path_graph(20), 3, Metric.ARE, keep_table=True)
+    assert (5, 9, 13) in seen
+
+
+def test_are_on_a_disconnected_graph_scores_every_set(monkeypatch):
+    # no grounded solve exists when a component has no port, so no bound
+    seen = _recording_are(monkeypatch)
+    monkeypatch.setattr(metrics, "are_lower_bound", lambda *args: 1 / 0)
+    g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
+    try:
+        select_best(g, 2, Metric.ARE)
+    except NumericError:
+        pass
+    assert seen == list(itertools.combinations(range(1, 7), 2))
+
+
+def test_are_value_below_its_bound_is_a_numeric_error(monkeypatch):
+    bound = metrics.are_lower_bound
+    monkeypatch.setattr(metrics, "are_lower_bound",
+                        lambda L, S, rho: 1.01 * bound(L, S, rho))
+    with pytest.raises(NumericError, match="below its proven lower bound"):
+        select_best(path_graph(9), 2, Metric.ARE)
+    assert select_best(path_graph(9), 2, Metric.ARE, keep_table=True).best == (3, 7)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
-                              StabilityError, are_charging_energy, figure1_graph,
+                              StabilityError, are_charging_energy,
+                              are_lower_bound, figure1_graph,
                               gramian_extraction_energy, laplacian,
                               lyapunov_solve, path_charpoly_lowcoeffs,
                               path_graph, random_connected_graph, relabel,
@@ -488,3 +489,53 @@ def test_gramian_bounds_and_center_preference():
         L = laplacian(g)
         v = gramian_extraction_energy(L, (1,))
         assert 0 < v < g.n / 2
+
+
+def _grounded_closeness(L, S):
+    """c(S) = n^2 / (1' [(L^+)_SS]^(-1) 1), with no grounded solve."""
+    n = L.shape[0]
+    idx = [j - 1 for j in S]
+    block = np.linalg.pinv(L)[np.ix_(idx, idx)]
+    return n * n / np.linalg.solve(block, np.ones(len(S))).sum()
+
+
+def test_are_bound_tends_to_the_cheap_control_limit():
+    from spectral_kcenter import random_tree
+
+    cases = [(path_graph(12), (1,)), (path_graph(12), (3, 10)),
+             (random_tree(12, 3), (2, 5, 9)), (random_connected_graph(12, 0.4, 3), (4, 7))]
+    for g, S in cases:
+        L = laplacian(g)
+        c = _grounded_closeness(L, S)
+        gaps = [abs(are_lower_bound(L, S, rho) / math.sqrt(rho * g.n * c) - 1)
+                for rho in (1e-4, 1e-6, 1e-8, 1e-10)]
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), (S, gaps)
+        assert gaps[-1] < 1e-4
+    # an end port of a path: c = (n - 1) n (2n - 1) / 6
+    assert math.isclose(_grounded_closeness(laplacian(path_graph(12)), (1,)), 506)
+
+
+def test_are_bound_takes_one_set_or_a_stack():
+    L = laplacian(path_graph(7))
+    S = np.array([[1, 4], [2, 5], [3, 6]])
+    one = are_lower_bound(L, (2, 5))
+    assert isinstance(one, float)
+    batch = are_lower_bound(L, S)
+    assert batch.shape == (3,) and batch[1] == one
+    assert one < are_charging_energy(L, (2, 5)) - 3.5
+    with pytest.raises(ParameterError, match="at least one node"):
+        are_lower_bound(L, tuple(range(1, 8)))
+    with pytest.raises(ParameterError):
+        are_lower_bound(L, (2,), rho=0.0)
+
+
+def test_sym_eigen_fails_closed_when_its_check_overflows():
+    # ||A||_F overflows to inf past about 1.3e154, which would pass any residual
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="residual check overflowed"):
+            sym_eigen(np.diag([1e200, 1.0]))
+        with pytest.raises(NumericError, match="residual check overflowed"):
+            sym_eigen(np.stack([np.eye(2), np.diag([1e200, 1.0])]))
