@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import NumericError, ParameterError
-from .experiments import (ComparisonReport, conjecture_probe, convexity_table,
-                          lambda_profile, parse_graph_source, path_theory_checks,
-                          run_comparison)
+from .experiments import (ComparisonReport, check_probe_order, conjecture_probe,
+                          convexity_table, lambda_profile, parse_graph_source,
+                          path_theory_checks, run_comparison)
 from .metrics import Metric, MetricParams, select_best
 
 CSV_HEADER = "# spectral-kcenter v1"
@@ -102,9 +102,9 @@ def _cmd_select(args) -> int:
     g = parse_graph_source(args.graph, args.seed)
     params = _params_from(args)
     tau = params.tau_for(g)  # checked before the first selection
+    metrics = [Metric.parse(name) for name in args.metric]  # so is every metric
     results = []
-    for name in args.metric:
-        metric = Metric.parse(name)
+    for metric in metrics:
         res = select_best(g, args.k, metric, params, keep_table=args.keep_table)
         obj = {
             "metric": metric.value,
@@ -201,6 +201,8 @@ def _cmd_convexity(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     n_list = _parse_int_list(args.n, "--n")
+    for n in n_list:
+        check_probe_order(n)
     reports = [conjecture_probe(n, eps=args.epsilon) for n in n_list]
     payload = reports[0] if len(reports) == 1 else reports
     _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)

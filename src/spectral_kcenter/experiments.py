@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import (Graph, figure1_graph, laplacian, path_graph,
                      random_connected_graph, random_tree)
-from .metrics import (Metric, MetricParams, mplse_score, msub_score,
-                      perturbed_laplacian, select_best, stack_rows)
+from .metrics import (Metric, MetricParams, check_subset_count, mplse_score,
+                      msub_score, perturbed_laplacian, select_best, stack_rows)
 from .path_theory import (convexity_series_gap, has_optimal_ports,
                           lambda_min_quadratic_1port, lambda_min_quadratic_2port,
                           lambda_min_series_kport, lambda_min_series_positions,
@@ -398,7 +398,7 @@ def convexity_table(n: int, k_list: Sequence[int],
     in 2..PATH_MAX_N."""
     check_index("n", n, 2, PATH_MAX_N)
     for k in k_list:
-        check_index("k", k, 1, n - 1)
+        check_subset_count(n, k)
     g = path_graph(n)
     params = MetricParams(epsilon=eps)
     one_port = select_best(g, 1, Metric.MPLSE, params)
@@ -413,6 +413,14 @@ def convexity_table(n: int, k_list: Sequence[int],
             "closed_form_ports": has_optimal_ports(n, k),
         })
     return rows
+
+
+def check_probe_order(n: int):
+    """Raise ParameterError unless ``conjecture_probe`` takes the order n:
+    odd and in 3..PATH_MAX_N."""
+    check_index("n", n, 3, PATH_MAX_N)
+    if not has_optimal_ports(n, 1):
+        raise ParameterError(f"probe needs odd n, got {n}")
 
 
 def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
@@ -432,9 +440,7 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     matrix. Hence ``max_abs_deviation``, ``disconnected_union_deviation``
     and ``worst_edge`` report rounding noise only.
     """
-    check_index("n", n, 3, PATH_MAX_N)
-    if not has_optimal_ports(n, 1):
-        raise ParameterError(f"probe needs odd n, got {n}")
+    check_probe_order(n)
     check_positive("eps", eps)
     g = path_graph(n)
     L1 = perturbed_laplacian(laplacian(g), optimal_ports(n, 1), eps)

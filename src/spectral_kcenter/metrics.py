@@ -219,6 +219,18 @@ def _is_tie(a, b):
     return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
+def check_subset_count(n: int, k: int) -> int:
+    """C(n, k), the number of port sets ``select_best`` scores; raises
+    ParameterError unless k is in 1..n-1 and C(n, k) is at most
+    DEFAULT_ENUMERATION_CAP."""
+    check_index("k", k, 1, n - 1)
+    count = math.comb(n, k)
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise ParameterError(f"C({n},{k}) = {count} exceeds the enumeration "
+                             f"cap {DEFAULT_ENUMERATION_CAP}")
+    return count
+
+
 def select_best(g: Graph, k: int, metric: Metric,
                 params: MetricParams = MetricParams(),
                 keep_table: bool = False) -> SelectionResult:
@@ -234,11 +246,7 @@ def select_best(g: Graph, k: int, metric: Metric,
     ``score`` are bit for bit those of scoring every set, and the selection
     fails only where a set that it solves fails.
     """
-    check_index("k", k, 1, g.n - 1)
-    count = math.comb(g.n, k)
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise ParameterError(f"C({g.n},{k}) = {count} exceeds the enumeration "
-                             f"cap {DEFAULT_ENUMERATION_CAP}")
+    count = check_subset_count(g.n, k)
     score = _subset_scorer(g, k, metric, params)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),

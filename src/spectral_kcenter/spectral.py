@@ -6,11 +6,11 @@ control-theoretic scores.
 and solve a stack in one ``eigh`` call, bitwise equal to solving each matrix
 alone. ``are_charging_energy`` and ``gramian_extraction_energy`` score one
 port set or an (m, k) array of port sets: the Gramian as one stacked
-Lyapunov solve; ARE builds all its pencils as one stack from one template,
-runs one QZ solve per set (LAPACK's ``gges`` and ``tgsen`` called directly,
-their lookup, workspace query and finiteness check done once per batch) and
-runs its checks on the stack of results. A batch raises the error its first
-failing set raises alone. ``are_lower_bound`` gives each set a proven lower
+Lyapunov solve; ARE as a loop over the sets, each set's pencil copied from
+one template and given one QZ solve (LAPACK's ``gges`` and ``tgsen`` called
+directly, their lookup, workspace query and finiteness check done once per
+batch) and its checks. A batch raises the error its first failing set
+raises alone. ``are_lower_bound`` gives each set a proven lower
 bound on its ARE value from one grounded-Laplacian solve, with no QZ solve.
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
@@ -207,14 +207,14 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
     deflating subspace of the extended Hamiltonian pencil, which keeps
     full accuracy for small rho and for ports on symmetry axes.
 
-    A batch builds all m pencils at once, one (N, N, m) Fortran-ordered
-    stack of the port-independent template with each set's 4k port entries
-    written in; the finiteness check, the LAPACK lookup and the workspace
-    query run once. Each set then gets its own ``gges`` + ``tgsen`` solve
-    (``scipy.linalg.ordqz(sort="lhp")`` without the left Schur vectors, bit
-    for bit), and the checks and the value are computed on the stack of
-    results. A batch raises the error that its first failing set raises when
-    scored alone; the sets after it are not scored.
+    A batch is a loop over its port sets: each gets a Fortran copy of the
+    port-independent template with its 4k port entries written in, one
+    ``gges`` + ``tgsen`` solve (``scipy.linalg.ordqz(sort="lhp")`` without
+    the left Schur vectors, bit for bit) and the checks of
+    ``_pencil_energy``; the finiteness check, the LAPACK lookup and the
+    workspace query run once per batch. A batch raises the error of its
+    first failing set, which is the error that set raises when scored
+    alone; the sets after it are not scored.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -224,7 +224,7 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
     N = 2 * n + k
     # Time-reversed LQ data: zdot = L z - B w, cost z'Qz + 2 z'N w + w'R w,
     # here with B = N = 0; each port set writes its entries of -B, -N, N'
-    # and -B' into its own pencil of the stack.
+    # and -B' into its own copy of the pencil.
     B = np.zeros((n, k))
     template = np.asfortranarray(np.block([
         [L, np.zeros((n, n)), -B],
@@ -234,29 +234,15 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
     E = np.zeros((N, N), order="F")
     E[: 2 * n, : 2 * n] = np.eye(2 * n)
     stable_schur = _stable_schur_solver(template, E)
-    # each pencil M[:, :, i] is Fortran-contiguous and is solved in place
-    M = np.empty((N, N, m), order="F")
-    M[...] = template[:, :, None]
-    rows, cols, sets = S - 1, 2 * n + np.arange(k), np.arange(m)[:, None]
-    M[rows, cols, sets] = -1.0
-    M[n + rows, cols, sets] = -0.5
-    M[cols, rows, sets] = 0.5
-    M[cols, n + rows, sets] = -1.0
-    alpha = np.empty((m, N), dtype=complex)
-    beta = np.empty((m, N))
-    # the first n right Schur vectors, top 2n rows; each set's columns stay
-    # contiguous as in Z, so the products in _stable_energies run the BLAS
-    # calls they would run on Z itself (a C-ordered copy changes the bits)
-    U = np.empty((m, n, 2 * n)).transpose(0, 2, 1)
-    solved, qz_error = m, None
-    for i in range(m):
-        try:
-            alpha[i], beta[i], Z = stable_schur(M[:, :, i])
-        except NumericError as exc:
-            solved, qz_error = i, exc
-            break
-        U[i] = Z[: 2 * n, : n]
-    values = _stable_energies(alpha[:solved], beta[:solved], U[:solved], n, qz_error)
+    cols = 2 * n + np.arange(k)
+    values = np.empty(m)
+    for i, rows in enumerate(S - 1):
+        M = template.copy(order="F")  # solved in place
+        M[rows, cols] = -1.0
+        M[n + rows, cols] = -0.5
+        M[cols, rows] = 0.5
+        M[cols, n + rows] = -1.0
+        values[i] = _pencil_energy(*stable_schur(M), n)
     return float(values[0]) if single else values
 
 
@@ -390,58 +376,33 @@ def _gges_failure(info: int, N: int) -> str:
             N + 3: "Reordering failed in <s,d,c,z>tgsen"}.get(info, f"gges returned info={info}")
 
 
-def _stable_energies(alpha: np.ndarray, beta: np.ndarray, U: np.ndarray, n: int,
-                     next_error: NumericError | None) -> np.ndarray:
-    """1'X1 for each of a stack of m pencils, from their generalized
-    eigenvalues alpha/beta, (m, N) and ordered stable first, and U, the top
-    2n rows of their first n right Schur vectors, (m, 2n, n).
+def _pencil_energy(alpha: np.ndarray, beta: np.ndarray, Z: np.ndarray, n: int) -> float:
+    """1'X1 for one pencil, from its generalized eigenvalues alpha/beta,
+    ordered stable first, and its right Schur vectors Z.
 
-    Every set is checked, in this order: imaginary-axis margin, stable
-    dimension, the least-squares solve, reachability of the all-ones target,
-    sign. Raises the error of the first set that fails a check, or else
-    ``next_error`` (if not None), the error of the set after the stack.
+    Checked in this order: imaginary-axis margin, stable dimension, the
+    least-squares solve, reachability of the all-ones target, sign.
     """
-    finite = np.abs(beta) > 1e-12 * np.abs(alpha).max(axis=1, initial=1.0)[:, None]
+    finite = np.abs(beta) > 1e-12 * np.abs(alpha).max(initial=1.0)
     real = (alpha / np.where(finite, beta, 1.0)).real
-    margin = np.where(finite, np.abs(real), np.inf).min(axis=1)
-    n_stable = np.sum(finite & (real < 0), axis=1)
-    # each check runs on the sets before the first failure found so far, so
-    # `error` ends as the first failing set's error, from its first failing check
-    end, error = len(alpha), next_error
-    end, error = _first_failure(margin < 1e-10, end, error, lambda i: IllPosedError(
-        "Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis"))
-    end, error = _first_failure(n_stable != n, end, error, lambda i: IllPosedError(
-        f"stable deflating subspace has dimension {n_stable[i]} != {n}"))
-    U1, U2 = U[:, :n], U[:, n:]
+    if np.where(finite, np.abs(real), np.inf).min() < 1e-10:
+        raise IllPosedError("Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis")
+    n_stable = np.count_nonzero(finite & (real < 0))
+    if n_stable != n:
+        raise IllPosedError(f"stable deflating subspace has dimension {n_stable} != {n}")
+    U1, U2 = Z[:n, :n], Z[n: 2 * n, :n]
     ones = np.ones(n)
-    coeff = np.empty((end, n))
-    for i in range(end):
-        try:
-            coeff[i], *_ = np.linalg.lstsq(U1[i], ones, rcond=1e-12)
-        except np.linalg.LinAlgError as exc:
-            end = i
-            error = NumericError(f"least-squares solve on the stable subspace failed: {exc}")
-            break
-    coeff = coeff[:end, :, None]
-    # a gemv and then a dot per set, as for one set alone: one product over
-    # the whole (end, n) stack would run a different BLAS call
-    r = (U1[:end] @ coeff)[:, :, 0] - ones
-    residual = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
-    values = (ones @ (U2[:end] @ coeff))[:, 0]
-    end, error = _first_failure(residual > 1e-8 * np.sqrt(n), end, error, lambda i: IllPosedError(
-        "all-ones target is not reachable on the stable subspace"))
-    end, error = _first_failure(values < 0, end, error, lambda i: NumericError(
-        f"charging energy came out negative ({values[i]:.3e})"))
-    if error is not None:
-        raise error
-    return values
-
-
-def _first_failure(fails: np.ndarray, end: int, error, make_error):
-    """``(end, error)`` moved to the first set before ``end`` that ``fails``,
-    with ``make_error(i)`` as its error; unchanged if none does."""
-    bad = np.flatnonzero(fails[:end])
-    return (int(bad[0]), make_error(int(bad[0]))) if bad.size else (end, error)
+    try:
+        coeff, *_ = np.linalg.lstsq(U1, ones, rcond=1e-12)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"least-squares solve on the stable subspace failed: {exc}") from exc
+    r = U1 @ coeff - ones
+    if np.sqrt(r @ r) > 1e-8 * np.sqrt(n):
+        raise IllPosedError("all-ones target is not reachable on the stable subspace")
+    value = ones @ (U2 @ coeff)
+    if value < 0:
+        raise NumericError(f"charging energy came out negative ({value:.3e})")
+    return value
 
 
 def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:

@@ -579,10 +579,17 @@ SELECT_MPLSE = ["--k", "1", "--metric", "mplse"]
      "seed must be >= 0, got -1"),
     (["compare", "--rows", "path:5", "--trials", "1", "--seed", "-1"], "path_graph",
      "seed must be >= 0, got -1"),
+    (["select", "--graph", "path:20", "--k", "3", "--metric", "gramian",
+      "--metric", "bogus"], "select_best", "unknown metric 'bogus'"),
+    (["conjecture", "--n", "5,41"], "path_graph", "n must be in 3..40, got 41"),
+    (["conjecture", "--n", "5,6"], "path_graph", "probe needs odd n, got 6"),
+    (["convexity", "--n", "40", "--k", "1,2,6"], "select_best",
+     "C(40,6) = 3838380 exceeds the enumeration cap 2000000"),
 ], ids=["compare-order", "compare-late-row", "select-path", "select-tree",
         "select-graph", "convexity-late-k", "compare-late-tau", "select-tau",
         "select-tree-seed", "select-path-seed", "compare-tree-seed",
-        "compare-path-seed"])
+        "compare-path-seed", "select-late-metric", "conjecture-late-order",
+        "conjecture-late-even", "convexity-late-cap"])
 def test_cli_checks_every_input_before_computing(monkeypatch, capsys, args,
                                                  patched, reason):
     from spectral_kcenter import cli

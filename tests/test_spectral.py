@@ -403,55 +403,54 @@ def test_charging_energy_stack_raises_its_first_failing_sets_error(monkeypatch):
 
 
 def _pencil_results(defects):
-    """Stable-first eigenvalues and Schur vector blocks of n = 2 pencils
-    (order N = 5) that pass every check of ``_stable_energies``, or fail
-    the checks named in each entry of ``defects``."""
-    alpha = np.tile(np.array([-1, -1, 1, 1, 1], dtype=complex), (len(defects), 1))
-    beta = np.ones((len(defects), 5))
-    U = np.tile(np.eye(2), (len(defects), 2, 1))
-    for i, defect in enumerate(defects):
-        if "margin" in defect:
-            alpha[i, 0] = -1e-11
-        if "dimension" in defect:
-            alpha[i, 1] = 1.0
-        if "reach" in defect:
-            U[i, 1, 1] = 0.0
-        if "sign" in defect:
-            U[i, 2:] *= -1
-    return alpha, beta, U
+    """Stable-first eigenvalues and right Schur vectors of an n = 2 pencil
+    (order N = 5) that passes every check of ``_pencil_energy``, or fails
+    the checks named in ``defects``."""
+    alpha = np.array([-1, -1, 1, 1, 1], dtype=complex)
+    beta = np.ones(5)
+    Z = np.zeros((5, 5), order="F")
+    Z[:4, :2] = np.tile(np.eye(2), (2, 1))
+    if "margin" in defects:
+        alpha[0] = -1e-11
+    if "dimension" in defects:
+        alpha[1] = 1.0
+    if "reach" in defects:
+        Z[1, 1] = 0.0
+    if "sign" in defects:
+        Z[2:4, :2] *= -1
+    return alpha, beta, Z
 
 
-def test_stable_energies_raise_the_first_failing_sets_error():
-    # the stacked checks report what the first failing set reports alone,
-    # and within a set the first check it fails; the QZ failure of the set
-    # after the stack comes last
-    from spectral_kcenter.spectral import _stable_energies
+def test_pencil_energy_runs_its_checks_in_order(monkeypatch):
+    # a pencil reports the first check it fails, for every combination of
+    # defects; a failing least-squares solve is the third check
+    from spectral_kcenter.spectral import _pencil_energy
 
-    def outcome(defects, next_error=None):
-        try:
-            return _stable_energies(*_pencil_results(defects), 2, next_error).tolist()
-        except NumericError as exc:
-            return type(exc), str(exc)
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    assert outcome([(), ()]) == [2.0, 2.0]
-    kinds = [(), ("sign",), ("reach",), ("reach", "sign"), ("dimension",),
-             ("dimension", "reach"), ("margin",), ("margin", "dimension", "sign")]
-    alone = {kind: outcome([kind]) for kind in kinds}
-    assert alone[("sign",)] == (NumericError, "charging energy came out negative (-2.000e+00)")
-    assert alone[("reach",)] == alone[("reach", "sign")] == (
-        IllPosedError, "all-ones target is not reachable on the stable subspace")
-    assert alone[("dimension",)] == alone[("dimension", "reach")] == (
-        IllPosedError, "stable deflating subspace has dimension 1 != 2")
-    assert alone[("margin",)] == alone[("margin", "dimension", "sign")] == (
-        IllPosedError, "Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis")
-    qz = NumericError("QZ decomposition failed: Reordering failed in <s,d,c,z>tgsen")
-    for a, b in itertools.product(kinds, repeat=2):
-        first = alone[a] if a else alone[b]
-        if first == [2.0]:  # no set fails
-            assert outcome([(), a, b]) == [2.0] * 3
-            assert outcome([(), a, b], qz) == (NumericError, str(qz))
-        else:
-            assert outcome([(), a, b]) == outcome([(), a, b], qz) == first, (a, b)
+    def outcome(defects):
+        with monkeypatch.context() as patch:
+            if "lstsq" in defects:
+                patch.setattr(np.linalg, "lstsq", no_convergence)
+            try:
+                return _pencil_energy(*_pencil_results(defects), 2)
+            except NumericError as exc:
+                return type(exc), str(exc)
+
+    errors = {  # in check order
+        "margin": (IllPosedError,
+                   "Hamiltonian pencil has spectrum within 1e-10 of the imaginary axis"),
+        "dimension": (IllPosedError, "stable deflating subspace has dimension 1 != 2"),
+        "lstsq": (NumericError, "least-squares solve on the stable subspace failed: "
+                                "SVD did not converge in Linear Least Squares"),
+        "reach": (IllPosedError, "all-ones target is not reachable on the stable subspace"),
+        "sign": (NumericError, "charging energy came out negative (-2.000e+00)"),
+    }
+    for r in range(len(errors) + 1):
+        for defects in itertools.combinations(errors, r):
+            first = errors[defects[0]] if defects else 2.0
+            assert outcome(defects) == first, defects
 
 
 def test_charging_energy_lstsq_failure_is_a_numeric_error(monkeypatch):
