@@ -36,9 +36,10 @@ each, the convexity gap, the optimal ports and the pseudo-Toeplitz value.
 It calls public names only, so it runs against any commit that has them.
 
 The target ``cli`` runs each command of CLI_CASES (the README's examples,
-``compare`` at 10 trials, and one ``select`` that sets every selection flag)
-in a fresh interpreter inside an empty directory, and hashes its exit code,
-its stdout bytes and the bytes of every file it wrote there.
+``compare`` at 10 trials, one ``select`` that sets every selection flag, and
+one command for each nonzero exit code) in a fresh interpreter inside an
+empty directory, and hashes its exit code, its stdout bytes, its stderr
+bytes and the bytes of every file it wrote there.
 
     PYTHONPATH=src python3 scripts/score_digest.py are gramian select path oracle cli
 """
@@ -90,6 +91,9 @@ CLI_CASES = [
     "conjecture --n 5,7,9",
     "select --graph random-graph:7,0.4 --k 2 --metric msub --metric are "
     "--tau 0.1 --rho 1e-4 --seed 13 --keep-table",
+    "compare --rows general:7 --trials 6 --seed 2",
+    "path-theory --n 9 --k 10",
+    "select --graph path:7 --k 1 --metric mplse --epsilon 1e200",
 ]
 
 
@@ -240,6 +244,8 @@ def cli_digest() -> tuple[str, int]:
                                 *case.split()], cwd=tmp, env=env, capture_output=True)
             h.update(f"cli {case} exit={r.returncode}\n".encode())
             h.update(r.stdout)
+            h.update(b"stderr\n")
+            h.update(r.stderr)
             for f in sorted(Path(tmp).iterdir()):
                 h.update(f"file {f.name}\n".encode())
                 h.update(f.read_bytes())

@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: select | compare | path-theory | lambda-profile | convexity |
-conjecture. Exit codes: 0 success, 1 failed checks or violated report
-invariants, 2 parameter errors (argument errors included), 3 numerical
-errors; each error prints one ``error: <kind>: <reason>`` line on stderr.
-Identical config and seed produce byte-identical output.
+conjecture. Each command returns its output text and, when its checks or
+report invariants fail, a failure (kind, reason); ``main`` alone writes the
+output, prints the one ``error: <kind>: <reason>`` line on stderr and picks
+the exit code: 0 success, 1 failed checks or violated report invariants, 2
+parameter errors (argument errors included), 3 numerical errors. No NumPy
+warning is printed before that line. Identical config and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import NumericError, ParameterError
 from .experiments import (ComparisonReport, check_probe_order, conjecture_probe,
@@ -98,7 +101,18 @@ def _add_selection(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
-def _cmd_select(args) -> int:
+def _json(records: list) -> str:
+    """One record as a JSON object, several as a list."""
+    return json.dumps(records[0] if len(records) == 1 else records, indent=2,
+                      sort_keys=True)
+
+
+def _csv(header: str, rows: Iterable[list[str]]) -> str:
+    """The schema comment, the header line and one line per row of cells."""
+    return "\n".join([CSV_HEADER, header, *(",".join(row) for row in rows)])
+
+
+def _cmd_select(args) -> tuple[str, Optional[tuple[str, str]]]:
     g = parse_graph_source(args.graph, args.seed)
     params = _params_from(args)
     tau = params.tau_for(g)  # checked before the first selection
@@ -118,95 +132,74 @@ def _cmd_select(args) -> int:
         if res.table is not None:
             obj["table"] = [[list(s), v] for (s, v) in res.table]
         results.append(obj)
-    payload = results[0] if len(results) == 1 else results
-    _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
+    return _json(results), None
 
 
 def comparison_csv(report: ComparisonReport) -> str:
     tau_echo = "1/(maxdeg+1)" if report.params.tau is None else _fmt(report.params.tau)
-    lines = [CSV_HEADER,
-             "graph_class,n,metric,k,agreement_pct,counted,skipped,trials,seed,"
-             "epsilon,tau,rho"]
     tail = [str(report.trials), str(report.seed), _fmt(report.params.epsilon),
             tau_echo, _fmt(report.params.rho)]
+    lines = []
     for row in report.rows:
         for agg in row.agreements:
             cells = [(str(k), agg.per_k[k], agg.counted_per_k[k], agg.skipped_per_k[k])
-                     for k in report.k_list]
+                     for k in agg.per_k]
             cells.append(("pooled", agg.pooled, sum(agg.counted_per_k.values()),
                           sum(agg.skipped_per_k.values())))
-            for k, pct, counted, skipped in cells:
-                lines.append(",".join([row.row_id, str(row.n), agg.metric_b.value, k,
-                                       _fmt(pct), str(counted), str(skipped), *tail]))
-    return "\n".join(lines)
+            lines.extend([row.row_id, str(row.n), agg.metric_b.value, k, _fmt(pct),
+                          str(counted), str(skipped), *tail]
+                         for k, pct, counted, skipped in cells)
+    return _csv("graph_class,n,metric,k,agreement_pct,counted,skipped,trials,seed,"
+                "epsilon,tau,rho", lines)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[str, Optional[tuple[str, str]]]:
     rows = _parse_list(args.rows, "--rows")
     report = run_comparison(rows, trials=args.trials, seed=args.seed,
                             params=_params_from(args))
-    _write_output(comparison_csv(report), args.out)
     violations = report.msup_violations()
-    if violations:
-        print("error: msup-equivalence-violated: " + ";".join(violations),
-              file=sys.stderr)
-        return 1
-    return 0
+    failure = ("msup-equivalence-violated", ";".join(violations)) if violations else None
+    return comparison_csv(report), failure
 
 
-def _cmd_path_theory(args) -> int:
+def _cmd_path_theory(args) -> tuple[str, Optional[tuple[str, str]]]:
     checks = path_theory_checks(args.n, k=args.k, eps=args.epsilon)
-    payload = {
+    failed = [c.check_id for c in checks if not c.passed]
+    failure = ("check-failed", ",".join(failed)) if failed else None
+    return _json([{
         "n": args.n,
         "k": args.k,
         "epsilon": args.epsilon,
         "checks": [{"id": c.check_id, "passed": c.passed,
                     "residual": c.residual, "detail": c.detail}
                    for c in checks],
-        "all_passed": all(c.passed for c in checks),
-    }
-    _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    if not payload["all_passed"]:
-        failed = ",".join(c.check_id for c in checks if not c.passed)
-        print(f"error: check-failed: {failed}", file=sys.stderr)
-        return 1
-    return 0
+        "all_passed": not failed,
+    }]), failure
 
 
-def _cmd_lambda_profile(args) -> int:
+def _cmd_lambda_profile(args) -> tuple[str, Optional[tuple[str, str]]]:
     rows = lambda_profile(args.n, eps=args.epsilon, grid_step=args.grid_step)
-    lines = [CSV_HEADER, "p,series_value,exact_value"]
-    for (p, series, exact) in rows:
-        lines.append(",".join([_fmt(p), _fmt(series),
-                               "" if exact is None else _fmt(exact)]))
-    _write_output("\n".join(lines), args.out)
-    return 0
+    return _csv("p,series_value,exact_value",
+                ([_fmt(p), _fmt(series), "" if exact is None else _fmt(exact)]
+                 for (p, series, exact) in rows)), None
 
 
-def _cmd_convexity(args) -> int:
+def _cmd_convexity(args) -> tuple[str, Optional[tuple[str, str]]]:
     k_list = _parse_int_list(args.k, "--k")
     rows = convexity_table(args.n, k_list, eps=args.epsilon)
-    lines = [CSV_HEADER,
-             "k,lambda_min_opt,k_times_lambda1,best_ports,closed_form_ports"]
-    for row in rows:
-        lines.append(",".join([
-            str(row["k"]), _fmt(row["lambda_min_opt"]),
-            _fmt(row["k_times_lambda1"]),
-            " ".join(str(p) for p in row["best_ports"]),
-            "yes" if row["closed_form_ports"] else "no"]))
-    _write_output("\n".join(lines), args.out)
-    return 0
+    return _csv("k,lambda_min_opt,k_times_lambda1,best_ports,closed_form_ports",
+                ([str(row["k"]), _fmt(row["lambda_min_opt"]),
+                  _fmt(row["k_times_lambda1"]),
+                  " ".join(str(p) for p in row["best_ports"]),
+                  "yes" if row["closed_form_ports"] else "no"]
+                 for row in rows)), None
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> tuple[str, Optional[tuple[str, str]]]:
     n_list = _parse_int_list(args.n, "--n")
     for n in n_list:
         check_probe_order(n)
-    reports = [conjecture_probe(n, eps=args.epsilon) for n in n_list]
-    payload = reports[0] if len(reports) == 1 else reports
-    _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
+    return _json([conjecture_probe(n, eps=args.epsilon) for n in n_list]), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,20 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command: write its output, then print at most one
+    ``error: <kind>: <reason>`` line and return the exit code."""
     try:
         args = build_parser().parse_args(argv)
         _check_out(args.out)
-        return args.func(args)
+        text, failure = args.func(args)
+        _write_output(text, args.out)
+        code = 1  # a failure the command returned: failed checks
     except ParameterError as exc:
-        print(f"error: parameter: {_oneline(exc)}", file=sys.stderr)
-        return 2
+        failure, code = ("parameter", exc), 2
     except NumericError as exc:
-        print(f"error: numeric: {_oneline(exc)}", file=sys.stderr)
-        return 3
-
-
-def _oneline(exc: Exception) -> str:
-    return " ".join(str(exc).split())
+        failure, code = ("numeric", exc), 3
+    if failure is None:
+        return 0
+    kind, reason = failure
+    print(f"error: {kind}: {' '.join(str(reason).split())}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -124,22 +124,23 @@ class AgreementReport:
 
 
 def agreement_rate(metric_a: Metric, metric_b: Metric,
-                   instances: Iterable[Graph], trials: int,
-                   k_list: Iterable[int],
+                   instances: Iterable[Graph], k_list: Iterable[int],
                    params: MetricParams = MetricParams()) -> AgreementReport:
     """Fraction of (instance, k) pairs on which both selectors pick the same
-    best set, per k and pooled.
+    best set, per k and pooled, over every instance given (at least one).
 
     Instances where a selector is undefined (repeated eigenvalue for the
     eigenvector heuristic) are excluded from the denominator and counted
     as skipped.
     """
-    check_index("trials", trials, 1)
-    return _agreement(metric_a, metric_b, instances, trials, k_list, params, {})
+    instances = list(instances)
+    if not instances:
+        raise ParameterError("agreement needs at least one instance")
+    return _agreement(metric_a, metric_b, instances, k_list, params, {})
 
 
-def _agreement(metric_a: Metric, metric_b: Metric, instances: Iterable[Graph],
-               trials: int, k_list: Iterable[int], params: MetricParams,
+def _agreement(metric_a: Metric, metric_b: Metric, instances: Sequence[Graph],
+               k_list: Iterable[int], params: MetricParams,
                memo: dict) -> AgreementReport:
     """The agreement loop. ``memo`` maps (edges, n, k, metric) to a best set
     and may be shared between calls with the same params."""
@@ -154,9 +155,7 @@ def _agreement(metric_a: Metric, metric_b: Metric, instances: Iterable[Graph],
     agree = {k: 0 for k in k_list}
     counted = {k: 0 for k in k_list}
     skipped = {k: 0 for k in k_list}
-    stream = iter(instances)
-    for _ in range(trials):
-        g = next(stream)
+    for g in instances:
         for k in k_list:
             if k >= g.n:
                 continue
@@ -190,7 +189,6 @@ class ComparisonReport:
     trials: int
     seed: int
     params: MetricParams
-    k_list: tuple[int, ...]
 
     def msup_violations(self) -> list[str]:
         """Rows where the super-stochastic column is not exactly 100%."""
@@ -212,8 +210,7 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
     """
     check_index("trials", trials, 1)
     check_index("seed", seed, 0)
-    report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params,
-                              k_list=COMPARE_K_LIST)
+    report = ComparisonReport(rows=[], trials=trials, seed=seed, params=params)
     # every row is drawn, and every instance's tau resolved, so all of them
     # are checked before the first selection
     drawn = [[_row_instance(row, seed, row_index, t) for t in range(trials)]
@@ -224,7 +221,7 @@ def run_comparison(rows: Sequence[str], trials: int, seed: int,
     for row, instances in zip(rows, drawn):
         crow = ComparisonRow(row_id=row, n=instances[0].n)
         for metric in HEURISTIC_METRICS:
-            crow.agreements.append(_agreement(Metric.MPLSE, metric, instances, trials,
+            crow.agreements.append(_agreement(Metric.MPLSE, metric, instances,
                                               COMPARE_K_LIST, params, memo))
         report.rows.append(crow)
     return report

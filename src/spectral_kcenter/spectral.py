@@ -295,10 +295,11 @@ def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | n
     G = np.linalg.inv(L + 1.0 / n + rho * np.eye(n))
     w = v @ L
     Gv, Gw = v @ G, w @ G
-    ab = (w * Gv).sum(axis=1)
-    aa = (w * Gw).sum(axis=1)
-    bb = (v * Gv).sum(axis=1) + c * c / (n * rho * (1.0 + rho))
-    bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
+    with np.errstate(all="ignore"):  # an extreme rho is caught below
+        ab = (w * Gv).sum(axis=1)
+        aa = (w * Gw).sum(axis=1)
+        bb = (v * Gv).sum(axis=1) + c * c / (n * rho * (1.0 + rho))
+        bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
     if not np.all((bounds > 0) & (bounds < np.inf)):
         raise NumericError("ARE lower bound is not finite and positive")
     return float(bounds[0]) if single else bounds
@@ -338,11 +339,13 @@ def _stable_schur_solver(template: np.ndarray, E: np.ndarray):
             _no_select, M, E, jobvsl=0, lwork=lwork, overwrite_a=1, sort_t=0)
         if info != 0:
             raise NumericError(f"QZ decomposition failed: {_gges_failure(info, N)}")
-        # scipy's "lhp" sort: Re(alpha/beta) < 0, and never for beta = 0
-        alpha = alphar + alphai * 1.j
+        # scipy's "lhp" sort: Re(alpha/beta) < 0, and never for beta = 0; a
+        # non-finite eigenvalue fails tgsen's status or _pencil_energy's checks
         select = np.zeros(N, dtype=bool)
         nonzero = beta != 0
-        select[nonzero] = np.real(alpha[nonzero] / beta[nonzero]) < 0.0
+        with np.errstate(all="ignore"):
+            alpha = alphar + alphai * 1.j
+            select[nonzero] = np.real(alpha[nonzero] / beta[nonzero]) < 0.0
         _, _, alphar, alphai, beta, _, Z, _, _, _, _, info = tgsen(
             select, AA, BB, unused_q, Z, ijob=0, wantq=0, lwork=4 * N + 16,
             liwork=1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
@@ -355,7 +358,8 @@ def _stable_schur_solver(template: np.ndarray, E: np.ndarray):
                 "transformed matrix pair (A, B) would be too far from generalized "
                 "Schur form; the problem is very ill-conditioned. (A, B) may have "
                 "been partially reordered.")
-        return alphar + alphai * 1.j, beta, Z
+        with np.errstate(all="ignore"):
+            return alphar + alphai * 1.j, beta, Z
 
     return solve
 

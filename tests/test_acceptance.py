@@ -514,7 +514,7 @@ def test_criterion_12b_super_stochastic_column(comparison_report):
         found = 0
         for trial in range(rep.trials):
             g = _row_instance(row.row_id, rep.seed, row_index, trial)
-            for k in rep.k_list:
+            for k in agg.per_k:
                 if k >= g.n:
                     continue
                 mplse = _batched_selection(g, k, Metric.MPLSE, rep.params)

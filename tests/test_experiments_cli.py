@@ -318,7 +318,7 @@ def test_run_comparison_call_contract(monkeypatch):
         assert [agg.metric_b for agg in row.agreements] == list(HEURISTIC_METRICS)
         for agg in row.agreements:
             assert agg == agreement_rate(Metric.MPLSE, agg.metric_b, instances,
-                                         3, (1, 2, 3))
+                                         (1, 2, 3))
 
 
 def test_run_comparison_rejects_large_order():
@@ -458,6 +458,21 @@ def test_cli_are_reordering_failure_exit_3():
         "because the transformed matrix pair (A, B) would be too far from "
         "generalized Schur form; the problem is very ill-conditioned. (A, B) "
         "may have been partially reordered.\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("select", "--graph", "path:5", "--k", "1", "--metric", "are", "--rho", "1e200"),
+    ("compare", "--rows", "path:5", "--trials", "2", "--rho", "1e300"),
+    ("select", "--graph", "path:6", "--k", "2", "--metric", "are", "--rho", "1e160"),
+], ids=["bound-select", "bound-compare", "solver"])
+def test_cli_extreme_rho_prints_only_the_error_line(args):
+    # the ARE bound and the solver's eigenvalue sort overflow at such rho;
+    # their checks report it, with no NumPy warning printed before
+    r = run_cli(*args)
+    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: numeric: ")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n"), r.stderr
 
 
 def test_cli_overflowing_residual_check_exit_3():
@@ -820,6 +835,22 @@ def test_cli_compare_enforces_msup_invariant():
     assert r.returncode == 1
     assert r.stdout.startswith("# spectral-kcenter v1")
     assert r.stderr.startswith("error: msup-equivalence-violated: general:7")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+
+
+def test_cli_path_theory_failed_check_exit_1(monkeypatch, capsys):
+    # the full report is written, then one error line names the failed check
+    from spectral_kcenter import cli
+
+    failing = experiments.CheckResult("eigenpair-residual", False, 1.0, "tolerance 1e-09")
+    monkeypatch.setattr(cli, "path_theory_checks", lambda n, k, eps: [failing])
+    assert cli.main(["path-theory", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "n": 5, "k": None, "epsilon": MetricParams.epsilon, "all_passed": False,
+        "checks": [{"id": "eigenpair-residual", "passed": False, "residual": 1.0,
+                    "detail": "tolerance 1e-09"}]}
+    assert err == "error: check-failed: eigenpair-residual\n"
 
 
 def test_cli_compare_path_row_and_determinism():

@@ -361,7 +361,7 @@ def test_permutation_equivariance():
 
 def test_agreement_rate_self_is_total():
     graphs = [path_graph(7)] * 3
-    rep = agreement_rate(Metric.MPLSE, Metric.MPLSE, iter(graphs), 3, [1, 2])
+    rep = agreement_rate(Metric.MPLSE, Metric.MPLSE, iter(graphs), [1, 2])
     assert rep.pooled == 100.0
     assert rep.per_k == {1: 100.0, 2: 100.0}
     assert sum(rep.skipped_per_k.values()) == 0
@@ -369,17 +369,26 @@ def test_agreement_rate_self_is_total():
 
 def test_agreement_rate_counts_skips():
     graphs = [star4()] * 4
-    rep = agreement_rate(Metric.MPLSE, Metric.EIGVEC, iter(graphs), 4, [1])
+    rep = agreement_rate(Metric.MPLSE, Metric.EIGVEC, iter(graphs), [1])
     assert rep.skipped_per_k[1] == 4
     assert rep.counted_per_k[1] == 0
     assert math.isnan(rep.pooled)
+
+
+def test_agreement_rate_scores_every_instance_given():
+    # every instance of the stream counts, and no instance is a parameter error
+    rep = agreement_rate(Metric.MPLSE, Metric.MSUB_LE,
+                         iter([path_graph(7)] * 5), [1])
+    assert rep.counted_per_k[1] == 5
+    with pytest.raises(ParameterError):
+        agreement_rate(Metric.MPLSE, Metric.MSUB_LE, [], [1])
 
 
 def test_all_metrics_agree_on_path11():
     graphs = [path_graph(11)] * 2
     for metric in (Metric.MSUB_LE, Metric.MSUP_LE, Metric.EIGVEC,
                    Metric.ARE, Metric.GRAMIAN):
-        rep = agreement_rate(Metric.MPLSE, metric, iter(graphs), 2, [1, 2, 3])
+        rep = agreement_rate(Metric.MPLSE, metric, iter(graphs), [1, 2, 3])
         assert rep.pooled == 100.0
 
 
