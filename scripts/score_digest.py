@@ -16,11 +16,14 @@ G(20, 0.4) at the same seed.
 
 The target ``select`` hashes, for every metric, graph of the corpus and k,
 the best set, the tie set and the score bytes of ``select_best(g, k,
-metric)`` without the table: the call that skips the ARE port sets ruled
-out by their lower bound. A case where the full-table selection raises is
-hashed by that error instead, so a selection that the skip lets succeed
-where every set used to be solved leaves the digest unchanged; everywhere
-else the two commits must select bit for bit alike.
+metric)`` without the table: the call that skips the port sets ruled out by
+their bound. It does so at the default parameters for all six metrics, then
+for mplse, msub and msup again at each of SELECT_PARAMS (eps = 1e-4, eps = 1
+and tau = 0.05), where the skip scores the most and the fewest sets. A case
+where the full-table selection raises is hashed by that error instead, so a
+selection that the skip lets succeed where every set used to be solved
+leaves the digest unchanged; everywhere else the two commits must select
+bit for bit alike.
 
 The target ``path`` hashes every ``path_theory_checks`` result (id, flag,
 residual as float64 bytes and detail) for n = 3..40 and the k-port cases
@@ -68,7 +71,7 @@ from spectral_kcenter.errors import NumericError
 from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
                                           path_theory_checks)
 from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
-from spectral_kcenter.metrics import Metric, select_best
+from spectral_kcenter.metrics import Metric, MetricParams, select_best
 from spectral_kcenter.path_theory import convexity_series_gap
 
 ROWS = ("path:11", "tree:7", "tree:9", "general:7", "general:9")
@@ -79,6 +82,7 @@ PATH_CASES = [(n, None) for n in range(3, 41)] + [(9, 3), (15, 5)]
 PROBE_ORDERS = range(5, 20, 2)
 ORACLE_ORDERS = range(2, 41)
 ORACLE_EPS = (1e-4, 0.01, 0.3, 1.0)
+SELECT_PARAMS = (MetricParams(epsilon=1e-4), MetricParams(epsilon=1.0), MetricParams(tau=0.05))
 CLI_CASES = [
     "select --graph path:11 --k 1 --metric mplse --epsilon 0.01",
     "select --graph fig1 --k 2 --metric mplse",
@@ -129,18 +133,22 @@ def select_digest(graphs) -> tuple[str, int, int]:
     errors."""
     h = hashlib.sha256()
     selections = errors = 0
-    for metric in Metric:
+    spectral = (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE)
+    cases = ([(metric, MetricParams()) for metric in Metric]
+             + [(metric, params) for params in SELECT_PARAMS for metric in spectral])
+    for metric, params in cases:
         for g in graphs:
             for k in K_LIST:
-                h.update(f"{metric.value} n={g.n} edges={g.sorted_edges()} k={k}\n".encode())
+                h.update(f"{metric.value} eps={params.epsilon} tau={params.tau} "
+                         f"n={g.n} edges={g.sorted_edges()} k={k}\n".encode())
                 try:
-                    select_best(g, k, metric, keep_table=True)
+                    select_best(g, k, metric, params, keep_table=True)
                 except NumericError as exc:
                     errors += 1
                     h.update(f"raised {type(exc).__name__}: {exc}\n".encode())
                     continue
                 try:
-                    res = select_best(g, k, metric)
+                    res = select_best(g, k, metric, params)
                 except NumericError as exc:
                     h.update(f"plain raised {type(exc).__name__}: {exc}\n".encode())
                     continue

@@ -7,6 +7,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,13 +90,12 @@ def figure1_graph() -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - A as a dense float matrix (exact integers)."""
-    L = np.zeros((g.n, g.n), dtype=np.int64)
-    for (u, v) in g.edges:
-        L[u - 1, u - 1] += 1
-        L[v - 1, v - 1] += 1
-        L[u - 1, v - 1] -= 1
-        L[v - 1, u - 1] -= 1
-    return L.astype(float)
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp,
+                       count=2 * len(g.edges)) - 1
+    L = np.zeros((g.n, g.n))
+    L[ends[0::2], ends[1::2]] = L[ends[1::2], ends[0::2]] = -1.0
+    L.flat[::g.n + 1] = np.bincount(ends, minlength=g.n)
+    return L
 
 
 def max_degree(g: Graph) -> int:

@@ -6,10 +6,13 @@ mplse and msup stack L or Z with eps added on each port diagonal, msub stacks
 principal submatrices of Z, and one ``sym_eigen`` call solves each stack; ARE
 and Gramian pass the whole batch to ``are_charging_energy`` and
 ``gramian_extraction_energy``.
-``select_best`` scores every subset, in lexicographic order and in stacks of
-about 2**14 matrix entries, except that ARE on a connected graph solves only
-the subsets that its proven lower bound cannot rule out (``_are_candidates``);
-the public ``*_score`` functions check their port set and score it as a
+``select_best`` ranks all subsets, in lexicographic order and in stacks of
+about 2**14 matrix entries. With ``keep_table``, on a disconnected graph and
+for eigvec and Gramian it scores every subset. Otherwise each subset of
+mplse, msub, msup and ARE first gets a proven bound on its score
+(``_subset_bound``), and only the subsets that the bound cannot rule out are
+scored (``_bound_then_solve``), with the bits that scoring every subset gives.
+The public ``*_score`` functions check their port set and score it as a
 one-row batch. Agreement of two selectors over an
 instance stream (``agreement_rate``) lives in ``experiments``.
 ``select_best`` optimizes in the metric's direction, collects ties and breaks
@@ -26,15 +29,15 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DegenerateEigenvalueError, NumericError, ParameterError
 from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
-from .spectral import (DEFAULT_RHO, are_charging_energy, are_lower_bound,
-                       check_index, check_ports, check_positive,
-                       gramian_extraction_energy, sym_eigen)
+from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, are_charging_energy,
+                       are_lower_bound, check_index, check_ports, check_positive,
+                       gramian_extraction_energy, non_ports, sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -170,10 +173,8 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
         Z = stochastic(g, params.tau_for(g))
 
         def scores(S):
-            keep = np.ones((len(S), g.n), dtype=bool)
-            keep[np.arange(len(S))[:, None], S - 1] = False
-            idx = np.nonzero(keep)[1].reshape(len(S), -1)
-            return sym_eigen(Z[idx[:, :, None], idx[:, None, :]]).values[:, -1]
+            R = non_ports(g.n, S)
+            return sym_eigen(Z[R[:, :, None], R[:, None, :]]).values[:, -1]
     elif metric is Metric.EIGVEC:
         # |v_{k+1}| of the Laplacian, guarded against a repeated lambda_{k+1}
         check_index("k", k, 1, g.n - 1)
@@ -234,17 +235,18 @@ def check_subset_count(n: int, k: int) -> int:
 def select_best(g: Graph, k: int, metric: Metric,
                 params: MetricParams = MetricParams(),
                 keep_table: bool = False) -> SelectionResult:
-    """Exhaustively score all C(n, k) port sets, at most
+    """Exhaustively rank all C(n, k) port sets, at most
     DEFAULT_ENUMERATION_CAP of them, and return the optimum.
 
     Scores that tie with the optimal score are collected, by the module's
     rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
     is the lexicographically smallest of them.
 
-    ARE on a connected graph without ``keep_table`` solves only the sets
-    that ``_are_candidates`` cannot rule out; ``best``, ``ties`` and
-    ``score`` are bit for bit those of scoring every set, and the selection
-    fails only where a set that it solves fails.
+    With ``keep_table``, on a disconnected graph and for eigvec and Gramian,
+    every set is scored. Otherwise only the sets that the bound of
+    ``_subset_bound`` cannot rule out are scored (``_bound_then_solve``);
+    ``best``, ``ties`` and ``score`` are bit for bit those of scoring every
+    set, and the selection fails only where a set that it scores fails.
     """
     count = check_subset_count(g.n, k)
     score = _subset_scorer(g, k, metric, params)
@@ -252,10 +254,11 @@ def select_best(g: Graph, k: int, metric: Metric,
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
     chunk = stack_rows(g.n)
-    if metric is Metric.ARE and not keep_table and g.is_connected():
-        subsets, scores = _are_candidates(laplacian(g), subsets, params.rho, score, chunk)
+    bound = None if keep_table else _subset_bound(g, k, metric, params)
+    if bound is None:
+        scores = _in_stacks(score, subsets, chunk)
     else:
-        scores = np.concatenate([score(subsets[i:i + chunk]) for i in range(0, count, chunk)])
+        subsets, scores = _bound_then_solve(subsets, score, bound, chunk, metric)
     best_score = float(scores.max() if _MAXIMIZING[metric] else scores.min())
     ties = list(map(tuple, subsets[_is_tie(scores, best_score)].tolist()))
     table = list(zip(map(tuple, subsets.tolist()), scores.tolist())) if keep_table else None
@@ -263,35 +266,161 @@ def select_best(g: Graph, k: int, metric: Metric,
                            ties=ties, table=table)
 
 
-def _are_candidates(L: np.ndarray, subsets: np.ndarray, rho: float, score,
-                    chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The subsets that may hold the ARE optimum or tie with it, in
+def _in_stacks(f, rows: np.ndarray, chunk: int) -> np.ndarray:
+    """f applied to the rows in stacks of ``chunk``, as one array."""
+    if len(rows) <= chunk:
+        return f(rows) if len(rows) else np.empty(0)
+    return np.concatenate([f(rows[i:i + chunk]) for i in range(0, len(rows), chunk)])
+
+
+class _Bound(NamedTuple):
+    """A proven bound on the score of each port set of one selection.
+
+    ``of`` maps an (m, k) batch of port sets to their m bounds: no set
+    scores better than its bound, so it is a lower bound on a minimized
+    score and an upper bound on a maximized one. ``margin`` maps a score, or
+    an array of them, to the tie band there plus twice the largest error of
+    a computed score or bound.
+    """
+
+    of: Callable[[np.ndarray], np.ndarray]
+    margin: Callable[[np.ndarray], np.ndarray]
+
+
+def _subset_bound(g: Graph, k: int, metric: Metric,
+                  params: MetricParams) -> Optional[_Bound]:
+    """The bound that ``select_best`` skips port sets by, or None for
+    eigvec and Gramian and on a disconnected graph, where a component
+    without a port leaves no positive definite matrix to solve with.
+
+    ARE: n/2 plus ``are_lower_bound`` (proof there), with the relative
+    margin ARE_SKIP_MARGIN on the value less n/2.
+
+    mplse, msub and msup: each score is an affine map of lambda_min(P_S)
+    for a positive definite P_S, with R the non-ports:
+
+        mplse = lambda_min(L + eps E_S),
+        msub  = 1 - tau lambda_min(L_RR),
+        msup  = 1 + eps - tau lambda_min(L + (eps/tau) E_R),
+
+    the last since Z + eps E_S = (1 + eps) I - tau (L + (eps/tau) E_R).
+    For every y != 0, RQ(y) = y'P_S y / y'y >= lambda_min(P_S), so RQ(y)
+    mapped the same way bounds mplse from above and msub and msup from
+    below. Here y = P_S^(-1) 1, one stacked ``np.linalg.solve`` per batch:
+    one step of inverse iteration from the all-ones vector, near the lowest
+    eigenvector when eps is small. y is scaled to max_i y_i = 1 (y > 0, as
+    P_S is a nonsingular M-matrix); an inexact solve only loosens the bound.
+    y'P_S y is summed from P_S's structure as nonnegative terms, (y_u -
+    y_v)^2 over the edges plus the diagonal shift times y_j^2 over its nodes
+    (y = 0 on S for msub), so no cancellation occurs and its relative
+    rounding is a few ulps. A solve that raises LinAlgError gives NaN
+    bounds, which prove nothing: every set is scored.
+
+    The margin is the tie band TIE_RTOL max(1, |x|) plus 2 delta, where
+    delta = EIGEN_RESIDUAL_FACTOR (1 + ||A||_F) is ``sym_eigen``'s residual
+    tolerance, with ||A||_F taken at its largest over the sets: ||L||_F or
+    ||Z||_F, plus eps sqrt(k) for the port diagonal. ``eigh`` is backward
+    stable, so each computed eigenvalue lies within a few n ulps of ||A||
+    of the exact one (Weyl), and ``sym_eigen`` rejects a solve whose
+    residual exceeds delta; the rounding of Z, of the affine map and of
+    RQ(y) is a few ulps too. So delta covers the error of a computed score,
+    and delta again that of a bound.
+    """
+    if metric in (Metric.EIGVEC, Metric.GRAMIAN) or not g.is_connected():
+        return None
+    L = laplacian(g)
+    if metric is Metric.ARE:
+        half = g.n / 2
+        return _Bound(lambda S: half + are_lower_bound(L, S, params.rho),
+                      lambda x: ARE_SKIP_MARGIN * (x - half))
+    n, eps = g.n, params.epsilon
+    u, v = np.nonzero(np.triu(L, 1))  # the edges
+    if metric is Metric.MPLSE:
+        norm = np.linalg.norm(L) + eps * math.sqrt(k)
+    else:
+        tau = params.tau_for(g)
+        norm = np.linalg.norm(np.eye(n) - tau * L)  # ||Z||_F
+        norm += eps * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
+
+    def of(S):
+        m = len(S)
+        rows = np.arange(m)[:, None]
+        with np.errstate(all="ignore"):  # a non-finite bound scores every set
+            try:
+                if metric is Metric.MSUB_LE:
+                    R = non_ports(n, S)
+                    y = np.zeros((m, n))
+                    y[rows, R] = np.linalg.solve(L[R[:, :, None], R[:, None, :]],
+                                                 np.ones((m, n - k, 1)))[..., 0]
+                else:
+                    # the shifted diagonal: the ports for mplse, the rest for msup
+                    D = S - 1 if metric is Metric.MPLSE else non_ports(n, S)
+                    P = np.repeat(L[None], m, axis=0)
+                    P[rows, D, D] += eps if metric is Metric.MPLSE else eps / tau
+                    y = np.linalg.solve(P, np.ones((m, n, 1)))[..., 0]
+            except np.linalg.LinAlgError:
+                return np.full(m, np.nan)
+            y /= y.max(axis=1, keepdims=True)
+            edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
+            yy = (y * y).sum(axis=1)
+            if metric is Metric.MSUB_LE:
+                return 1.0 - tau * edge / yy
+            diag = (y[rows, D] ** 2).sum(axis=1)
+            if metric is Metric.MPLSE:
+                return (edge + eps * diag) / yy
+            return 1.0 + eps - (tau * edge + eps * diag) / yy
+
+    slack = 2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)
+    return _Bound(of, lambda x: TIE_RTOL * np.maximum(1.0, np.abs(x)) + slack)
+
+
+def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,
+                      metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets that may hold the optimum or tie with it, in
     lexicographic order, and their scores.
 
-    Every subset's ``are_lower_bound`` comes first, in stacks of ``chunk``.
-    The subset with the smallest bound is solved, then every other subset
-    whose bound is at most (1 + ARE_SKIP_MARGIN) times that value (each less
-    n/2), in order and in stacks of ``chunk``. A skipped subset's value is at
-    least its bound, so it can neither beat nor tie the optimum unless the
-    solver errs by more than the margin. Each solved value must be at least
-    (1 - ARE_SKIP_MARGIN/2) times its own bound, else NumericError: where
-    the solver's error can be seen, it is checked.
+    Every subset's bound comes first, in stacks of ``chunk``; if one is not
+    finite, the bounds prove nothing and every subset is scored. Otherwise
+    two rounds score subsets, each in order and in stacks of ``chunk``:
+    first every subset whose bound is within ``bound.margin`` of the best
+    bound (the best-bound subset among them), then every other subset whose
+    bound is within the margin of the best score of the first round.
+
+    Proof, for a minimized score (a maximized one is its negative). Let s be
+    that best first-round score; the optimum b is at most s. A skipped
+    subset has a bound above s + margin(s), and its score is at least its
+    bound, so its computed score exceeds s plus the tie band at s unless the
+    computation errs by more than the rest of the margin; the band at s is
+    at least the band at b, since x + TIE_RTOL max(1, |x|) rises with x. So
+    a skipped subset neither beats nor ties b, and the scored subsets,
+    scored by the unchanged scorer, give ``select_best`` the bits of scoring
+    every set. Each solved score must be within half the margin of its own
+    bound, else NumericError: where the error the margin allows for can be
+    seen, it is checked.
     """
-    half = L.shape[0] / 2
-    bound = np.concatenate([are_lower_bound(L, subsets[i:i + chunk], rho)
-                            for i in range(0, len(subsets), chunk)])
-    scores = np.full(len(subsets), np.nan)
-    first = int(np.argmin(bound))
-    scores[first] = score(subsets[first:first + 1])[0]
-    rest = np.flatnonzero(bound <= (1 + ARE_SKIP_MARGIN) * (scores[first] - half))
-    rest = rest[rest != first]
-    for i in range(0, len(rest), chunk):
-        scores[rest[i:i + chunk]] = score(subsets[rest[i:i + chunk]])
-    solved = ~np.isnan(scores)
-    low = scores[solved] - half < (1 - ARE_SKIP_MARGIN / 2) * bound[solved]
-    if low.any():
-        i = np.flatnonzero(solved)[np.argmax(low)]
-        raise NumericError(
-            f"ARE value of {tuple(subsets[i].tolist())} is {scores[i] - half:.6e} above "
-            f"n/2, below its proven lower bound {bound[i]:.6e}")
-    return subsets[solved], scores[solved]
+    maximize = _MAXIMIZING[metric]
+    sign = -1.0 if maximize else 1.0  # sign * score is minimized
+    bounds = _in_stacks(bound.of, subsets, chunk)
+    if not np.isfinite(bounds).all():
+        return subsets, _in_stacks(score, subsets, chunk)
+
+    def within(value):
+        with np.errstate(all="ignore"):  # an overflowing margin scores every set
+            return sign * (bounds - value) <= bound.margin(value)
+
+    scores = np.empty(len(subsets))
+    solved = within(bounds.max() if maximize else bounds.min())
+    scores[solved] = first = _in_stacks(score, subsets[solved], chunk)
+    rest = within(first.max() if maximize else first.min()) & ~solved
+    if rest.any():
+        scores[rest] = _in_stacks(score, subsets[rest], chunk)
+        solved |= rest
+    subsets, scores, bounds = subsets[solved], scores[solved], bounds[solved]
+    with np.errstate(all="ignore"):
+        wrong = sign * (bounds - scores) > bound.margin(bounds) / 2
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        side = "above its proven upper" if sign < 0 else "below its proven lower"
+        raise NumericError(f"{metric.value} score of {tuple(subsets[i].tolist())} "
+                           f"is {scores[i]:.6e}, {side} bound {bounds[i]:.6e}")
+    return subsets, scores

@@ -194,6 +194,15 @@ def _port_sets(n: int, ports) -> tuple[np.ndarray, bool]:
     return S, False
 
 
+def non_ports(n: int, S: np.ndarray) -> np.ndarray:
+    """The nodes outside each port set: for an (m, k) int array of distinct
+    1-based ports in 1..n, the (m, n - k) array of the other nodes, 0-based
+    and ascending."""
+    keep = np.ones((len(S), n), dtype=bool)
+    keep[np.arange(len(S))[:, None], S - 1] = False
+    return np.nonzero(keep)[1].reshape(len(S), n - S.shape[1])
+
+
 def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | np.ndarray:
     """Minimum regularized energy to charge the RC network to all-ones
     through the given ports: a float for one port set, an array of m values
@@ -282,13 +291,11 @@ def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | n
     m, k = S.shape
     if k >= n:
         raise ParameterError("port set must leave at least one node")
-    grounded = np.ones((m, n), dtype=bool)
-    grounded[np.arange(m)[:, None], S - 1] = False
-    R = np.nonzero(grounded)[1].reshape(m, n - k)
+    R = non_ports(n, S)
     v = np.zeros((m, n))
     try:
-        v[grounded] = np.linalg.solve(L[R[:, :, None], R[:, None, :]],
-                                      np.ones((m, n - k, 1))).ravel()
+        v[np.arange(m)[:, None], R] = np.linalg.solve(L[R[:, :, None], R[:, None, :]],
+                                                      np.ones((m, n - k, 1)))[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"grounded Laplacian is singular: {exc}") from exc
     c = v.sum(axis=1)

@@ -1,9 +1,12 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
@@ -408,12 +411,16 @@ ARE_CORPUS = ([_row_instance(row, ARE_SEED, i, t)
 
 
 @functools.lru_cache(maxsize=None)
-def _are_full_table(g, k, rho):
-    """The ARE selection that solves every port set, or its NumericError."""
+def _full_table(g, k, metric, params):
+    """The selection that scores every port set, or its NumericError."""
     try:
-        return select_best(g, k, Metric.ARE, MetricParams(rho=rho), keep_table=True)
+        return select_best(g, k, metric, params, keep_table=True)
     except NumericError as exc:
         return exc
+
+
+def _are_full_table(g, k, rho):
+    return _full_table(g, k, Metric.ARE, MetricParams(rho=rho))
 
 
 def test_are_bound_is_below_every_compare_value():
@@ -491,3 +498,126 @@ def test_are_value_below_its_bound_is_a_numeric_error(monkeypatch):
     with pytest.raises(NumericError, match="below its proven lower bound"):
         select_best(path_graph(9), 2, Metric.ARE)
     assert select_best(path_graph(9), 2, Metric.ARE, keep_table=True).best == (3, 7)
+
+
+SPECTRAL_METRICS = (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE)
+# (eps, tau): the default, the eps at which mplse and msup solve every set,
+# a large and a tiny eps, and a tau below the default of every corpus graph
+SPECTRAL_REGIMES = [MetricParams(epsilon=1e-2), MetricParams(epsilon=1e-4),
+                    MetricParams(epsilon=1.0), MetricParams(epsilon=1e-6),
+                    MetricParams(epsilon=1e-2, tau=0.05)]
+
+
+def _same_selection(res, full):
+    return ((res.best, res.ties, np.float64(res.score).tobytes())
+            == (full.best, full.ties, np.float64(full.score).tobytes()))
+
+
+@pytest.mark.parametrize("params", SPECTRAL_REGIMES)
+@pytest.mark.parametrize("metric", SPECTRAL_METRICS)
+def test_spectral_skip_selects_bit_for_bit_like_the_full_table(metric, params):
+    for g in ARE_CORPUS:
+        for k in (1, 2, 3):
+            full = _full_table(g, k, metric, params)
+            assert _same_selection(select_best(g, k, metric, params), full), (g, k)
+
+
+@pytest.mark.parametrize("params", SPECTRAL_REGIMES)
+@pytest.mark.parametrize("metric", SPECTRAL_METRICS)
+def test_spectral_bound_is_on_the_losing_side_of_every_table_score(metric, params):
+    # the bound holds exactly for the exact eigenvalue; a computed score may
+    # cross it only by rounding, which is far inside the margin (where eps
+    # is tiny the bound is tight to the last bits)
+    sign = -1.0 if metric is Metric.MPLSE else 1.0
+    for g in ARE_CORPUS:
+        for k in (1, 2, 3):
+            table = _full_table(g, k, metric, params).table
+            bound = metrics._subset_bound(g, k, metric, params)
+            values = np.array([v for _, v in table])
+            bounds = bound.of(np.array([S for S, _ in table]))
+            assert np.all(sign * (bounds - values) <= 1e-4 * bound.margin(values)), (g, k)
+
+
+def _recording_eigensolves(monkeypatch):
+    """Record how many matrices select_best hands to the eigensolver."""
+    seen = [0]
+    solve = metrics.sym_eigen
+
+    def recording(A):
+        seen[0] += len(A)
+        return solve(A)
+
+    monkeypatch.setattr(metrics, "sym_eigen", recording)
+    return seen
+
+
+@pytest.mark.parametrize("metric", SPECTRAL_METRICS)
+def test_spectral_skip_solves_few_sets_and_keep_table_all(monkeypatch, metric):
+    seen = _recording_eigensolves(monkeypatch)
+    res = select_best(path_graph(20), 3, metric)
+    if metric is Metric.MPLSE:
+        assert seen[0] <= 0.05 * math.comb(20, 3)
+    assert seen[0] < math.comb(20, 3)
+    seen[0] = 0
+    assert _same_selection(res, select_best(path_graph(20), 3, metric, keep_table=True))
+    assert seen[0] == math.comb(20, 3)
+
+
+@pytest.mark.parametrize("metric", SPECTRAL_METRICS)
+def test_spectral_skip_on_a_disconnected_graph_scores_every_set(monkeypatch, metric):
+    # a component without a port makes P_S singular, so there is no bound
+    seen = _recording_eigensolves(monkeypatch)
+    g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
+    assert metrics._subset_bound(g, 2, metric, MetricParams()) is None
+    select_best(g, 2, metric)
+    assert seen[0] == math.comb(6, 2)
+
+
+@pytest.mark.parametrize("metric", SPECTRAL_METRICS)
+def test_spectral_score_beyond_its_bound_is_a_numeric_error(monkeypatch, metric):
+    # move every bound past its score by 1: below a maximized score, above a
+    # minimized one
+    shift = -1.0 if metric is Metric.MPLSE else 1.0
+    expected = select_best(path_graph(9), 2, metric)
+    bound_of = metrics._subset_bound
+
+    def moved(*args):
+        bound = bound_of(*args)
+        return bound._replace(of=lambda S: bound.of(S) + shift)
+
+    monkeypatch.setattr(metrics, "_subset_bound", moved)
+    side = "above its proven upper" if metric is Metric.MPLSE else "below its proven lower"
+    with pytest.raises(NumericError, match=side + " bound"):
+        select_best(path_graph(9), 2, metric)
+    assert _same_selection(select_best(path_graph(9), 2, metric, keep_table=True), expected)
+
+
+@pytest.mark.parametrize("metric", [Metric.MPLSE, Metric.MSUP_LE])
+def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, metric):
+    # at eps = 1e-300, L + eps E_S is L in floating point, so its solve fails
+    # or overflows: the selection scores every set, silently, as the full
+    # table does
+    g, params = path_graph(9), MetricParams(epsilon=1e-300)
+    S = np.array(list(itertools.combinations(range(1, 10), 2)))
+    assert not np.isfinite(metrics._subset_bound(g, 2, metric, params).of(S)).all()
+    seen = _recording_eigensolves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = select_best(g, 2, metric, params)
+    assert seen[0] == len(S)
+    assert _same_selection(res, select_best(g, 2, metric, params, keep_table=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 9), p=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 10**6),
+       tree=st.booleans(), metric=st.sampled_from(SPECTRAL_METRICS),
+       k=st.integers(1, 3), eps=st.sampled_from([1e-6, 1e-3, 1e-2, 0.3, 1.0, 10.0]),
+       tau_share=st.sampled_from([None, 0.05, 0.5, 1.0]))
+def test_spectral_skip_property_on_random_connected_graphs(n, p, seed, tree, metric,
+                                                           k, eps, tau_share):
+    g = random_tree(n, seed) if tree else random_connected_graph(n, p, seed)
+    k = min(k, n - 1)
+    tau = None if tau_share is None else tau_share / max(g.degrees())
+    params = MetricParams(epsilon=eps, tau=tau)
+    full = select_best(g, k, metric, params, keep_table=True)
+    assert _same_selection(select_best(g, k, metric, params), full)

@@ -528,6 +528,14 @@ def test_are_bound_takes_one_set_or_a_stack():
         are_lower_bound(L, (2,), rho=0.0)
 
 
+def test_non_ports_lists_the_other_nodes_ascending():
+    from spectral_kcenter.spectral import non_ports
+
+    got = non_ports(5, np.array([[1, 3], [5, 2], [4, 1]]))
+    assert got.tolist() == [[1, 3, 4], [0, 2, 3], [1, 2, 4]]
+    assert non_ports(3, np.array([[2]])).tolist() == [[0, 2]]
+
+
 def test_sym_eigen_fails_closed_when_its_check_overflows():
     # ||A||_F overflows to inf past about 1.3e154, which would pass any residual
     import warnings
