@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", action="append", required=True,
                    help="mplse | msub | msup | eigvec | are | gramian (repeatable)")
     p.add_argument("--keep-table", action="store_true",
-                   help="include the full per-subset score table")
+                   help="score every port set, skipping none whatever the "
+                        "metric, and include the full per-subset score table")
     _add_common(p)
     _add_selection(p)
     p.set_defaults(func=_cmd_select)

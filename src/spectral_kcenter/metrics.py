@@ -8,8 +8,8 @@ and Gramian pass the whole batch to ``are_charging_energy`` and
 ``gramian_extraction_energy``.
 ``select_best`` ranks all subsets, in lexicographic order and in stacks of
 about 2**14 matrix entries. With ``keep_table``, on a disconnected graph and
-for eigvec and Gramian it scores every subset. Otherwise each subset of
-mplse, msub, msup and ARE first gets a proven bound on its score
+for eigvec it scores every subset. Otherwise each subset of mplse, msub,
+msup, ARE and Gramian first gets a proven bound on its score
 (``_subset_bound``), and only the subsets that the bound cannot rule out are
 scored (``_bound_then_solve``), with the bits that scoring every subset gives.
 The public ``*_score`` functions check their port set and score it as a
@@ -37,7 +37,8 @@ from .errors import DegenerateEigenvalueError, NumericError, ParameterError
 from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
 from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, are_charging_energy,
                        are_lower_bound, check_index, check_ports, check_positive,
-                       gramian_extraction_energy, non_ports, sym_eigen)
+                       gramian_bounder, gramian_extraction_energy, non_ports,
+                       sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -242,8 +243,8 @@ def select_best(g: Graph, k: int, metric: Metric,
     rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
     is the lexicographically smallest of them.
 
-    With ``keep_table``, on a disconnected graph and for eigvec and Gramian,
-    every set is scored. Otherwise only the sets that the bound of
+    With ``keep_table``, on a disconnected graph and for eigvec, every set
+    is scored. Otherwise only the sets that the bound of
     ``_subset_bound`` cannot rule out are scored (``_bound_then_solve``);
     ``best``, ``ties`` and ``score`` are bit for bit those of scoring every
     set, and the selection fails only where a set that it scores fails.
@@ -290,11 +291,18 @@ class _Bound(NamedTuple):
 def _subset_bound(g: Graph, k: int, metric: Metric,
                   params: MetricParams) -> Optional[_Bound]:
     """The bound that ``select_best`` skips port sets by, or None for
-    eigvec and Gramian and on a disconnected graph, where a component
-    without a port leaves no positive definite matrix to solve with.
+    eigvec and on a disconnected graph, where a component without a port
+    leaves no positive definite matrix to solve with.
 
     ARE: n/2 plus ``are_lower_bound`` (proof there), with the relative
     margin ARE_SKIP_MARGIN on the value less n/2.
+
+    Gramian: ``gramian_upper_bound`` (proof there), with the margin
+    TIE_RTOL max(1, |x|) plus twice the ``score_error`` of its
+    ``GramianBounder``, the largest error of a computed score. That covers
+    the error of a computed score and, again, the rounding of a bound,
+    which is a few ulps of n/2; the error of each z_i is already inside its
+    bound.
 
     mplse, msub and msup: each score is an affine map of lambda_min(P_S)
     for a positive definite P_S, with R the non-ports:
@@ -326,13 +334,16 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     RQ(y) is a few ulps too. So delta covers the error of a computed score,
     and delta again that of a bound.
     """
-    if metric in (Metric.EIGVEC, Metric.GRAMIAN) or not g.is_connected():
+    if metric is Metric.EIGVEC or not g.is_connected():
         return None
     L = laplacian(g)
     if metric is Metric.ARE:
         half = g.n / 2
         return _Bound(lambda S: half + are_lower_bound(L, S, params.rho),
                       lambda x: ARE_SKIP_MARGIN * (x - half))
+    if metric is Metric.GRAMIAN:
+        bounder = gramian_bounder(L, k)
+        return _Bound(bounder.of, _margin(2 * bounder.score_error))
     n, eps = g.n, params.epsilon
     u, v = np.nonzero(np.triu(L, 1))  # the edges
     if metric is Metric.MPLSE:
@@ -370,8 +381,13 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
                 return (edge + eps * diag) / yy
             return 1.0 + eps - (tau * edge + eps * diag) / yy
 
-    slack = 2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)
-    return _Bound(of, lambda x: TIE_RTOL * np.maximum(1.0, np.abs(x)) + slack)
+    return _Bound(of, _margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)))
+
+
+def _margin(slack: float):
+    """The margin of a bound whose computed scores and bounds each err by at
+    most slack/2: the tie band at x plus slack."""
+    return lambda x: TIE_RTOL * np.maximum(1.0, np.abs(x)) + slack
 
 
 def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,

@@ -12,6 +12,8 @@ directly, their lookup, workspace query and finiteness check done once per
 batch) and its checks. A batch raises the error its first failing set
 raises alone. ``are_lower_bound`` gives each set a proven lower
 bound on its ARE value from one grounded-Laplacian solve, with no QZ solve.
+``gramian_upper_bound`` gives each set a proven upper bound on its Gramian
+value from k x k solves against resolvents of L built once per graph.
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
 NumPy's, so a process that never scores ARE never loads it.
@@ -21,14 +23,18 @@ Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IllPosedError, NumericError, ParameterError, StabilityError
 
 EIGEN_RESIDUAL_FACTOR = 1e-9
+LYAPUNOV_RESIDUAL_FACTOR = 1e-9
 DEFAULT_RHO = 1e-6  # the ARE regularizer of MetricParams and are_charging_energy
+GRAMIAN_SHIFTS = 4  # r, the resolvents behind each gramian_upper_bound
+_ULP = np.finfo(float).eps
+_SHIFT_STEPS = np.arange(GRAMIAN_SHIFTS) / (GRAMIAN_SHIFTS - 1)
 
 
 class EigenDecomposition(NamedTuple):
@@ -137,7 +143,7 @@ def lyapunov_solve(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     X = V @ (Wt / (-denom)) @ Vt
     X = 0.5 * (X + np.swapaxes(X, -2, -1))
     resid = np.linalg.norm(np.swapaxes(A, -2, -1) @ X + X @ A + W, axis=(-2, -1))
-    tol = 1e-9 * (1.0 + np.linalg.norm(W, axis=(-2, -1)))
+    tol = LYAPUNOV_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(W, axis=(-2, -1)))
     if np.any(resid > tol):
         i = np.argmax(resid / tol)  # the pair furthest over its bound
         raise NumericError(
@@ -425,6 +431,14 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
     observability Gramian Q solving A^T Q + Q A + B B^T = 0. The grounded
     system is stable for any connected graph and nonempty port set. A
     batch is one stacked ``lyapunov_solve``.
+
+    With M = L + E_S and x(t) = e^(-Mt) 1, 1'Q1 = int x'E_S x dt, and
+    d/dt |x|^2 = -2 x'Mx, so
+
+        1'Q1 = n/2 - D(S),  D(S) = int x'Lx dt = 1'X1,  M X + X M = L,
+
+    the energy dissipated inside the network; and 1_S'Q1 = k/2, as M1 = 1_S.
+    So the maximal Gramian is the minimal D(S) (``gramian_upper_bound``).
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -437,3 +451,130 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
     # ones on a stack runs a gemv over the rows and changes the last bits
     values = ((ones @ Q)[:, None, :] @ ones)[:, 0]
     return float(values[0]) if single else values
+
+
+def gramian_upper_bound(L: np.ndarray, ports) -> float | np.ndarray:
+    """A proven upper bound on ``gramian_extraction_energy(L, S)`` for each
+    port set S of a connected graph's Laplacian L, from GRAMIAN_SHIFTS = r
+    resolvent solves and no Lyapunov solve: a float for one port set, an
+    array of m bounds for an (m, k) array of port sets.
+
+    With M = L + E_S, 1'Q1 = n/2 - D(S) (see ``gramian_extraction_energy``),
+    and for shifts a_1..a_r > 0
+
+        UB(S) = n/2 - (c'b)^2 / (c'Hc)  for every c,
+        z_i = (M + a_i I)^(-1) 1,  b_i = z_i'L z_i,  H_ij = z_i'L z_j / (a_i + a_j).
+
+    Proof. z_i is the Laplace transform at a_i of x(t) = e^(-Mt) 1. For the
+    test trajectory w(t) = sum_i c_i e^(-a_i t) z_i, int x'Lw dt = c'b and
+    int w'Lw dt = c'Hc, so Cauchy-Schwarz in the L seminorm over time gives
+    (c'b)^2 <= D(S) c'Hc.
+
+    Computed. The shifts are geometric from k/(4n) to max(4k/n, lambda_n).
+    K_i = (L + a_i I)^(-1) comes from one ``eigh`` of L, and since L1 = 0,
+    Woodbury gives z_i = (1 - K_i[:, S] (I + K_i[S, S])^(-1) 1_k) / a_i: a
+    k x k solve per set and shift. c solves H c = b. The test trajectory
+    may be built from any vectors, so the computed z_i serve as they are;
+    only the cross term with the exact z_i needs their error. If (M + a_i I)
+    z_i = 1 - r_i, the exact vector is z_i + e_i with e_i'L e_i <= r_i'(M +
+    a_i I)^(-1) r_i <= |r_i|^2 / a_i, so the cross term is within |r_i|
+    sqrt(b_i / a_i) of b_i. |r_i| is computed, plus its own rounding, for
+    which max |z_i| <= (1 + |r_i|) / a_i (the exact z_i is at most 1/a_i,
+    read at its largest entry). b_i and H_ij are summed over the edges as
+    products of differences z_u - z_v, b_i as nonnegative terms, and the
+    rounding of c'b and of c'Hc is bounded through |H_ij| <= sqrt(b_i b_j) /
+    (a_i + a_j). The numerator is lowered and the denominator raised by
+    these amounts, so an inexact z_i or an ill-conditioned H only loosens
+    the bound; what is left is the rounding of the last few operations, a
+    few ulps of n/2. A singular H gives NaN, which bounds nothing.
+    """
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    S, single = _port_sets(n, ports)
+    if S.shape[1] >= n:
+        raise ParameterError("port set must leave at least one node")
+    bounds = gramian_bounder(L, S.shape[1]).of(S)
+    return float(bounds[0]) if single else bounds
+
+
+class GramianBounder(NamedTuple):
+    """``gramian_upper_bound`` made ready for one Laplacian and port count k.
+
+    ``of`` maps an (m, k) int array of port sets, which it trusts to be
+    valid, to their m bounds. ``score_error`` bounds the error of every
+    score that ``gramian_extraction_energy`` returns for such a set.
+
+    Proof. ``lyapunov_solve`` accepts X only if its residual R = A'X + XA +
+    E_S has ||R||_F <= LYAPUNOV_RESIDUAL_FACTOR (1 + sqrt(k)). Then
+    M(X - Q) + (X - Q)M = -R, and X -> MX + XM has no eigenvalue below
+    2 mu for mu = lambda_min(M), so |1'X1 - 1'Q1| <= n ||R||_F / (2 mu). M only grows with S, so mu >= lambda_min(L + e_j e_j')
+    for any port j. That is the root in (0, lambda_2] of the secular
+    function f(mu) = 1 - 1/(n mu) + sum_(l>1) (v_l)_j^2 / (lambda_l - mu),
+    which rises there and is at most 1 - 1/(n mu) + (1 - 1/n) / (lambda_2 -
+    mu) (the (v_l)_j^2 sum to 1 - 1/n). So mu is at least the root of that
+    majorant, the smaller root mu_0 of n mu^2 - n (lambda_2 + 1) mu +
+    lambda_2 = 0, for every j and every S. lambda_2 is taken less
+    EIGEN_RESIDUAL_FACTOR (1 + ||L||_F), far more than ``eigh``'s error,
+    and where no positive lambda_2 is left the error is infinite.
+    """
+
+    of: Callable[[np.ndarray], np.ndarray]
+    score_error: float
+
+
+def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
+    """``gramian_upper_bound`` for port sets of size k of a connected graph's
+    Laplacian L with n >= 2, its ``eigh``, shifts and resolvents computed
+    once here."""
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    lam, V = np.linalg.eigh(L)
+    lo = k / (4 * n)
+    a = lo * (max(4 * k / n, lam[-1]) / lo) ** _SHIFT_STEPS
+    K = (V / (lam + a[:, None, None])) @ V.T  # (r, n, n)
+    shifted = L + a[:, None, None] * np.eye(n)
+    u, v = np.nonzero(np.triu(L, 1))  # the edges
+    # rounding allowances: of |r_i|, from the largest row sum of |L + E_S +
+    # a_i I| times max |z_i| <= (1 + |r_i|) / a_i, and of c'b and c'Hc,
+    # relative to their sums of absolute terms
+    res_round = 2 * math.sqrt(n) * (n + 3) * _ULP * (2 * L.diagonal().max() + 1.0 + a) / a
+    gamma = (len(u) + 2 * GRAMIAN_SHIFTS + 4) * _ULP
+    pair = 1.0 / (a[:, None] + a[None, :])
+    root_a = np.sqrt(a)
+
+    def of(S):
+        m = len(S)
+        rows, sets = S - 1, np.arange(m)[:, None]
+        with np.errstate(all="ignore"):  # a non-finite bound scores every set
+            try:
+                w = np.linalg.solve(K[:, rows[:, :, None], rows[:, None, :]] + np.eye(k),
+                                    np.ones((GRAMIAN_SHIFTS, m, k, 1)))
+                z = (1.0 - (np.swapaxes(w, -1, -2) @ K[:, rows])[..., 0, :]) / a[:, None, None]
+                # |r_i|, r_i = 1 - (L + a_i I + E_S) z_i, for each shift and set
+                res = 1.0 - z @ shifted
+                res[:, sets, rows] -= z[:, sets, rows]
+                res = np.linalg.norm(res, axis=-1)
+                res = (res + res_round[:, None] * (1.0 + res)).T  # (m, r)
+                d = np.swapaxes(z[..., u] - z[..., v], 0, 1)  # (m, r, edges)
+                gram = d @ np.swapaxes(d, -1, -2)
+                b = np.diagonal(gram, axis1=-2, axis2=-1)
+                H = gram * pair
+                c = np.linalg.solve(H, b[..., None])
+            except np.linalg.LinAlgError:
+                return np.full(m, np.nan)
+            cHc = (c * (H @ c))[..., 0].sum(axis=1)
+            c = c[..., 0]
+            ac, root_b = np.abs(c), np.sqrt(b)
+            num = np.abs((c * b).sum(axis=1)) - (ac * (res * root_b / root_a
+                                                       + gamma * b)).sum(axis=1)
+            s = ac * root_b
+            den = cHc + gamma * ((s @ pair) * s).sum(axis=1)
+            return n / 2 - np.maximum(num, 0.0) ** 2 / den
+
+    lam2 = lam[1] - EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(L))
+    if lam2 > 0:
+        mu = 2 * lam2 / (n * (lam2 + 1) + math.sqrt(n * n * (lam2 + 1) ** 2 - 4 * n * lam2))
+        error = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * mu)
+    else:
+        error = math.inf
+    return GramianBounder(of, error)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
                               StabilityError, are_charging_energy,
                               are_lower_bound, figure1_graph,
-                              gramian_extraction_energy, laplacian,
-                              lyapunov_solve, path_charpoly_lowcoeffs,
-                              path_graph, random_connected_graph, relabel,
+                              gramian_extraction_energy, gramian_upper_bound,
+                              laplacian, lyapunov_solve,
+                              path_charpoly_lowcoeffs, path_graph,
+                              random_connected_graph, random_tree, relabel,
                               stochastic, sym_eigen, tridiag_charpoly)
+from spectral_kcenter.experiments import _row_instance
+from spectral_kcenter.spectral import LYAPUNOV_RESIDUAL_FACTOR, gramian_bounder
 from numpy.polynomial import polynomial as P
 
 
@@ -490,6 +493,66 @@ def test_gramian_bounds_and_center_preference():
         assert 0 < v < g.n / 2
 
 
+# the comparison rows at 10 trials and seed 424242, then one graph of each
+# kind at the desk cap: the corpus of scripts/score_digest.py
+DIGEST_CORPUS = ([_row_instance(row, 424242, i, t) for i, row in enumerate(
+                     ("path:11", "tree:7", "tree:9", "general:7", "general:9"))
+                  for t in range(10)]
+                 + [path_graph(20), random_tree(20, 424242),
+                    random_connected_graph(20, 0.4, 424242)])
+
+
+def _port_matrices(n, S):
+    E = np.zeros((len(S), n, n))
+    E[np.arange(len(S))[:, None], S - 1, S - 1] = 1.0
+    return E
+
+
+def test_gramian_is_half_n_less_the_energy_dissipated_inside():
+    # M = L + E_S: 1_S'Q1 = k/2, and n/2 - 1'Q1 = D(S) = 1'X1 with
+    # M X + X M = L, the identities gramian_upper_bound rests on
+    for g in DIGEST_CORPUS:
+        L, n = laplacian(g), g.n
+        for k in (1, 2, 3):
+            S = np.array(list(itertools.combinations(range(1, n + 1), k)))
+            E = _port_matrices(n, S)
+            Q = lyapunov_solve(-(L + E), E)
+            X = lyapunov_solve(-(L + E), np.broadcast_to(L, E.shape))
+            port_sum = np.einsum("sii,sij->s", E, Q)
+            assert np.allclose(port_sum, k / 2, rtol=1e-12, atol=0), (g, k)
+            D = X.sum(axis=(1, 2))
+            # relative to n/2, which the difference cancels down to D
+            assert np.allclose(n / 2 - gramian_extraction_energy(L, S), D,
+                               rtol=0, atol=1e-12 * n / 2), (g, k)
+
+
+def test_gramian_bound_takes_one_set_or_a_stack():
+    L = laplacian(path_graph(7))
+    S = np.array([[1, 4], [2, 5], [3, 6]])
+    one = gramian_upper_bound(L, (2, 5))
+    assert isinstance(one, float)
+    batch = gramian_upper_bound(L, S)
+    assert batch.shape == (3,) and batch[1] == one
+    assert np.all(gramian_extraction_energy(L, S) < batch) and np.all(batch < 3.5)
+    with pytest.raises(ParameterError, match="at least one node"):
+        gramian_upper_bound(L, tuple(range(1, 8)))
+    with pytest.raises(ParameterError):
+        gramian_upper_bound(L, (2, 2))
+
+
+def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
+    # score_error = n LYAPUNOV_RESIDUAL_FACTOR (1 + sqrt(k)) / (2 mu_0), where
+    # mu_0 must not exceed lambda_min(L + e_j e_j') for any node j
+    for g in DIGEST_CORPUS:
+        L, n = laplacian(g), g.n
+        mu = np.linalg.eigvalsh(L + _port_matrices(n, np.arange(1, n + 1)[:, None]))[:, 0]
+        for k in (1, 3):
+            error = gramian_bounder(L, k).score_error
+            mu_0 = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * error)
+            assert 0 < mu_0 <= mu.min(), g
+            assert mu_0 > mu.min() / (2 * n), g  # not vacuous
+
+
 def _grounded_closeness(L, S):
     """c(S) = n^2 / (1' [(L^+)_SS]^(-1) 1), with no grounded solve."""
     n = L.shape[0]
@@ -499,8 +562,6 @@ def _grounded_closeness(L, S):
 
 
 def test_are_bound_tends_to_the_cheap_control_limit():
-    from spectral_kcenter import random_tree
-
     cases = [(path_graph(12), (1,)), (path_graph(12), (3, 10)),
              (random_tree(12, 3), (2, 5, 9)), (random_connected_graph(12, 0.4, 3), (4, 7))]
     for g, S in cases:
