@@ -455,9 +455,11 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
 
 def gramian_upper_bound(L: np.ndarray, ports) -> float | np.ndarray:
     """A proven upper bound on ``gramian_extraction_energy(L, S)`` for each
-    port set S of a connected graph's Laplacian L, from GRAMIAN_SHIFTS = r
-    resolvent solves and no Lyapunov solve: a float for one port set, an
-    array of m bounds for an (m, k) array of port sets.
+    port set S of a connected unweighted graph's Laplacian L, from
+    GRAMIAN_SHIFTS = r resolvent solves and no Lyapunov solve: a float for
+    one port set, an array of m bounds for an (m, k) array of port sets.
+    Any other L (a weighted or scaled one among them), or one whose lambda_2
+    is not resolvably positive, is a ParameterError.
 
     With M = L + E_S, 1'Q1 = n/2 - D(S) (see ``gramian_extraction_energy``),
     and for shifts a_1..a_r > 0
@@ -489,12 +491,28 @@ def gramian_upper_bound(L: np.ndarray, ports) -> float | np.ndarray:
     few ulps of n/2. A singular H gives NaN, which bounds nothing.
     """
     L = np.asarray(L, dtype=float)
+    if not _is_unweighted_laplacian(L):
+        raise ParameterError("L must be the Laplacian of an unweighted graph: symmetric, "
+                             "off-diagonal entries 0 or -1, the degrees on the diagonal")
     n = L.shape[0]
     S, single = _port_sets(n, ports)
     if S.shape[1] >= n:
         raise ParameterError("port set must leave at least one node")
-    bounds = gramian_bounder(L, S.shape[1]).of(S)
+    bounder = gramian_bounder(L, S.shape[1])
+    if not math.isfinite(bounder.score_error):
+        raise ParameterError("L has no resolvably positive lambda_2: the graph must be connected")
+    bounds = bounder.of(S)
     return float(bounds[0]) if single else bounds
+
+
+def _is_unweighted_laplacian(L: np.ndarray) -> bool:
+    """Whether L is D - A for a graph without weights, which the sums of
+    unit edge terms in ``gramian_bounder`` and its proof's L1 = 0 need."""
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        return False
+    off = L - np.diag(L.diagonal())
+    return (np.array_equal(L, L.T) and np.isin(off, (0.0, -1.0)).all()
+            and np.array_equal(L.diagonal(), -off.sum(axis=1)))
 
 
 class GramianBounder(NamedTuple):
@@ -523,9 +541,9 @@ class GramianBounder(NamedTuple):
 
 
 def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
-    """``gramian_upper_bound`` for port sets of size k of a connected graph's
-    Laplacian L with n >= 2, its ``eigh``, shifts and resolvents computed
-    once here."""
+    """``gramian_upper_bound`` for port sets of size k of a connected
+    unweighted graph's Laplacian L with n >= 2, which it trusts L to be, its
+    ``eigh``, shifts and resolvents computed once here."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     lam, V = np.linalg.eigh(L)

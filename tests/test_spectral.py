@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
+from spectral_kcenter import (Graph, IllPosedError, NumericError, ParameterError,
                               StabilityError, are_charging_energy,
                               are_lower_bound, figure1_graph,
                               gramian_extraction_energy, gramian_upper_bound,
@@ -538,6 +538,31 @@ def test_gramian_bound_takes_one_set_or_a_stack():
         gramian_upper_bound(L, tuple(range(1, 8)))
     with pytest.raises(ParameterError):
         gramian_upper_bound(L, (2, 2))
+
+
+@pytest.mark.parametrize("change", ["scaled", "weighted", "self-loop", "one-sided",
+                                    "not square", "disconnected"])
+def test_gramian_bound_takes_only_a_connected_unweighted_laplacian(change):
+    # its edge sums count each edge once with weight 1, and its proof needs
+    # L1 = 0 and lambda_2 > 0
+    L = laplacian(path_graph(5))
+    if change == "scaled":
+        L = 2 * L
+    elif change == "weighted":
+        L[0, 1] = L[1, 0] = -0.5
+        L[0, 0], L[1, 1] = 0.5, 1.5
+    elif change == "self-loop":
+        L[2, 2] += 1
+    elif change == "one-sided":
+        L[0, 2] = -1
+        L[0, 0] = 2
+    elif change == "not square":
+        L = L[:, :4]
+    else:
+        L = laplacian(Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)]))
+    with pytest.raises(ParameterError, match="connected" if change == "disconnected"
+                       else "unweighted"):
+        gramian_upper_bound(L, (1, 3))
 
 
 def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
