@@ -449,7 +449,7 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     # bridge (u, n + w) for u, w = 1..n, u-major
     a = np.repeat(np.arange(n), n)
     b = np.tile(np.arange(n, 2 * n), n)
-    chunk = stack_rows(2 * n)
+    chunk = stack_rows((2 * n) ** 2)
     lam_bridged = []
     for i in range(0, n * n, chunk):
         ai, bi = a[i:i + chunk], b[i:i + chunk]

@@ -35,9 +35,10 @@ import numpy as np
 
 from .errors import DegenerateEigenvalueError, NumericError, ParameterError
 from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
-from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, are_charging_energy,
-                       are_lower_bound, check_index, check_ports, check_positive,
-                       gramian_bounder, gramian_extraction_energy, non_ports,
+from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, GRAMIAN_SHIFTS,
+                       are_bounder, are_charging_energy, check_index, check_ports,
+                       check_positive, gramian_bounder, gramian_extraction_energy,
+                       _no_bound, laplacian_pinv, non_ports, resolvent_ones,
                        sym_eigen)
 
 TIE_RTOL = 1e-9
@@ -209,11 +210,11 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
     return scores
 
 
-def stack_rows(order: int) -> int:
-    """How many matrices of the given order one stacked solve takes: about
-    _CHUNK_ENTRIES entries in all, which bounds the memory of a stack, and
-    at least one matrix."""
-    return max(1, _CHUNK_ENTRIES // order ** 2)
+def stack_rows(entries: int) -> int:
+    """How many items of the given number of entries each (an n x n matrix:
+    n**2) one stacked computation takes: about _CHUNK_ENTRIES entries in
+    all, which bounds the memory of a stack, and at least one item."""
+    return max(1, _CHUNK_ENTRIES // entries)
 
 
 def _is_tie(a, b):
@@ -254,7 +255,7 @@ def select_best(g: Graph, k: int, metric: Metric,
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
-    chunk = stack_rows(g.n)
+    chunk = stack_rows(g.n ** 2)
     bound = None if keep_table else _subset_bound(g, k, metric, params)
     if bound is None:
         scores = _in_stacks(score, subsets, chunk)
@@ -281,21 +282,28 @@ class _Bound(NamedTuple):
     scores better than its bound, so it is a lower bound on a minimized
     score and an upper bound on a maximized one. ``margin`` maps a score, or
     an array of them, to the tie band there plus twice the largest error of
-    a computed score or bound.
+    a computed score or bound. ``rows`` is how many sets one call of ``of``
+    takes.
     """
 
     of: Callable[[np.ndarray], np.ndarray]
     margin: Callable[[np.ndarray], np.ndarray]
+    rows: int
 
 
 def _subset_bound(g: Graph, k: int, metric: Metric,
                   params: MetricParams) -> Optional[_Bound]:
     """The bound that ``select_best`` skips port sets by, or None for
     eigvec and on a disconnected graph, where a component without a port
-    leaves no positive definite matrix to solve with.
+    leaves no positive definite matrix to solve with. Each bound builds its
+    factors of L once, here, and then needs a k x k solve per set and O(nk)
+    more work (ARE: O(n^2)), in stacks of ``stack_rows(nk)`` sets (Gramian:
+    of r nk, for its r resolvents). A factor or solve that fails or is not
+    finite gives NaN bounds, which prove nothing: every set is scored.
+    Building or evaluating a bound never raises.
 
-    ARE: n/2 plus ``are_lower_bound`` (proof there), with the relative
-    margin ARE_SKIP_MARGIN on the value less n/2.
+    ARE: n/2 plus ``are_bounder`` (proof at ``are_lower_bound``), with the
+    relative margin ARE_SKIP_MARGIN on the value less n/2.
 
     Gramian: ``gramian_upper_bound`` (proof there), with the margin
     TIE_RTOL max(1, |x|) plus twice the ``score_error`` of its
@@ -314,15 +322,22 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     the last since Z + eps E_S = (1 + eps) I - tau (L + (eps/tau) E_R).
     For every y != 0, RQ(y) = y'P_S y / y'y >= lambda_min(P_S), so RQ(y)
     mapped the same way bounds mplse from above and msub and msup from
-    below. Here y = P_S^(-1) 1, one stacked ``np.linalg.solve`` per batch:
-    one step of inverse iteration from the all-ones vector, near the lowest
-    eigenvector when eps is small. y is scaled to max_i y_i = 1 (y > 0, as
-    P_S is a nonsingular M-matrix); an inexact solve only loosens the bound.
-    y'P_S y is summed from P_S's structure as nonnegative terms, (y_u -
-    y_v)^2 over the edges plus the diagonal shift times y_j^2 over its nodes
-    (y = 0 on S for msub), so no cancellation occurs and its relative
-    rounding is a few ulps. A solve that raises LinAlgError gives NaN
-    bounds, which prove nothing: every set is scored.
+    below. Here y is proportional to P_S^(-1) 1 (for msub, to L_RR^(-1) 1 on
+    R and 0 on S): one step of inverse iteration from the all-ones vector,
+    near the lowest eigenvector when eps is small. ``resolvent_ones`` gives
+    it from one factor F of L and a k x k solve per set,
+
+        mplse: y = 1 - L^+[:, S] (I/eps + L^+_SS)^(-1) 1_k,
+        msub:  y = 1 - L^+[:, S] (L^+_SS)^(-1) 1_k, then y_S = 0,
+        msup:  y = 1 + K[:, S] (I/s - K_SS)^(-1) 1_k,  K = (L + sI)^(-1),  s = eps/tau,
+
+    with L^+ = (L + 11'/n)^(-1) - 11'/n; msub's y_S = 0 is set explicitly,
+    so RQ(y) is a quotient of L_RR. The proof needs only some y != 0, so an
+    inexact factor or solve only loosens the bound. y is scaled to max |y| =
+    1. y'P_S y is summed from P_S's structure as nonnegative terms, (y_u -
+    y_v)^2 over the edges plus the diagonal shift times y_j^2 over its
+    nodes, so no cancellation occurs and its relative rounding is a few
+    ulps.
 
     The margin is the tie band TIE_RTOL max(1, |x|) plus 2 delta, where
     delta = EIGEN_RESIDUAL_FACTOR (1 + ||A||_F) is ``sym_eigen``'s residual
@@ -337,14 +352,15 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     if metric is Metric.EIGVEC or not g.is_connected():
         return None
     L = laplacian(g)
+    n, eps = g.n, params.epsilon
+    rows = stack_rows(n * k)
     if metric is Metric.ARE:
-        half = g.n / 2
-        return _Bound(lambda S: half + are_lower_bound(L, S, params.rho),
-                      lambda x: ARE_SKIP_MARGIN * (x - half))
+        half, of = n / 2, are_bounder(L, k, params.rho)
+        return _Bound(lambda S: half + of(S), lambda x: ARE_SKIP_MARGIN * (x - half), rows)
     if metric is Metric.GRAMIAN:
         bounder = gramian_bounder(L, k)
-        return _Bound(bounder.of, _margin(2 * bounder.score_error))
-    n, eps = g.n, params.epsilon
+        return _Bound(bounder.of, _margin(2 * bounder.score_error),
+                      stack_rows(GRAMIAN_SHIFTS * n * k))
     u, v = np.nonzero(np.triu(L, 1))  # the edges
     if metric is Metric.MPLSE:
         norm = np.linalg.norm(L) + eps * math.sqrt(k)
@@ -352,36 +368,36 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
         tau = params.tau_for(g)
         norm = np.linalg.norm(np.eye(n) - tau * L)  # ||Z||_F
         norm += eps * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
+    margin = _margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
+    with np.errstate(all="ignore"):  # a non-finite factor gives NaN bounds
+        try:
+            if metric is Metric.MSUP_LE:
+                F, shift = np.linalg.inv(L + (eps / tau) * np.eye(n)), -tau / eps
+            else:
+                F, shift = laplacian_pinv(L), 1.0 / eps if metric is Metric.MPLSE else 0.0
+        except np.linalg.LinAlgError:
+            return _Bound(_no_bound, margin, rows)
 
     def of(S):
-        m = len(S)
-        rows = np.arange(m)[:, None]
+        sets = np.arange(len(S))[:, None]
         with np.errstate(all="ignore"):  # a non-finite bound scores every set
             try:
-                if metric is Metric.MSUB_LE:
-                    R = non_ports(n, S)
-                    y = np.zeros((m, n))
-                    y[rows, R] = np.linalg.solve(L[R[:, :, None], R[:, None, :]],
-                                                 np.ones((m, n - k, 1)))[..., 0]
-                else:
-                    # the shifted diagonal: the ports for mplse, the rest for msup
-                    D = S - 1 if metric is Metric.MPLSE else non_ports(n, S)
-                    P = np.repeat(L[None], m, axis=0)
-                    P[rows, D, D] += eps if metric is Metric.MPLSE else eps / tau
-                    y = np.linalg.solve(P, np.ones((m, n, 1)))[..., 0]
+                y = resolvent_ones(F, S, shift)
             except np.linalg.LinAlgError:
-                return np.full(m, np.nan)
-            y /= y.max(axis=1, keepdims=True)
+                return _no_bound(S)
+            if metric is Metric.MSUB_LE:
+                y[sets, S - 1] = 0.0
+            y /= np.abs(y).max(axis=1, keepdims=True)
             edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
             yy = (y * y).sum(axis=1)
             if metric is Metric.MSUB_LE:
                 return 1.0 - tau * edge / yy
-            diag = (y[rows, D] ** 2).sum(axis=1)
             if metric is Metric.MPLSE:
-                return (edge + eps * diag) / yy
-            return 1.0 + eps - (tau * edge + eps * diag) / yy
+                return (edge + eps * (y[sets, S - 1] ** 2).sum(axis=1)) / yy
+            R = non_ports(n, S)
+            return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
 
-    return _Bound(of, _margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)))
+    return _Bound(of, margin, rows)
 
 
 def _margin(slack: float):
@@ -395,8 +411,8 @@ def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,
     """The subsets that may hold the optimum or tie with it, in
     lexicographic order, and their scores.
 
-    Every subset's bound comes first, in stacks of ``chunk``; if one is not
-    finite, the bounds prove nothing and every subset is scored. Otherwise
+    Every subset's bound comes first, in stacks of ``bound.rows``; if one is
+    not finite, the bounds prove nothing and every subset is scored. Otherwise
     two rounds score subsets, each in order and in stacks of ``chunk``:
     first every subset whose bound is within ``bound.margin`` of the best
     bound (the best-bound subset among them), then every other subset whose
@@ -416,7 +432,7 @@ def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,
     """
     maximize = _MAXIMIZING[metric]
     sign = -1.0 if maximize else 1.0  # sign * score is minimized
-    bounds = _in_stacks(bound.of, subsets, chunk)
+    bounds = _in_stacks(bound.of, subsets, bound.rows)
     if not np.isfinite(bounds).all():
         return subsets, _in_stacks(score, subsets, chunk)
 

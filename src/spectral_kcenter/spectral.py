@@ -11,9 +11,10 @@ one template and given one QZ solve (LAPACK's ``gges`` and ``tgsen`` called
 directly, their lookup, workspace query and finiteness check done once per
 batch) and its checks. A batch raises the error its first failing set
 raises alone. ``are_lower_bound`` gives each set a proven lower
-bound on its ARE value from one grounded-Laplacian solve, with no QZ solve.
-``gramian_upper_bound`` gives each set a proven upper bound on its Gramian
-value from k x k solves against resolvents of L built once per graph.
+bound on its ARE value, with no QZ solve, and ``gramian_upper_bound`` a
+proven upper bound on its Gramian value, with no Lyapunov solve: their
+vectors come from factors of L built once per graph, L^+ or the resolvents
+(L + aI)^(-1), and a k x k solve per set (``resolvent_ones``).
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
 NumPy's, so a process that never scores ARE never loads it.
@@ -264,11 +265,13 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
 def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | np.ndarray:
     """A proven lower bound on ``are_charging_energy(L, S, rho) - n/2`` for
     each port set S of a connected graph's Laplacian L: a float for one port
-    set, an array of m bounds for an (m, k) array of port sets.
+    set, an array of m bounds for an (m, k) array of port sets. A bound
+    that does not come out finite and positive is a NumericError.
 
         LB(S) = c^2 / (|a||b| - a'b),  c = 1'v,  a = K^(-1/2) L v,  b = K^(-1/2) v,
 
-    where K = L + rho I and v = L_RR^(-1) 1 on the non-ports R, 0 on S.
+    where K = L + rho I and v is proportional to L_RR^(-1) 1 on the
+    non-ports R, and 0 on S.
 
     Proof. (i) The pencil's value is n/2 + 1'D1, where D is the stabilizing
     solution of L D + D L - D (E_S/rho) D + L + rho I = 0: completing the
@@ -276,46 +279,105 @@ def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | n
     B = I_S, Q = K and R = rho I. (ii) Any P with Ric(P) = L P + P L -
     P (E_S/rho) P + K >= 0 gives 1'D1 >= 1'P1: along every path from 1 to 0,
     d/dt x'Px >= -(x'Qx + rho |u|^2), so every path costs at least 1'P1.
-    (iii) Take P = beta v v'. Since v_S = 0, E_S P = 0, and Ric(P) =
-    K + beta (w v' + v w') with w = L v. Under the congruence by K^(-1/2)
-    this is I + beta (a b' + b a'), whose rank-two term has the eigenvalues
-    beta (a'b +- |a||b|); so Ric(P) >= 0 exactly when
-    beta <= 1/(|a||b| - a'b), and that beta gives 1'P1 = LB(S). As rho -> 0,
+    (iii) Take P = beta v v' for any v with v_S = 0. Then E_S P = 0, and
+    Ric(P) = K + beta (w v' + v w') with w = L v. Under the congruence by
+    K^(-1/2) this is I + beta (a b' + b a'), whose rank-two term has the
+    eigenvalues beta (a'b +- |a||b|); so Ric(P) >= 0 exactly when
+    beta <= 1/(|a||b| - a'b), and that beta gives 1'P1 = LB(S), which does
+    not change when v is scaled. As rho -> 0, with v = L_RR^(-1) 1 on R,
     LB(S) -> sqrt(rho n c(S)), the leading term of 1'D1.
 
-    Evaluated through the well-conditioned G = (L + 11'/n + rho I)^(-1):
-    K^(-1) = G + 11'/(n rho (1 + rho)), so the 1/rho direction is exact,
-    a'b = v'LGv and |a|^2 = v'LGLv; the denominator is written as
-    (|a|^2 |b|^2 - (a'b)^2) / (|a||b| + a'b), free of cancellation
-    (a'b >= 0 since L and G commute). One grounded solve per set, on a stack
-    of the (n-k) x (n-k) matrices L_RR.
+    Computed by ``are_bounder``: v = ``resolvent_ones(L^+, S, 0)``, one
+    k x k solve per set against L^+ = (L + 11'/n)^(-1) - 11'/n, built once
+    per graph; v_S is set to 0 and v scaled to max |v| = 1. Since (iii)
+    holds for every v with v_S = 0, an inexact solve only loosens the
+    bound. The rest goes through the well-conditioned G = (L + 11'/n +
+    rho I)^(-1), also built once: K^(-1) = G + 11'/(n rho (1 + rho)), so the
+    1/rho direction is exact, a'b = v'LGv and |a|^2 = v'LGLv; the
+    denominator is written as (|a|^2 |b|^2 - (a'b)^2) / (|a||b| + a'b),
+    free of cancellation (a'b >= 0 since L and G commute).
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     check_positive("rho", rho)
     S, single = _port_sets(n, ports)
-    m, k = S.shape
-    if k >= n:
+    if S.shape[1] >= n:
         raise ParameterError("port set must leave at least one node")
-    R = non_ports(n, S)
-    v = np.zeros((m, n))
-    try:
-        v[np.arange(m)[:, None], R] = np.linalg.solve(L[R[:, :, None], R[:, None, :]],
-                                                      np.ones((m, n - k, 1)))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"grounded Laplacian is singular: {exc}") from exc
-    c = v.sum(axis=1)
-    G = np.linalg.inv(L + 1.0 / n + rho * np.eye(n))
-    w = v @ L
-    Gv, Gw = v @ G, w @ G
-    with np.errstate(all="ignore"):  # an extreme rho is caught below
-        ab = (w * Gv).sum(axis=1)
-        aa = (w * Gw).sum(axis=1)
-        bb = (v * Gv).sum(axis=1) + c * c / (n * rho * (1.0 + rho))
-        bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
-    if not np.all((bounds > 0) & (bounds < np.inf)):
+    bounds = are_bounder(L, S.shape[1], rho)(S)
+    if not np.isfinite(bounds).all():
         raise NumericError("ARE lower bound is not finite and positive")
     return float(bounds[0]) if single else bounds
+
+
+def are_bounder(L: np.ndarray, k: int, rho: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``are_lower_bound`` for port sets of size k of a connected graph's
+    Laplacian L, with L^+ and G built once here: a map of an (m, k) int
+    array of port sets, which it trusts to be valid, to their m bounds. A
+    bound that is not finite and positive, or a factor or solve that fails,
+    gives NaN, which bounds nothing; it never raises."""
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    try:
+        Lp = laplacian_pinv(L)
+        G = np.linalg.inv(L + 1.0 / n + rho * np.eye(n))
+    except np.linalg.LinAlgError:
+        return _no_bound
+    scale = n * rho * (1.0 + rho)
+
+    def of(S):
+        with np.errstate(all="ignore"):  # a non-finite bound is NaN below
+            try:
+                v = resolvent_ones(Lp, S, 0.0)
+            except np.linalg.LinAlgError:
+                return _no_bound(S)
+            v[np.arange(len(S))[:, None], S - 1] = 0.0
+            v /= np.abs(v).max(axis=1, keepdims=True)
+            c = v.sum(axis=1)
+            w = v @ L
+            Gv, Gw = v @ G, w @ G
+            ab = (w * Gv).sum(axis=1)
+            aa = (w * Gw).sum(axis=1)
+            bb = (v * Gv).sum(axis=1) + c * c / scale
+            bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
+            return np.where((bounds > 0) & (bounds < np.inf), bounds, np.nan)
+
+    return of
+
+
+def _no_bound(S: np.ndarray) -> np.ndarray:
+    """NaN for each port set: no bound."""
+    return np.full(len(S), np.nan)
+
+
+def laplacian_pinv(L: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse L^+ = (L + 11'/n)^(-1) - 11'/n of a connected
+    graph's Laplacian L, from one ``inv``."""
+    n = L.shape[0]
+    return np.linalg.inv(L + 1.0 / n) - 1.0 / n
+
+
+def resolvent_ones(F: np.ndarray, S: np.ndarray, shift: float) -> np.ndarray:
+    """y = 1 - F[:, S] (shift I + F_SS)^(-1) 1_k for each port set S of an
+    (m, k) int array, which it trusts to be valid, and each matrix of F, an
+    (n, n) matrix or an (..., n, n) stack: an (..., m, n) array. One k x k
+    solve per set and matrix, plus O(nk) work. A singular k x k matrix
+    raises LinAlgError.
+
+    Let L be a connected graph's Laplacian, u = (shift I + F_SS)^(-1) 1_k,
+    and F = (L + aI)^(-1) with a > 0, or F = L^+ = (L + 11'/n)^(-1) - 11'/n.
+    Then (L + aI) y = a 1 - 1_S u, or L y = (1'u/n) 1 - 1_S u, where 1_S u
+    puts u on S; and y_S = 1_k - F_SS u = shift u. So for shift != 0
+
+        (L + aI + E_S / shift) y = a 1,  or  (L + E_S / shift) y = (1'u/n) 1,
+
+    and y is proportional to the solution with right side 1 (Woodbury). For
+    F = L^+ and shift = 0, y_S = 0 and L y = (1'u/n) 1 off S, so y is
+    proportional to L_RR^(-1) 1 on the non-ports R, and 0 on S.
+    """
+    rows = S - 1
+    A = F[..., rows[:, :, None], rows[:, None, :]] + shift * np.eye(S.shape[1])
+    u = np.linalg.solve(A, np.ones(A.shape[:-1] + (1,)))
+    return 1.0 - (np.swapaxes(u, -1, -2) @ F[..., rows, :])[..., 0, :]
 
 
 def _no_select(alphar, alphai, beta):
@@ -474,15 +536,16 @@ def gramian_upper_bound(L: np.ndarray, ports) -> float | np.ndarray:
 
     Computed. The shifts are geometric from k/(4n) to max(4k/n, lambda_n).
     K_i = (L + a_i I)^(-1) comes from one ``eigh`` of L, and since L1 = 0,
-    Woodbury gives z_i = (1 - K_i[:, S] (I + K_i[S, S])^(-1) 1_k) / a_i: a
-    k x k solve per set and shift. c solves H c = b. The test trajectory
-    may be built from any vectors, so the computed z_i serve as they are;
-    only the cross term with the exact z_i needs their error. If (M + a_i I)
-    z_i = 1 - r_i, the exact vector is z_i + e_i with e_i'L e_i <= r_i'(M +
-    a_i I)^(-1) r_i <= |r_i|^2 / a_i, so the cross term is within |r_i|
-    sqrt(b_i / a_i) of b_i. |r_i| is computed, plus its own rounding, for
-    which max |z_i| <= (1 + |r_i|) / a_i (the exact z_i is at most 1/a_i,
-    read at its largest entry). b_i and H_ij are summed over the edges as
+    Woodbury gives z_i = (1 - K_i[:, S] (I + K_i[S, S])^(-1) 1_k) / a_i
+    (``resolvent_ones``): a k x k solve per set and shift. c solves H c =
+    b. The test trajectory may be built from any vectors, so the computed
+    z_i serve as they are; only the cross term with the exact z_i needs
+    their error. If (M + a_i I) z_i = 1 - r_i, the exact vector is z_i + e_i
+    with e_i'L e_i <= r_i'(M + a_i I)^(-1) r_i <= |r_i|^2 / a_i, so the
+    cross term is within |r_i| sqrt(b_i / a_i) of b_i. |r_i| is computed,
+    plus its own rounding, for which max |z_i| <= (1 + |r_i|) / a_i (the
+    exact z_i is at most 1/a_i, read at its largest entry). b_i and H_ij
+    are summed over the edges as
     products of differences z_u - z_v, b_i as nonnegative terms, and the
     rounding of c'b and of c'Hc is bounded through |H_ij| <= sqrt(b_i b_j) /
     (a_i + a_j). The numerator is lowered and the denominator raised by
@@ -565,9 +628,7 @@ def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
         rows, sets = S - 1, np.arange(m)[:, None]
         with np.errstate(all="ignore"):  # a non-finite bound scores every set
             try:
-                w = np.linalg.solve(K[:, rows[:, :, None], rows[:, None, :]] + np.eye(k),
-                                    np.ones((GRAMIAN_SHIFTS, m, k, 1)))
-                z = (1.0 - (np.swapaxes(w, -1, -2) @ K[:, rows])[..., 0, :]) / a[:, None, None]
+                z = resolvent_ones(K, S, 1.0) / a[:, None, None]
                 # |r_i|, r_i = 1 - (L + a_i I + E_S) z_i, for each shift and set
                 res = 1.0 - z @ shifted
                 res[:, sets, rows] -= z[:, sets, rows]
@@ -579,7 +640,7 @@ def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
                 H = gram * pair
                 c = np.linalg.solve(H, b[..., None])
             except np.linalg.LinAlgError:
-                return np.full(m, np.nan)
+                return _no_bound(S)
             cHc = (c * (H @ c))[..., 0].sum(axis=1)
             c = c[..., 0]
             ac, root_b = np.abs(c), np.sqrt(b)

@@ -466,8 +466,9 @@ def test_cli_are_reordering_failure_exit_3():
     ("select", "--graph", "path:6", "--k", "2", "--metric", "are", "--rho", "1e160"),
 ], ids=["bound-select", "bound-compare", "solver"])
 def test_cli_extreme_rho_prints_only_the_error_line(args):
-    # the ARE bound and the solver's eigenvalue sort overflow at such rho;
-    # their checks report it, with no NumPy warning printed before
+    # the ARE bound is NaN at such rho, so every set is solved, and the
+    # solver's eigenvalue sort overflows; its checks report it, with no
+    # NumPy warning printed before
     r = run_cli(*args)
     assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
     assert r.stdout == ""

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import itertools
@@ -22,7 +23,7 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               random_tree, relabel, select_best, stochastic,
                               sym_eigen)
 from spectral_kcenter import metrics
-from spectral_kcenter.experiments import _row_instance
+from spectral_kcenter.experiments import _row_instance, run_comparison
 from spectral_kcenter.spectral import DEFAULT_RHO
 from conftest import mixed_corpus
 
@@ -484,7 +485,7 @@ def test_are_skip_solves_few_sets_and_keep_table_all(monkeypatch):
 def test_are_on_a_disconnected_graph_scores_every_set(monkeypatch):
     # no grounded solve exists when a component has no port, so no bound
     seen = _recording_are(monkeypatch)
-    monkeypatch.setattr(metrics, "are_lower_bound", lambda *args: 1 / 0)
+    monkeypatch.setattr(metrics, "are_bounder", lambda *args: 1 / 0)
     g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
     try:
         select_best(g, 2, Metric.ARE)
@@ -494,9 +495,13 @@ def test_are_on_a_disconnected_graph_scores_every_set(monkeypatch):
 
 
 def test_are_value_below_its_bound_is_a_numeric_error(monkeypatch):
-    bound = metrics.are_lower_bound
-    monkeypatch.setattr(metrics, "are_lower_bound",
-                        lambda L, S, rho: 1.01 * bound(L, S, rho))
+    bounder = metrics.are_bounder
+
+    def raised(L, k, rho):
+        of = bounder(L, k, rho)
+        return lambda S: 1.01 * of(S)
+
+    monkeypatch.setattr(metrics, "are_bounder", raised)
     with pytest.raises(NumericError, match="below its proven lower bound"):
         select_best(path_graph(9), 2, Metric.ARE)
     assert select_best(path_graph(9), 2, Metric.ARE, keep_table=True).best == (3, 7)
@@ -544,15 +549,69 @@ def test_spectral_bound_is_on_the_losing_side_of_every_table_score(metric, param
             assert np.all(sign * (bounds - values) <= 1e-4 * bound.margin(values)), (g, k)
 
 
+def _direct_bound(g, S, metric, params):
+    """The bound from a direct solve per set: the Rayleigh quotient at y =
+    P_S^(-1) 1 from an n x n (msub: grounded) solve, or ARE's LB(S) less
+    nothing, from a grounded solve and K^(-1) = G + 11'/(n rho (1 + rho))."""
+    L, n, k = laplacian(g), g.n, S.shape[1]
+    eps, m = params.epsilon, len(S)
+    rows = np.arange(m)[:, None]
+    u, v = np.nonzero(np.triu(L, 1))
+    R = np.array([[j for j in range(n) if j + 1 not in s] for s in S.tolist()])
+    if metric in (Metric.MSUB_LE, Metric.ARE):
+        y = np.zeros((m, n))
+        y[rows, R] = np.linalg.solve(L[R[:, :, None], R[:, None, :]], np.ones((m, n - k, 1)))[..., 0]
+    else:
+        D = S - 1 if metric is Metric.MPLSE else R
+        shift = eps if metric is Metric.MPLSE else eps / params.tau_for(g)
+        P = np.repeat(L[None], m, axis=0)
+        P[rows, D, D] += shift
+        y = np.linalg.solve(P, np.ones((m, n, 1)))[..., 0]
+    if metric is Metric.ARE:
+        c, w = y.sum(axis=1), y @ L
+        G = np.linalg.inv(L + 1.0 / n + params.rho * np.eye(n))
+        ab, aa = (w * (y @ G)).sum(axis=1), (w * (w @ G)).sum(axis=1)
+        bb = (y * (y @ G)).sum(axis=1) + c * c / (n * params.rho * (1.0 + params.rho))
+        return c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
+    y /= y.max(axis=1, keepdims=True)
+    quotient = ((y[:, u] - y[:, v]) ** 2).sum(axis=1) / (y * y).sum(axis=1)
+    if metric is Metric.MSUB_LE:
+        return 1.0 - params.tau_for(g) * quotient
+    diag = (y[rows, D] ** 2).sum(axis=1) / (y * y).sum(axis=1)
+    if metric is Metric.MPLSE:
+        return quotient + eps * diag
+    return 1.0 + eps - params.tau_for(g) * quotient - eps * diag
+
+
+# the spectral metrics at every regime, then ARE at three rho
+ORACLE_CASES = ([(m, p) for m in SPECTRAL_METRICS for p in SPECTRAL_REGIMES]
+                + [(Metric.ARE, MetricParams(rho=rho)) for rho in (1e-10, 1e-6, 1e-2)])
+
+
+def test_bounds_from_k_by_k_solves_match_direct_solves():
+    for g in ARE_CORPUS:
+        L = laplacian(g)
+        for k in (1, 2, 3):
+            S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
+            for metric, params in ORACLE_CASES:
+                if metric is Metric.ARE:
+                    got = are_lower_bound(L, S, params.rho)
+                else:
+                    got = metrics._subset_bound(g, k, metric, params).of(S)
+                want = _direct_bound(g, S, metric, params)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (g, k, metric, params)
+
+
 def _recording_solves(monkeypatch, metric=Metric.MPLSE):
     """Record how many port sets select_best scores: matrices handed to the
-    eigensolver, or port sets to the Gramian."""
+    eigensolver, or port sets to the Gramian or ARE."""
     seen = [0]
-    name = "gramian_extraction_energy" if metric is Metric.GRAMIAN else "sym_eigen"
+    name = {Metric.GRAMIAN: "gramian_extraction_energy",
+            Metric.ARE: "are_charging_energy"}.get(metric, "sym_eigen")
     solve = getattr(metrics, name)
 
     def recording(*args):
-        seen[0] += len(args[-1])
+        seen[0] += len(args[0] if name == "sym_eigen" else args[1])
         return solve(*args)
 
     monkeypatch.setattr(metrics, name, recording)
@@ -607,20 +666,79 @@ def test_spectral_score_beyond_its_bound_is_a_numeric_error(monkeypatch, metric)
     assert _same_selection(select_best(path_graph(9), 2, metric, keep_table=True), expected)
 
 
-@pytest.mark.parametrize("metric", [Metric.MPLSE, Metric.MSUP_LE])
-def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, metric):
-    # at eps = 1e-300, L + eps E_S is L in floating point, so its solve fails
-    # or overflows: the selection scores every set, silently, as the full
-    # table does
-    g, params = path_graph(9), MetricParams(epsilon=1e-300)
+def _nan_bounds(monkeypatch):
+    """Make every bound of _subset_bound NaN."""
+    bound_of = metrics._subset_bound
+
+    def nan(*args):
+        return bound_of(*args)._replace(of=lambda S: np.full(len(S), np.nan))
+
+    monkeypatch.setattr(metrics, "_subset_bound", nan)
+
+
+# msup at eps = 1e-300, where L + (eps/tau) I is L in floating point and the
+# factor of its bound fails, and every metric with a bound made NaN
+FAILED_BOUNDS = ([pytest.param(Metric.MSUP_LE, 1e-300, False, id="msup-factor")]
+                 + [pytest.param(m, 1e-2, True, id=f"{m.value}-nan")
+                    for m in SKIP_METRICS + (Metric.ARE,)])
+
+
+@pytest.mark.parametrize("metric, eps, nan", FAILED_BOUNDS)
+def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, metric, eps, nan):
+    # bounds that are not finite prove nothing: the selection scores every
+    # set, silently, as the full table does
+    g, params = path_graph(9), MetricParams(epsilon=eps)
     S = np.array(list(itertools.combinations(range(1, 10), 2)))
-    assert not np.isfinite(metrics._subset_bound(g, 2, metric, params).of(S)).all()
-    seen = _recording_solves(monkeypatch)
+    if nan:
+        _nan_bounds(monkeypatch)
+    assert np.isnan(metrics._subset_bound(g, 2, metric, params).of(S)).all()
+    seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = select_best(g, 2, metric, params)
     assert seen[0] == len(S)
     assert _same_selection(res, select_best(g, 2, metric, params, keep_table=True))
+
+
+def test_mplse_bound_at_a_tiny_eps_is_k_eps_over_n():
+    # at eps = 1e-300 every y is 1 to the last bit, so the bound is exactly
+    # the first-order value k eps / n, and every set ties with the best
+    g, params = path_graph(9), MetricParams(epsilon=1e-300)
+    S = np.array(list(itertools.combinations(range(1, 10), 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = metrics._subset_bound(g, 2, Metric.MPLSE, params).of(S)
+        res = select_best(g, 2, Metric.MPLSE, params)
+    assert np.allclose(bounds, 2e-300 / 9, rtol=1e-12, atol=0.0)
+    assert len(res.ties) == len(S)
+    assert _same_selection(res, select_best(g, 2, Metric.MPLSE, params, keep_table=True))
+
+
+def _counting_linalg(monkeypatch):
+    """Count the calls of np.linalg.eigh, inv and solve."""
+    counts = collections.Counter()
+    for name in ("eigh", "inv", "solve"):
+        def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def test_nothing_outlives_a_selection(monkeypatch):
+    # a second run makes exactly the eigh, inv and solve calls of the first,
+    # as the benchmark's traced passes must: no factor is kept between calls
+    counts = _counting_linalg(monkeypatch)
+    runs = [functools.partial(select_best, path_graph(9), 2, m) for m in Metric]
+    runs.append(functools.partial(run_comparison, ["tree:7"], 2, 0))
+    for run in runs:
+        made = []
+        for _ in range(2):
+            counts.clear()
+            run()
+            made.append(dict(counts))
+        assert made[0] == made[1] and made[0], (run, made)
 
 
 # 20 examples per metric, as many as when the Gramian was not drawn

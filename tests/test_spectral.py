@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spectral_kcenter import (Graph, IllPosedError, NumericError, ParameterError
                               path_charpoly_lowcoeffs, path_graph,
                               random_connected_graph, random_tree, relabel,
                               stochastic, sym_eigen, tridiag_charpoly)
+from spectral_kcenter import Metric, MetricParams, metrics
 from spectral_kcenter.experiments import _row_instance
 from spectral_kcenter.spectral import LYAPUNOV_RESIDUAL_FACTOR, gramian_bounder
 from numpy.polynomial import polynomial as P
@@ -576,6 +578,60 @@ def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
             mu_0 = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * error)
             assert 0 < mu_0 <= mu.min(), g
             assert mu_0 > mu.min() / (2 * n), g  # not vacuous
+
+
+def _solve_integer(A, b):
+    """x with A x = b, for a nonsingular integer matrix A and an integer
+    vector b, in rationals: fraction-free (Bareiss) elimination, whose
+    divisions are exact, then back substitution."""
+    n = len(A)
+    rows = [[int(a) for a in row] + [int(v)] for row, v in zip(A, b)]
+    prev = 1
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c]
+            rows[r] = [(x * piv[c] - f * y) // prev for x, y in zip(rows[r], piv)]
+        prev = piv[c]
+    x = [Fraction(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (rows[c][n] - sum(rows[c][j] * x[j] for j in range(c + 1, n))) / Fraction(rows[c][c])
+    return x
+
+
+def _exact_gramian(L, S):
+    """1'Q1 = n/2 - 1'X1, where M X + X M = L and M = L + E_S, in rationals:
+    one exact solve of the n^2 x n^2 Kronecker system."""
+    n = L.shape[0]
+    M = L.astype(int) + np.diag([int(j + 1 in S) for j in range(n)])
+    I = np.eye(n, dtype=int)
+    return Fraction(n, 2) - sum(_solve_integer(np.kron(I, M) + np.kron(M, I), L.flatten()))
+
+
+def test_gramian_score_error_and_bound_hold_against_the_exact_value():
+    # every computed score is within score_error of the exact 1'Q1, the
+    # selection margin covers the tie band plus twice that error, and the
+    # bound is at or above the exact value; some score errs, so a margin of
+    # the tie band alone would fail
+    worst = 0
+    for g in (path_graph(6), random_tree(6, 1), random_connected_graph(6, 0.5, 2),
+              random_connected_graph(5, 0.6, 3)):
+        L = laplacian(g)
+        for k in (1, 2):
+            error = gramian_bounder(L, k).score_error
+            margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams()).margin
+            S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
+            for ports, score, bound in zip(S.tolist(), gramian_extraction_energy(L, S),
+                                           gramian_upper_bound(L, S)):
+                exact = _exact_gramian(L, ports)
+                wrong = abs(Fraction(score) - exact)
+                assert wrong <= error, (g, ports)
+                assert margin(score) - metrics.TIE_RTOL * max(1.0, score) >= 2 * wrong
+                assert Fraction(bound) >= exact, (g, ports)
+                worst = max(worst, wrong)
+    assert worst > 0
 
 
 def _grounded_closeness(L, S):
