@@ -13,8 +13,9 @@ msup, ARE and Gramian first gets a proven bound on its score
 (``_subset_bound``), and only the subsets that the bound cannot rule out are
 scored (``_bound_then_solve``), with the bits that scoring every subset gives.
 The public ``*_score`` functions check their port set and score it as a
-one-row batch. Agreement of two selectors over an
-instance stream (``agreement_rate``) lives in ``experiments``.
+one-row batch; ``mplse_score`` also takes an (m, k) array of port sets.
+Agreement of two selectors over an instance stream (``agreement_rate``)
+lives in ``experiments``.
 ``select_best`` optimizes in the metric's direction, collects ties and breaks
 them toward the lexicographically smallest subset, so results are
 schedule-independent. Two scores a, b tie when
@@ -38,8 +39,8 @@ from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
 from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, GRAMIAN_SHIFTS,
                        are_bounder, are_charging_energy, check_index, check_ports,
                        check_positive, gramian_bounder, gramian_extraction_energy,
-                       _no_bound, laplacian_pinv, non_ports, resolvent_ones,
-                       sym_eigen)
+                       _no_bound, _port_sets, laplacian_pinv, non_ports,
+                       resolvent_ones, sym_eigen)
 
 TIE_RTOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -120,10 +121,16 @@ def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) ->
     return float(_subset_scorer(g, k, metric, params)(np.array([ports]))[0])
 
 
-def mplse_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
-    """Smallest eigenvalue of the port-perturbed Laplacian (higher is better)."""
-    ports = check_ports(g.n, ports)
-    return _score_one(g, len(ports), Metric.MPLSE, params, ports)
+def mplse_score(g: Graph, ports,
+                params: MetricParams = MetricParams()) -> float | np.ndarray:
+    """Smallest eigenvalue of the port-perturbed Laplacian (higher is
+    better): a float for one port set, an array of m scores for an (m, k)
+    array of port sets, scored in stacks of ``stack_rows(n**2)``. Each score
+    is bit for bit that of its port set alone."""
+    S, single = _port_sets(g.n, ports)
+    values = _in_stacks(_subset_scorer(g, S.shape[1], Metric.MPLSE, params),
+                        S, stack_rows(g.n ** 2))
+    return float(values[0]) if single else values
 
 
 def msub_score(g: Graph, ports, params: MetricParams = MetricParams()) -> float:
@@ -155,9 +162,10 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
 
     The scorer maps an (m, k) int array of 1-based port sets to the array of
     their m scores. It is the only place a metric is computed: ``select_best``
-    and the public ``*_score`` functions (with a one-row batch) both score
-    through it. It trusts every row to be a valid port set (the ARE and
-    Gramian functions check each batch again).
+    and the public ``*_score`` functions (with a one-row batch, or for
+    ``mplse_score`` the caller's batch) both score through it. It trusts
+    every row to be a valid port set (the ARE and Gramian functions check
+    each batch again).
     """
     if metric in (Metric.MPLSE, Metric.MSUP_LE):
         # eps on the port diagonal of L or Z, then an end of the spectrum

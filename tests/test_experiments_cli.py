@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import spectral_kcenter
-from spectral_kcenter import Metric, ParameterError, agreement_rate, experiments
+from spectral_kcenter import (Metric, ParameterError, agreement_rate, experiments,
+                              metrics)
 from spectral_kcenter.experiments import (HEURISTIC_METRICS, _row_instance,
                                           conjecture_probe, convexity_table,
                                           lambda_profile, parse_graph_source,
@@ -80,8 +81,9 @@ def _lambda_min(L, ports, eps):
 
 @pytest.mark.parametrize("n", [11, 14, 38])
 def test_path_theory_checks_bitwise_equal_single_solves(n):
-    # the exact values read from the mplse tables equal single solves bit
-    # for bit; n = 38 spreads 703 two-port sets over 64 stacks of 11
+    # the exact values read from the one-port mplse table and scored by
+    # mplse_score equal single solves bit for bit; n = 38 spreads the 342
+    # straddling two-port pairs over 32 stacks of 11
     eps = 0.01
     g = path_graph(n)
     L = laplacian(g)
@@ -127,7 +129,8 @@ def test_path_theory_checks_vanishing_quadratic_form():
 
 def test_path_theory_checks_call_contract(monkeypatch):
     # each (k, metric) is selected once: the two-port mplse selection serves
-    # the centers, the exact series values and lambda*(2)
+    # the centers and lambda*(2), and the exact series values come from
+    # mplse_score, not from a selection
     calls = []
     select_best = experiments.select_best
 
@@ -141,6 +144,21 @@ def test_path_theory_checks_call_contract(monkeypatch):
     assert len(calls) == len(set(calls))
     assert set(calls) == {(2, Metric.MPLSE), (2, Metric.MSUB_LE),
                           (2, Metric.MSUP_LE), (1, Metric.MPLSE)}
+
+
+def test_path_theory_checks_solve_fewer_matrices_than_the_two_port_table(monkeypatch):
+    # path:38 has C(38, 2) = 703 two-port sets; the series check solves the
+    # 342 pairs j1 < 19 < j2 that it reads, and each selection only the sets
+    # its bound cannot rule out, so the whole suite solves fewer matrices
+    # than the full two-port table alone
+    solved = []
+    for module in (metrics, experiments):
+        def counting(A, _solve=module.sym_eigen):
+            solved.append(1 if np.ndim(A) == 2 else len(A))
+            return _solve(A)
+        monkeypatch.setattr(module, "sym_eigen", counting)
+    path_theory_checks(38)
+    assert 342 <= sum(solved) < math.comb(38, 2)
 
 
 def test_series_positions_equal_inline_formula():

@@ -245,7 +245,7 @@ def test_batch_scores_equal_single_scores(case):
 
 
 @pytest.mark.parametrize("defect", ["repeated", "zero", "beyond-n", "fractional"])
-@pytest.mark.parametrize("scorer", ["are", "gramian"])
+@pytest.mark.parametrize("scorer", ["mplse", "are", "gramian"])
 def test_port_set_stack_rejects_one_bad_row(scorer, defect):
     g = figure1_graph()
     S = np.array(list(itertools.combinations(range(1, g.n + 1), 2)))
@@ -256,14 +256,23 @@ def test_port_set_stack_rejects_one_bad_row(scorer, defect):
         PORT_SCORERS[scorer](g, S)
 
 
-def test_control_scores_take_one_set_or_a_stack():
-    L = laplacian(path_graph(6))
+@pytest.mark.parametrize("scorer", ["mplse", "are", "gramian"])
+def test_port_scores_take_one_set_or_a_stack(scorer):
+    g = path_graph(6)
     S = np.array([[1, 4], [2, 5], [3, 6]])
-    for score in (are_charging_energy, gramian_extraction_energy):
-        one = score(L, (2, 5))
-        assert isinstance(one, float)
-        batch = score(L, S)
-        assert batch.shape == (3,) and batch[1] == one
+    one = PORT_SCORERS[scorer](g, (2, 5))
+    assert isinstance(one, float)
+    batch = PORT_SCORERS[scorer](g, S)
+    assert batch.shape == (3,) and batch[1] == one
+
+
+def test_mplse_batch_equals_single_scores_across_stacks():
+    # the 342 pairs j1 < 19 < j2 of path:38 take 32 stacks of 11
+    g, params = path_graph(38), MetricParams(epsilon=0.01)
+    pairs = [(j1, j2) for j1 in range(1, 19) for j2 in range(20, 39)]
+    assert len(pairs) > metrics.stack_rows(38 ** 2)
+    batch = mplse_score(g, np.array(pairs), params)
+    assert batch.tolist() == [mplse_score(g, S, params) for S in pairs]
 
 
 def test_eigvec_degenerate_spectrum():
