@@ -21,9 +21,8 @@ from .path_theory import (charpoly_eps_slices_1port, charpoly_eps_slices_2port,
 from .perturbation import (RootSeries, perturbed_eigvec_first_order,
                            root_series_double, root_series_single,
                            smallest_root_numeric)
-from .spectral import (EigenDecomposition, are_charging_energy, are_lower_bound,
-                       gramian_extraction_energy, gramian_upper_bound,
-                       lyapunov_solve, path_charpoly_lowcoeffs, sym_eigen,
-                       tridiag_charpoly)
+from .spectral import (EigenDecomposition, are_charging_energy,
+                       gramian_extraction_energy, lyapunov_solve,
+                       path_charpoly_lowcoeffs, sym_eigen, tridiag_charpoly)
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
 from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, GRAMIAN_SHIFTS,
                        are_bounder, are_charging_energy, check_index, check_ports,
                        check_positive, gramian_bounder, gramian_extraction_energy,
-                       _no_bound, _port_sets, laplacian_pinv, non_ports,
+                       _grounded_ones, _port_sets, laplacian_pinv, non_ports,
                        resolvent_ones, sym_eigen)
 
 TIE_RTOL = 1e-9
@@ -304,21 +304,25 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     """The bound that ``select_best`` skips port sets by, or None for
     eigvec and on a disconnected graph, where a component without a port
     leaves no positive definite matrix to solve with. Each bound builds its
-    factors of L once, here, and then needs a k x k solve per set and O(nk)
-    more work (ARE: O(n^2)), in stacks of ``stack_rows(nk)`` sets (Gramian:
-    of r nk, for its r resolvents). A factor or solve that fails or is not
-    finite gives NaN bounds, which prove nothing: every set is scored.
-    Building or evaluating a bound never raises.
+    factors of L here, once per selection, and then needs a k x k solve per
+    set and O(nk) more work (ARE: O(n^2)), in stacks of ``stack_rows(nk)``
+    sets (Gramian: of r nk, for its r resolvents).
 
-    ARE: n/2 plus ``are_bounder`` (proof at ``are_lower_bound``), with the
-    relative margin ARE_SKIP_MARGIN on the value less n/2.
+    This is the one guard of every bound (``_guarded``): building it and
+    each call of its ``of`` run with floating-point warnings off, a factor
+    that fails (LinAlgError) gives NaN bounds for every set, and a per-set
+    solve that fails NaN for its stack. A bound that is not finite proves
+    nothing, so every set is scored (``_bound_then_solve``). Building or
+    evaluating a bound never raises and never warns.
 
-    Gramian: ``gramian_upper_bound`` (proof there), with the margin
-    TIE_RTOL max(1, |x|) plus twice the ``score_error`` of its
-    ``GramianBounder``, the largest error of a computed score. That covers
-    the error of a computed score and, again, the rounding of a bound,
-    which is a few ulps of n/2; the error of each z_i is already inside its
-    bound.
+    ARE: n/2 plus ``are_bounder`` (proof there), with the relative margin
+    ARE_SKIP_MARGIN on the value less n/2.
+
+    Gramian: ``gramian_bounder`` (proof there), with the margin TIE_RTOL
+    max(1, |x|) plus twice its ``score_error``, the largest error of a
+    computed score. That covers the error of a computed score and, again,
+    the rounding of a bound, which is a few ulps of n/2; the error of each
+    z_i is already inside its bound.
 
     mplse, msub and msup: each score is an affine map of lambda_min(P_S)
     for a positive definite P_S, with R the non-ports:
@@ -339,13 +343,13 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
         msub:  y = 1 - L^+[:, S] (L^+_SS)^(-1) 1_k, then y_S = 0,
         msup:  y = 1 + K[:, S] (I/s - K_SS)^(-1) 1_k,  K = (L + sI)^(-1),  s = eps/tau,
 
-    with L^+ = (L + 11'/n)^(-1) - 11'/n; msub's y_S = 0 is set explicitly,
-    so RQ(y) is a quotient of L_RR. The proof needs only some y != 0, so an
-    inexact factor or solve only loosens the bound. y is scaled to max |y| =
-    1. y'P_S y is summed from P_S's structure as nonnegative terms, (y_u -
-    y_v)^2 over the edges plus the diagonal shift times y_j^2 over its
-    nodes, so no cancellation occurs and its relative rounding is a few
-    ulps.
+    with L^+ = (L + 11'/n)^(-1) - 11'/n; msub's y_S = 0 is set explicitly
+    (``_grounded_ones``), so RQ(y) is a quotient of L_RR. The proof needs
+    only some y != 0, so an inexact factor or solve only loosens the bound.
+    y is scaled to max |y| = 1. y'P_S y is summed from P_S's structure as
+    nonnegative terms, (y_u - y_v)^2 over the edges plus the diagonal shift
+    times y_j^2 over its nodes, so no cancellation occurs and its relative
+    rounding is a few ulps.
 
     The margin is the tie band TIE_RTOL max(1, |x|) plus 2 delta, where
     delta = EIGEN_RESIDUAL_FACTOR (1 + ||A||_F) is ``sym_eigen``'s residual
@@ -359,16 +363,42 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     """
     if metric is Metric.EIGVEC or not g.is_connected():
         return None
+
+    def unbounded(*args):  # a factor failed: NaN for every set
+        return _Bound(_no_bound, _margin(math.nan), stack_rows(g.n * k))
+
+    of, margin, rows = _guarded(_built_bound, unbounded)(g, k, metric, params)
+    return _Bound(_guarded(of, _no_bound), margin, rows)
+
+
+def _guarded(f, fallback):
+    """f run with floating-point warnings off, and fallback run in its place
+    where a factor or solve fails (LinAlgError)."""
+    def guarded(*args):
+        with np.errstate(all="ignore"):
+            try:
+                return f(*args)
+            except np.linalg.LinAlgError:
+                return fallback(*args)
+    return guarded
+
+
+def _no_bound(S: np.ndarray) -> np.ndarray:
+    """NaN for each port set: no bound."""
+    return np.full(len(S), np.nan)
+
+
+def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams) -> _Bound:
+    """The bound of ``_subset_bound`` for a connected graph, unguarded."""
     L = laplacian(g)
     n, eps = g.n, params.epsilon
     rows = stack_rows(n * k)
     if metric is Metric.ARE:
-        half, of = n / 2, are_bounder(L, k, params.rho)
+        half, of = n / 2, are_bounder(L, params.rho)
         return _Bound(lambda S: half + of(S), lambda x: ARE_SKIP_MARGIN * (x - half), rows)
     if metric is Metric.GRAMIAN:
-        bounder = gramian_bounder(L, k)
-        return _Bound(bounder.of, _margin(2 * bounder.score_error),
-                      stack_rows(GRAMIAN_SHIFTS * n * k))
+        of, score_error = gramian_bounder(L, k)
+        return _Bound(of, _margin(2 * score_error), stack_rows(GRAMIAN_SHIFTS * n * k))
     u, v = np.nonzero(np.triu(L, 1))  # the edges
     if metric is Metric.MPLSE:
         norm = np.linalg.norm(L) + eps * math.sqrt(k)
@@ -376,36 +406,28 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
         tau = params.tau_for(g)
         norm = np.linalg.norm(np.eye(n) - tau * L)  # ||Z||_F
         norm += eps * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
-    margin = _margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
-    with np.errstate(all="ignore"):  # a non-finite factor gives NaN bounds
-        try:
-            if metric is Metric.MSUP_LE:
-                F, shift = np.linalg.inv(L + (eps / tau) * np.eye(n)), -tau / eps
-            else:
-                F, shift = laplacian_pinv(L), 1.0 / eps if metric is Metric.MPLSE else 0.0
-        except np.linalg.LinAlgError:
-            return _Bound(_no_bound, margin, rows)
+    if metric is Metric.MSUP_LE:
+        F, shift = np.linalg.inv(L + (eps / tau) * np.eye(n)), -tau / eps
+    else:
+        F, shift = laplacian_pinv(L), 1.0 / eps
 
     def of(S):
         sets = np.arange(len(S))[:, None]
-        with np.errstate(all="ignore"):  # a non-finite bound scores every set
-            try:
-                y = resolvent_ones(F, S, shift)
-            except np.linalg.LinAlgError:
-                return _no_bound(S)
-            if metric is Metric.MSUB_LE:
-                y[sets, S - 1] = 0.0
+        if metric is Metric.MSUB_LE:
+            y = _grounded_ones(F, S)
+        else:
+            y = resolvent_ones(F, S, shift)
             y /= np.abs(y).max(axis=1, keepdims=True)
-            edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
-            yy = (y * y).sum(axis=1)
-            if metric is Metric.MSUB_LE:
-                return 1.0 - tau * edge / yy
-            if metric is Metric.MPLSE:
-                return (edge + eps * (y[sets, S - 1] ** 2).sum(axis=1)) / yy
-            R = non_ports(n, S)
-            return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
+        edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
+        yy = (y * y).sum(axis=1)
+        if metric is Metric.MSUB_LE:
+            return 1.0 - tau * edge / yy
+        if metric is Metric.MPLSE:
+            return (edge + eps * (y[sets, S - 1] ** 2).sum(axis=1)) / yy
+        R = non_ports(n, S)
+        return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
 
-    return _Bound(of, margin, rows)
+    return _Bound(of, _margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)), rows)
 
 
 def _margin(slack: float):

@@ -10,11 +10,13 @@ Lyapunov solve; ARE as a loop over the sets, each set's pencil copied from
 one template and given one QZ solve (LAPACK's ``gges`` and ``tgsen`` called
 directly, their lookup, workspace query and finiteness check done once per
 batch) and its checks. A batch raises the error its first failing set
-raises alone. ``are_lower_bound`` gives each set a proven lower
-bound on its ARE value, with no QZ solve, and ``gramian_upper_bound`` a
-proven upper bound on its Gramian value, with no Lyapunov solve: their
-vectors come from factors of L built once per graph, L^+ or the resolvents
-(L + aI)^(-1), and a k x k solve per set (``resolvent_ones``).
+raises alone. ``are_bounder`` gives each set a proven lower bound on its
+ARE value, with no QZ solve, and ``gramian_bounder`` a proven upper bound on
+its Gramian value, with no Lyapunov solve: their vectors come from factors
+of L built once per selection, L^+ or the resolvents (L + aI)^(-1), and a
+k x k solve per set (``resolvent_ones``). They only compute: a factor or
+solve that fails raises, and ``metrics._subset_bound`` decides what that
+means.
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
 NumPy's, so a process that never scores ARE never loads it.
@@ -33,7 +35,7 @@ from .errors import IllPosedError, NumericError, ParameterError, StabilityError
 EIGEN_RESIDUAL_FACTOR = 1e-9
 LYAPUNOV_RESIDUAL_FACTOR = 1e-9
 DEFAULT_RHO = 1e-6  # the ARE regularizer of MetricParams and are_charging_energy
-GRAMIAN_SHIFTS = 4  # r, the resolvents behind each gramian_upper_bound
+GRAMIAN_SHIFTS = 4  # r, the resolvents behind each Gramian bound
 _ULP = np.finfo(float).eps
 _SHIFT_STEPS = np.arange(GRAMIAN_SHIFTS) / (GRAMIAN_SHIFTS - 1)
 
@@ -262,11 +264,14 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
     return float(values[0]) if single else values
 
 
-def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | np.ndarray:
+def are_bounder(L: np.ndarray, rho: float) -> Callable[[np.ndarray], np.ndarray]:
     """A proven lower bound on ``are_charging_energy(L, S, rho) - n/2`` for
-    each port set S of a connected graph's Laplacian L: a float for one port
-    set, an array of m bounds for an (m, k) array of port sets. A bound
-    that does not come out finite and positive is a NumericError.
+    port sets S, with L^+ and G built here, once per selection: a map of an
+    (m, k) int array of port sets, which it trusts to be valid and to leave
+    at least one node, to their m bounds. L must be the Laplacian of a
+    connected unweighted graph, as ``laplacian(g)`` builds it, and rho > 0.
+    A bound that does not come out finite and positive is NaN, which bounds
+    nothing; a factor or solve that fails raises LinAlgError.
 
         LB(S) = c^2 / (|a||b| - a'b),  c = 1'v,  a = K^(-1/2) L v,  b = K^(-1/2) v,
 
@@ -287,66 +292,31 @@ def are_lower_bound(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float | n
     not change when v is scaled. As rho -> 0, with v = L_RR^(-1) 1 on R,
     LB(S) -> sqrt(rho n c(S)), the leading term of 1'D1.
 
-    Computed by ``are_bounder``: v = ``resolvent_ones(L^+, S, 0)``, one
-    k x k solve per set against L^+ = (L + 11'/n)^(-1) - 11'/n, built once
-    per graph; v_S is set to 0 and v scaled to max |v| = 1. Since (iii)
-    holds for every v with v_S = 0, an inexact solve only loosens the
-    bound. The rest goes through the well-conditioned G = (L + 11'/n +
-    rho I)^(-1), also built once: K^(-1) = G + 11'/(n rho (1 + rho)), so the
-    1/rho direction is exact, a'b = v'LGv and |a|^2 = v'LGLv; the
-    denominator is written as (|a|^2 |b|^2 - (a'b)^2) / (|a||b| + a'b),
-    free of cancellation (a'b >= 0 since L and G commute).
+    Computed: v = ``_grounded_ones(L^+, S)``, one k x k solve per set against
+    L^+ = (L + 11'/n)^(-1) - 11'/n. Since (iii) holds for every v with v_S =
+    0, an inexact solve only loosens the bound. The rest goes through the
+    well-conditioned G = (L + 11'/n + rho I)^(-1): K^(-1) = G + 11'/(n rho
+    (1 + rho)), so the 1/rho direction is exact, a'b = v'LGv and |a|^2 =
+    v'LGLv; the denominator is written as (|a|^2 |b|^2 - (a'b)^2) / (|a||b|
+    + a'b), free of cancellation (a'b >= 0 since L and G commute).
     """
-    L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    check_positive("rho", rho)
-    S, single = _port_sets(n, ports)
-    if S.shape[1] >= n:
-        raise ParameterError("port set must leave at least one node")
-    bounds = are_bounder(L, S.shape[1], rho)(S)
-    if not np.isfinite(bounds).all():
-        raise NumericError("ARE lower bound is not finite and positive")
-    return float(bounds[0]) if single else bounds
-
-
-def are_bounder(L: np.ndarray, k: int, rho: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``are_lower_bound`` for port sets of size k of a connected graph's
-    Laplacian L, with L^+ and G built once here: a map of an (m, k) int
-    array of port sets, which it trusts to be valid, to their m bounds. A
-    bound that is not finite and positive, or a factor or solve that fails,
-    gives NaN, which bounds nothing; it never raises."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    try:
-        Lp = laplacian_pinv(L)
-        G = np.linalg.inv(L + 1.0 / n + rho * np.eye(n))
-    except np.linalg.LinAlgError:
-        return _no_bound
+    Lp = laplacian_pinv(L)
+    G = np.linalg.inv(L + 1.0 / n + rho * np.eye(n))
     scale = n * rho * (1.0 + rho)
 
     def of(S):
-        with np.errstate(all="ignore"):  # a non-finite bound is NaN below
-            try:
-                v = resolvent_ones(Lp, S, 0.0)
-            except np.linalg.LinAlgError:
-                return _no_bound(S)
-            v[np.arange(len(S))[:, None], S - 1] = 0.0
-            v /= np.abs(v).max(axis=1, keepdims=True)
-            c = v.sum(axis=1)
-            w = v @ L
-            Gv, Gw = v @ G, w @ G
-            ab = (w * Gv).sum(axis=1)
-            aa = (w * Gw).sum(axis=1)
-            bb = (v * Gv).sum(axis=1) + c * c / scale
-            bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
-            return np.where((bounds > 0) & (bounds < np.inf), bounds, np.nan)
+        v = _grounded_ones(Lp, S)
+        c = v.sum(axis=1)
+        w = v @ L
+        Gv, Gw = v @ G, w @ G
+        ab = (w * Gv).sum(axis=1)
+        aa = (w * Gw).sum(axis=1)
+        bb = (v * Gv).sum(axis=1) + c * c / scale
+        bounds = c * c * (np.sqrt(aa * bb) + ab) / (aa * bb - ab * ab)
+        return np.where((bounds > 0) & (bounds < np.inf), bounds, np.nan)
 
     return of
-
-
-def _no_bound(S: np.ndarray) -> np.ndarray:
-    """NaN for each port set: no bound."""
-    return np.full(len(S), np.nan)
 
 
 def laplacian_pinv(L: np.ndarray) -> np.ndarray:
@@ -378,6 +348,16 @@ def resolvent_ones(F: np.ndarray, S: np.ndarray, shift: float) -> np.ndarray:
     A = F[..., rows[:, :, None], rows[:, None, :]] + shift * np.eye(S.shape[1])
     u = np.linalg.solve(A, np.ones(A.shape[:-1] + (1,)))
     return 1.0 - (np.swapaxes(u, -1, -2) @ F[..., rows, :])[..., 0, :]
+
+
+def _grounded_ones(Lp: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """For each port set S of an (m, k) int array, which it trusts to be
+    valid, the vector L_RR^(-1) 1 on the non-ports R and 0 on S, scaled to
+    max |v| = 1: ``resolvent_ones(L^+, S, 0)`` with v_S set to 0 exactly."""
+    v = resolvent_ones(Lp, S, 0.0)
+    v[np.arange(len(S))[:, None], S - 1] = 0.0
+    v /= np.abs(v).max(axis=1, keepdims=True)
+    return v
 
 
 def _no_select(alphar, alphai, beta):
@@ -500,7 +480,7 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
         1'Q1 = n/2 - D(S),  D(S) = int x'Lx dt = 1'X1,  M X + X M = L,
 
     the energy dissipated inside the network; and 1_S'Q1 = k/2, as M1 = 1_S.
-    So the maximal Gramian is the minimal D(S) (``gramian_upper_bound``).
+    So the maximal Gramian is the minimal D(S) (``gramian_bounder``).
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -515,13 +495,18 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
     return float(values[0]) if single else values
 
 
-def gramian_upper_bound(L: np.ndarray, ports) -> float | np.ndarray:
-    """A proven upper bound on ``gramian_extraction_energy(L, S)`` for each
-    port set S of a connected unweighted graph's Laplacian L, from
-    GRAMIAN_SHIFTS = r resolvent solves and no Lyapunov solve: a float for
-    one port set, an array of m bounds for an (m, k) array of port sets.
-    Any other L (a weighted or scaled one among them), or one whose lambda_2
-    is not resolvably positive, is a ParameterError.
+def gramian_bounder(L: np.ndarray, k: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """A proven upper bound on ``gramian_extraction_energy(L, S)`` for port
+    sets S of size k, from GRAMIAN_SHIFTS = r resolvent solves and no
+    Lyapunov solve, with the ``eigh`` of L, the shifts and the resolvents
+    computed here, once per selection; returns ``(of, score_error)``. ``of``
+    maps an (m, k) int array of port sets, which it trusts to be valid and to
+    leave at least one node, to their m bounds. ``score_error`` bounds the
+    error of every score that ``gramian_extraction_energy`` returns for such
+    a set. L must be the Laplacian of a connected unweighted graph with
+    n >= 2, as ``laplacian(g)`` builds it: the edge sums below count each
+    edge once with weight 1, and the proofs need L1 = 0 and lambda_2 > 0. A
+    factor or solve that fails raises LinAlgError.
 
     With M = L + E_S, 1'Q1 = n/2 - D(S) (see ``gramian_extraction_energy``),
     and for shifts a_1..a_r > 0
@@ -551,63 +536,23 @@ def gramian_upper_bound(L: np.ndarray, ports) -> float | np.ndarray:
     (a_i + a_j). The numerator is lowered and the denominator raised by
     these amounts, so an inexact z_i or an ill-conditioned H only loosens
     the bound; what is left is the rounding of the last few operations, a
-    few ulps of n/2. A singular H gives NaN, which bounds nothing.
+    few ulps of n/2. A singular H raises LinAlgError, and a bound that
+    does not come out finite bounds nothing.
+
+    ``score_error``. ``lyapunov_solve`` accepts X only if its residual R =
+    A'X + XA + E_S has ||R||_F <= LYAPUNOV_RESIDUAL_FACTOR (1 + sqrt(k)).
+    Then M(X - Q) + (X - Q)M = -R, and X -> MX + XM has no eigenvalue below
+    2 mu for mu = lambda_min(M), so |1'X1 - 1'Q1| <= n ||R||_F / (2 mu). M
+    only grows with S, so mu >= lambda_min(L + e_j e_j') for any port j.
+    That is the root in (0, lambda_2] of the secular function f(mu) = 1 -
+    1/(n mu) + sum_(l>1) (v_l)_j^2 / (lambda_l - mu), which rises there and
+    is at most 1 - 1/(n mu) + (1 - 1/n) / (lambda_2 - mu) (the (v_l)_j^2 sum
+    to 1 - 1/n). So mu is at least the root of that majorant, the smaller
+    root mu_0 of n mu^2 - n (lambda_2 + 1) mu + lambda_2 = 0, for every j
+    and every S. lambda_2 is taken less EIGEN_RESIDUAL_FACTOR (1 + ||L||_F),
+    far more than ``eigh``'s error, and where no positive lambda_2 is left
+    the error is infinite.
     """
-    L = np.asarray(L, dtype=float)
-    if not _is_unweighted_laplacian(L):
-        raise ParameterError("L must be the Laplacian of an unweighted graph: symmetric, "
-                             "off-diagonal entries 0 or -1, the degrees on the diagonal")
-    n = L.shape[0]
-    S, single = _port_sets(n, ports)
-    if S.shape[1] >= n:
-        raise ParameterError("port set must leave at least one node")
-    bounder = gramian_bounder(L, S.shape[1])
-    if not math.isfinite(bounder.score_error):
-        raise ParameterError("L has no resolvably positive lambda_2: the graph must be connected")
-    bounds = bounder.of(S)
-    return float(bounds[0]) if single else bounds
-
-
-def _is_unweighted_laplacian(L: np.ndarray) -> bool:
-    """Whether L is D - A for a graph without weights, which the sums of
-    unit edge terms in ``gramian_bounder`` and its proof's L1 = 0 need."""
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        return False
-    off = L - np.diag(L.diagonal())
-    return (np.array_equal(L, L.T) and np.isin(off, (0.0, -1.0)).all()
-            and np.array_equal(L.diagonal(), -off.sum(axis=1)))
-
-
-class GramianBounder(NamedTuple):
-    """``gramian_upper_bound`` made ready for one Laplacian and port count k.
-
-    ``of`` maps an (m, k) int array of port sets, which it trusts to be
-    valid, to their m bounds. ``score_error`` bounds the error of every
-    score that ``gramian_extraction_energy`` returns for such a set.
-
-    Proof. ``lyapunov_solve`` accepts X only if its residual R = A'X + XA +
-    E_S has ||R||_F <= LYAPUNOV_RESIDUAL_FACTOR (1 + sqrt(k)). Then
-    M(X - Q) + (X - Q)M = -R, and X -> MX + XM has no eigenvalue below
-    2 mu for mu = lambda_min(M), so |1'X1 - 1'Q1| <= n ||R||_F / (2 mu). M only grows with S, so mu >= lambda_min(L + e_j e_j')
-    for any port j. That is the root in (0, lambda_2] of the secular
-    function f(mu) = 1 - 1/(n mu) + sum_(l>1) (v_l)_j^2 / (lambda_l - mu),
-    which rises there and is at most 1 - 1/(n mu) + (1 - 1/n) / (lambda_2 -
-    mu) (the (v_l)_j^2 sum to 1 - 1/n). So mu is at least the root of that
-    majorant, the smaller root mu_0 of n mu^2 - n (lambda_2 + 1) mu +
-    lambda_2 = 0, for every j and every S. lambda_2 is taken less
-    EIGEN_RESIDUAL_FACTOR (1 + ||L||_F), far more than ``eigh``'s error,
-    and where no positive lambda_2 is left the error is infinite.
-    """
-
-    of: Callable[[np.ndarray], np.ndarray]
-    score_error: float
-
-
-def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
-    """``gramian_upper_bound`` for port sets of size k of a connected
-    unweighted graph's Laplacian L with n >= 2, which it trusts L to be, its
-    ``eigh``, shifts and resolvents computed once here."""
-    L = np.asarray(L, dtype=float)
     n = L.shape[0]
     lam, V = np.linalg.eigh(L)
     lo = k / (4 * n)
@@ -624,31 +569,26 @@ def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
     root_a = np.sqrt(a)
 
     def of(S):
-        m = len(S)
-        rows, sets = S - 1, np.arange(m)[:, None]
-        with np.errstate(all="ignore"):  # a non-finite bound scores every set
-            try:
-                z = resolvent_ones(K, S, 1.0) / a[:, None, None]
-                # |r_i|, r_i = 1 - (L + a_i I + E_S) z_i, for each shift and set
-                res = 1.0 - z @ shifted
-                res[:, sets, rows] -= z[:, sets, rows]
-                res = np.linalg.norm(res, axis=-1)
-                res = (res + res_round[:, None] * (1.0 + res)).T  # (m, r)
-                d = np.swapaxes(z[..., u] - z[..., v], 0, 1)  # (m, r, edges)
-                gram = d @ np.swapaxes(d, -1, -2)
-                b = np.diagonal(gram, axis1=-2, axis2=-1)
-                H = gram * pair
-                c = np.linalg.solve(H, b[..., None])
-            except np.linalg.LinAlgError:
-                return _no_bound(S)
-            cHc = (c * (H @ c))[..., 0].sum(axis=1)
-            c = c[..., 0]
-            ac, root_b = np.abs(c), np.sqrt(b)
-            num = np.abs((c * b).sum(axis=1)) - (ac * (res * root_b / root_a
-                                                       + gamma * b)).sum(axis=1)
-            s = ac * root_b
-            den = cHc + gamma * ((s @ pair) * s).sum(axis=1)
-            return n / 2 - np.maximum(num, 0.0) ** 2 / den
+        rows, sets = S - 1, np.arange(len(S))[:, None]
+        z = resolvent_ones(K, S, 1.0) / a[:, None, None]
+        # |r_i|, r_i = 1 - (L + a_i I + E_S) z_i, for each shift and set
+        res = 1.0 - z @ shifted
+        res[:, sets, rows] -= z[:, sets, rows]
+        res = np.linalg.norm(res, axis=-1)
+        res = (res + res_round[:, None] * (1.0 + res)).T  # (m, r)
+        d = np.swapaxes(z[..., u] - z[..., v], 0, 1)  # (m, r, edges)
+        gram = d @ np.swapaxes(d, -1, -2)
+        b = np.diagonal(gram, axis1=-2, axis2=-1)
+        H = gram * pair
+        c = np.linalg.solve(H, b[..., None])
+        cHc = (c * (H @ c))[..., 0].sum(axis=1)
+        c = c[..., 0]
+        ac, root_b = np.abs(c), np.sqrt(b)
+        num = np.abs((c * b).sum(axis=1)) - (ac * (res * root_b / root_a
+                                                   + gamma * b)).sum(axis=1)
+        s = ac * root_b
+        den = cHc + gamma * ((s @ pair) * s).sum(axis=1)
+        return n / 2 - np.maximum(num, 0.0) ** 2 / den
 
     lam2 = lam[1] - EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(L))
     if lam2 > 0:
@@ -656,4 +596,4 @@ def gramian_bounder(L: np.ndarray, k: int) -> GramianBounder:
         error = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * mu)
     else:
         error = math.inf
-    return GramianBounder(of, error)
+    return of, error

@@ -15,16 +15,16 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               MetricParams, NumericError, ParameterError,
                               StabilityError,
                               agreement_rate, are_charging_energy,
-                              are_lower_bound, eigvec_heuristic_score,
+                              eigvec_heuristic_score,
                               figure1_graph, gramian_extraction_energy,
                               laplacian, lyapunov_solve, mplse_score,
                               msub_score, msup_score, path_graph,
                               perturbed_laplacian, random_connected_graph,
                               random_tree, relabel, select_best, stochastic,
                               sym_eigen)
-from spectral_kcenter import metrics
+from spectral_kcenter import metrics, spectral
 from spectral_kcenter.experiments import _row_instance, run_comparison
-from spectral_kcenter.spectral import DEFAULT_RHO
+from spectral_kcenter.spectral import DEFAULT_RHO, are_bounder
 from conftest import mixed_corpus
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
@@ -443,7 +443,7 @@ def test_are_bound_is_below_every_compare_value():
             assert not isinstance(res, NumericError), (g, k, res)
             subsets = np.array([s for s, _ in res.table])
             values = np.array([v for _, v in res.table])
-            assert np.all(are_lower_bound(L, subsets, DEFAULT_RHO) <= values - g.n / 2)
+            assert np.all(are_bounder(L, DEFAULT_RHO)(subsets) <= values - g.n / 2)
 
 
 @pytest.mark.parametrize("rho", [1e-10, DEFAULT_RHO, 1e-2])
@@ -506,8 +506,8 @@ def test_are_on_a_disconnected_graph_scores_every_set(monkeypatch):
 def test_are_value_below_its_bound_is_a_numeric_error(monkeypatch):
     bounder = metrics.are_bounder
 
-    def raised(L, k, rho):
-        of = bounder(L, k, rho)
+    def raised(L, rho):
+        of = bounder(L, rho)
         return lambda S: 1.01 * of(S)
 
     monkeypatch.setattr(metrics, "are_bounder", raised)
@@ -604,7 +604,7 @@ def test_bounds_from_k_by_k_solves_match_direct_solves():
             S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
             for metric, params in ORACLE_CASES:
                 if metric is Metric.ARE:
-                    got = are_lower_bound(L, S, params.rho)
+                    got = are_bounder(L, params.rho)(S)
                 else:
                     got = metrics._subset_bound(g, k, metric, params).of(S)
                 want = _direct_bound(g, S, metric, params)
@@ -686,27 +686,47 @@ def _nan_bounds(monkeypatch):
 
 
 # msup at eps = 1e-300, where L + (eps/tau) I is L in floating point and the
-# factor of its bound fails, and every metric with a bound made NaN
-FAILED_BOUNDS = ([pytest.param(Metric.MSUP_LE, 1e-300, False, id="msup-factor")]
-                 + [pytest.param(m, 1e-2, True, id=f"{m.value}-nan")
-                    for m in SKIP_METRICS + (Metric.ARE,)])
+# factor of its bound fails; every metric with a bound, with the bound made
+# NaN and with its per-set solve failing; and ARE with its factors failing
+FAILED_BOUNDS = ([pytest.param(Metric.MSUP_LE, 1e-300, None, id="msup-factor")]
+                 + [pytest.param(m, 1e-2, fault, id=f"{m.value}-{fault}")
+                    for fault in ("nan", "solve") for m in SKIP_METRICS + (Metric.ARE,)]
+                 + [pytest.param(Metric.ARE, 1e-2, "inv", id="are-factor")])
 
 
-@pytest.mark.parametrize("metric, eps, nan", FAILED_BOUNDS)
-def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, metric, eps, nan):
-    # bounds that are not finite prove nothing: the selection scores every
-    # set, silently, as the full table does
+@pytest.mark.parametrize("metric, eps, fault", FAILED_BOUNDS)
+def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd, metric,
+                                                             eps, fault):
+    # bounds that are not finite, or whose factor or solve fails
+    # (LinAlgError), prove nothing: the selection scores every set,
+    # silently, as the full table does
     g, params = path_graph(9), MetricParams(epsilon=eps)
     S = np.array(list(itertools.combinations(range(1, 10), 2)))
-    if nan:
+    full = select_best(g, 2, metric, params, keep_table=True)
+    failed = []
+
+    def fail(*args):
+        failed.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    if fault == "nan":
         _nan_bounds(monkeypatch)
+    elif fault == "solve":
+        # the spectral metrics' solve is looked up in metrics, ARE's and the
+        # Gramian's in spectral
+        monkeypatch.setattr(metrics, "resolvent_ones", fail)
+        monkeypatch.setattr(spectral, "resolvent_ones", fail)
+    elif fault == "inv":
+        monkeypatch.setattr(np.linalg, "inv", fail)
     assert np.isnan(metrics._subset_bound(g, 2, metric, params).of(S)).all()
+    assert bool(failed) == (fault in ("solve", "inv"))
     seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = select_best(g, 2, metric, params)
     assert seen[0] == len(S)
-    assert _same_selection(res, select_best(g, 2, metric, params, keep_table=True))
+    assert _same_selection(res, full)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_mplse_bound_at_a_tiny_eps_is_k_eps_over_n():

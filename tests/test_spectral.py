@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_kcenter import (Graph, IllPosedError, NumericError, ParameterError,
+from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
                               StabilityError, are_charging_energy,
-                              are_lower_bound, figure1_graph,
-                              gramian_extraction_energy, gramian_upper_bound,
+                              figure1_graph, gramian_extraction_energy,
                               laplacian, lyapunov_solve,
                               path_charpoly_lowcoeffs, path_graph,
                               random_connected_graph, random_tree, relabel,
                               stochastic, sym_eigen, tridiag_charpoly)
 from spectral_kcenter import Metric, MetricParams, metrics
 from spectral_kcenter.experiments import _row_instance
-from spectral_kcenter.spectral import LYAPUNOV_RESIDUAL_FACTOR, gramian_bounder
+from spectral_kcenter.spectral import (DEFAULT_RHO, LYAPUNOV_RESIDUAL_FACTOR, are_bounder,
+                                       gramian_bounder)
 from numpy.polynomial import polynomial as P
 
 
@@ -512,7 +512,7 @@ def _port_matrices(n, S):
 
 def test_gramian_is_half_n_less_the_energy_dissipated_inside():
     # M = L + E_S: 1_S'Q1 = k/2, and n/2 - 1'Q1 = D(S) = 1'X1 with
-    # M X + X M = L, the identities gramian_upper_bound rests on
+    # M X + X M = L, the identities gramian_bounder rests on
     for g in DIGEST_CORPUS:
         L, n = laplacian(g), g.n
         for k in (1, 2, 3):
@@ -528,45 +528,6 @@ def test_gramian_is_half_n_less_the_energy_dissipated_inside():
                                rtol=0, atol=1e-12 * n / 2), (g, k)
 
 
-def test_gramian_bound_takes_one_set_or_a_stack():
-    L = laplacian(path_graph(7))
-    S = np.array([[1, 4], [2, 5], [3, 6]])
-    one = gramian_upper_bound(L, (2, 5))
-    assert isinstance(one, float)
-    batch = gramian_upper_bound(L, S)
-    assert batch.shape == (3,) and batch[1] == one
-    assert np.all(gramian_extraction_energy(L, S) < batch) and np.all(batch < 3.5)
-    with pytest.raises(ParameterError, match="at least one node"):
-        gramian_upper_bound(L, tuple(range(1, 8)))
-    with pytest.raises(ParameterError):
-        gramian_upper_bound(L, (2, 2))
-
-
-@pytest.mark.parametrize("change", ["scaled", "weighted", "self-loop", "one-sided",
-                                    "not square", "disconnected"])
-def test_gramian_bound_takes_only_a_connected_unweighted_laplacian(change):
-    # its edge sums count each edge once with weight 1, and its proof needs
-    # L1 = 0 and lambda_2 > 0
-    L = laplacian(path_graph(5))
-    if change == "scaled":
-        L = 2 * L
-    elif change == "weighted":
-        L[0, 1] = L[1, 0] = -0.5
-        L[0, 0], L[1, 1] = 0.5, 1.5
-    elif change == "self-loop":
-        L[2, 2] += 1
-    elif change == "one-sided":
-        L[0, 2] = -1
-        L[0, 0] = 2
-    elif change == "not square":
-        L = L[:, :4]
-    else:
-        L = laplacian(Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)]))
-    with pytest.raises(ParameterError, match="connected" if change == "disconnected"
-                       else "unweighted"):
-        gramian_upper_bound(L, (1, 3))
-
-
 def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
     # score_error = n LYAPUNOV_RESIDUAL_FACTOR (1 + sqrt(k)) / (2 mu_0), where
     # mu_0 must not exceed lambda_min(L + e_j e_j') for any node j
@@ -574,7 +535,7 @@ def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
         L, n = laplacian(g), g.n
         mu = np.linalg.eigvalsh(L + _port_matrices(n, np.arange(1, n + 1)[:, None]))[:, 0]
         for k in (1, 3):
-            error = gramian_bounder(L, k).score_error
+            _, error = gramian_bounder(L, k)
             mu_0 = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * error)
             assert 0 < mu_0 <= mu.min(), g
             assert mu_0 > mu.min() / (2 * n), g  # not vacuous
@@ -620,11 +581,10 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
               random_connected_graph(5, 0.6, 3)):
         L = laplacian(g)
         for k in (1, 2):
-            error = gramian_bounder(L, k).score_error
+            of, error = gramian_bounder(L, k)
             margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams()).margin
             S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
-            for ports, score, bound in zip(S.tolist(), gramian_extraction_energy(L, S),
-                                           gramian_upper_bound(L, S)):
+            for ports, score, bound in zip(S.tolist(), gramian_extraction_energy(L, S), of(S)):
                 exact = _exact_gramian(L, ports)
                 wrong = abs(Fraction(score) - exact)
                 assert wrong <= error, (g, ports)
@@ -632,6 +592,10 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
                 assert Fraction(bound) >= exact, (g, ports)
                 worst = max(worst, wrong)
     assert worst > 0
+    # above the computed score and below n/2
+    L, S = laplacian(path_graph(7)), np.array([[1, 4], [2, 5], [3, 6]])
+    bound = gramian_bounder(L, 2)[0](S)
+    assert np.all(gramian_extraction_energy(L, S) < bound) and np.all(bound < 3.5)
 
 
 def _grounded_closeness(L, S):
@@ -648,26 +612,15 @@ def test_are_bound_tends_to_the_cheap_control_limit():
     for g, S in cases:
         L = laplacian(g)
         c = _grounded_closeness(L, S)
-        gaps = [abs(are_lower_bound(L, S, rho) / math.sqrt(rho * g.n * c) - 1)
+        gaps = [abs(are_bounder(L, rho)(np.array([S]))[0] / math.sqrt(rho * g.n * c) - 1)
                 for rho in (1e-4, 1e-6, 1e-8, 1e-10)]
         assert all(b < a for a, b in zip(gaps, gaps[1:])), (S, gaps)
         assert gaps[-1] < 1e-4
     # an end port of a path: c = (n - 1) n (2n - 1) / 6
     assert math.isclose(_grounded_closeness(laplacian(path_graph(12)), (1,)), 506)
-
-
-def test_are_bound_takes_one_set_or_a_stack():
+    # below the value less n/2
     L = laplacian(path_graph(7))
-    S = np.array([[1, 4], [2, 5], [3, 6]])
-    one = are_lower_bound(L, (2, 5))
-    assert isinstance(one, float)
-    batch = are_lower_bound(L, S)
-    assert batch.shape == (3,) and batch[1] == one
-    assert one < are_charging_energy(L, (2, 5)) - 3.5
-    with pytest.raises(ParameterError, match="at least one node"):
-        are_lower_bound(L, tuple(range(1, 8)))
-    with pytest.raises(ParameterError):
-        are_lower_bound(L, (2,), rho=0.0)
+    assert are_bounder(L, DEFAULT_RHO)(np.array([[2, 5]]))[0] < are_charging_energy(L, (2, 5)) - 3.5
 
 
 def test_non_ports_lists_the_other_nodes_ascending():
