@@ -592,10 +592,20 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
                 assert Fraction(bound) >= exact, (g, ports)
                 worst = max(worst, wrong)
     assert worst > 0
-    # above the computed score and below n/2
-    L, S = laplacian(path_graph(7)), np.array([[1, 4], [2, 5], [3, 6]])
-    bound = gramian_bounder(L, 2)[0](S)
-    assert np.all(gramian_extraction_energy(L, S) < bound) and np.all(bound < 3.5)
+
+
+def test_gramian_bound_takes_one_set_or_a_stack():
+    # a set's bound does not depend on the stack it comes in, and lies above
+    # the computed score and below n/2
+    L = laplacian(path_graph(7))
+    S = np.array([[1, 4], [2, 5], [3, 6]])
+    of, _ = gramian_bounder(L, 2)
+    one = of(S[1:2])
+    assert one.shape == (1,)
+    batch = of(S)
+    assert batch.shape == (3,) and batch[1] == one[0]
+    assert np.array_equal(of(S[::-1]), batch[::-1])
+    assert np.all(gramian_extraction_energy(L, S) < batch) and np.all(batch < 3.5)
 
 
 def _grounded_closeness(L, S):
@@ -618,9 +628,20 @@ def test_are_bound_tends_to_the_cheap_control_limit():
         assert gaps[-1] < 1e-4
     # an end port of a path: c = (n - 1) n (2n - 1) / 6
     assert math.isclose(_grounded_closeness(laplacian(path_graph(12)), (1,)), 506)
-    # below the value less n/2
+
+
+def test_are_bound_takes_one_set_or_a_stack():
+    # a set's bound does not depend on the stack it comes in, and lies below
+    # the value less n/2
     L = laplacian(path_graph(7))
-    assert are_bounder(L, DEFAULT_RHO)(np.array([[2, 5]]))[0] < are_charging_energy(L, (2, 5)) - 3.5
+    S = np.array([[1, 4], [2, 5], [3, 6]])
+    of = are_bounder(L, DEFAULT_RHO)
+    one = of(S[1:2])
+    assert one.shape == (1,)
+    batch = of(S)
+    assert batch.shape == (3,) and batch[1] == one[0]
+    assert np.array_equal(of(S[::-1]), batch[::-1])
+    assert one[0] < are_charging_energy(L, (2, 5)) - 3.5
 
 
 def test_non_ports_lists_the_other_nodes_ascending():
