@@ -35,7 +35,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateEigenvalueError, NumericError, ParameterError
-from .graphs import Graph, check_tau, laplacian, max_degree, stochastic
+from .graphs import Graph, check_tau, laplacian, max_degree
 from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, GRAMIAN_SHIFTS,
                        are_bounder, are_charging_energy, check_index, check_ports,
                        check_positive, gramian_bounder, gramian_extraction_energy,
@@ -118,7 +118,8 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
 
 
 def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) -> float:
-    return float(_subset_scorer(g, k, metric, params)(np.array([ports]))[0])
+    scores = _subset_scorer(g, k, metric, params, laplacian(g))
+    return float(scores(np.array([ports]))[0])
 
 
 def mplse_score(g: Graph, ports,
@@ -128,7 +129,7 @@ def mplse_score(g: Graph, ports,
     array of port sets, scored in stacks of ``stack_rows(n**2)``. Each score
     is bit for bit that of its port set alone."""
     S, single = _port_sets(g.n, ports)
-    values = _in_stacks(_subset_scorer(g, S.shape[1], Metric.MPLSE, params),
+    values = _in_stacks(_subset_scorer(g, S.shape[1], Metric.MPLSE, params, laplacian(g)),
                         S, stack_rows(g.n ** 2))
     return float(values[0]) if single else values
 
@@ -157,8 +158,10 @@ def eigvec_heuristic_score(g: Graph, ports, k: int) -> float:
     return _score_one(g, k, Metric.EIGVEC, MetricParams(), ports)
 
 
-def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
-    """Precompute shared matrices and return a batch scorer.
+def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
+                   L: np.ndarray):
+    """Precompute shared matrices from g's Laplacian L and return a batch
+    scorer.
 
     The scorer maps an (m, k) int array of 1-based port sets to the array of
     their m scores. It is the only place a metric is computed: ``select_best``
@@ -170,9 +173,9 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
     if metric in (Metric.MPLSE, Metric.MSUP_LE):
         # eps on the port diagonal of L or Z, then an end of the spectrum
         if metric is Metric.MPLSE:
-            base, end = laplacian(g), 0
+            base, end = L, 0
         else:
-            base, end = stochastic(g, params.tau_for(g)), -1
+            base, end = _stochastic(g, L, params), -1
         eps = params.epsilon
 
         def scores(S):
@@ -180,7 +183,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
             mats[np.arange(len(S))[:, None], S - 1, S - 1] += eps
             return sym_eigen(mats).values[:, end]
     elif metric is Metric.MSUB_LE:
-        Z = stochastic(g, params.tau_for(g))
+        Z = _stochastic(g, L, params)
 
         def scores(S):
             R = non_ports(g.n, S)
@@ -188,7 +191,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
     elif metric is Metric.EIGVEC:
         # |v_{k+1}| of the Laplacian, guarded against a repeated lambda_{k+1}
         check_index("k", k, 1, g.n - 1)
-        dec = sym_eigen(laplacian(g))
+        dec = sym_eigen(L)
         lam = dec.values
         gap = min(lam[k] - lam[k - 1], lam[k + 1] - lam[k] if k + 1 < g.n else math.inf)
         if gap <= EIGVEC_GAP_MIN:
@@ -203,19 +206,21 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams):
             return mags[S - 1].cumsum(axis=1)[:, -1]
     elif metric is Metric.ARE:
         # one pencil template per batch, one QZ solve per port set in order
-        L = laplacian(g)
-
         def scores(S):
             return are_charging_energy(L, S, params.rho)
     elif metric is Metric.GRAMIAN:
         # one stacked Lyapunov solve per batch
-        L = laplacian(g)
-
         def scores(S):
             return gramian_extraction_energy(L, S)
     else:  # pragma: no cover
         raise ParameterError(f"unhandled metric {metric}")
     return scores
+
+
+def _stochastic(g: Graph, L: np.ndarray, params: MetricParams) -> np.ndarray:
+    """Z = I - tau L from g's Laplacian L, bit for bit ``graphs.stochastic``
+    with tau resolved and checked for g by the same rule."""
+    return np.eye(g.n) - check_tau(g, params.tau_for(g)) * L
 
 
 def stack_rows(entries: int) -> int:
@@ -259,12 +264,13 @@ def select_best(g: Graph, k: int, metric: Metric,
     set, and the selection fails only where a set that it scores fails.
     """
     count = check_subset_count(g.n, k)
-    score = _subset_scorer(g, k, metric, params)
+    L = laplacian(g)  # the one Laplacian of the selection
+    score = _subset_scorer(g, k, metric, params, L)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
     chunk = stack_rows(g.n ** 2)
-    bound = None if keep_table else _subset_bound(g, k, metric, params)
+    bound = None if keep_table else _subset_bound(g, k, metric, params, L)
     if bound is None:
         scores = _in_stacks(score, subsets, chunk)
     else:
@@ -288,19 +294,26 @@ class _Bound(NamedTuple):
 
     ``of`` maps an (m, k) batch of port sets to their m bounds: no set
     scores better than its bound, so it is a lower bound on a minimized
-    score and an upper bound on a maximized one. ``margin`` maps a score, or
-    an array of them, to the tie band there plus twice the largest error of
-    a computed score or bound. ``rows`` is how many sets one call of ``of``
-    takes.
+    score and an upper bound on a maximized one. ``rows`` is how many sets
+    one call of ``of`` takes. ``margin`` maps a score, or an array of them,
+    to the tie band there plus ``slack``, twice the largest error of a
+    computed score or bound; for ARE, where ``half`` is n/2, to
+    ARE_SKIP_MARGIN times the score less n/2 instead.
     """
 
     of: Callable[[np.ndarray], np.ndarray]
-    margin: Callable[[np.ndarray], np.ndarray]
     rows: int
+    slack: float = math.nan
+    half: Optional[float] = None
+
+    def margin(self, x):
+        if self.half is not None:
+            return ARE_SKIP_MARGIN * (x - self.half)
+        return TIE_RTOL * np.maximum(1.0, np.abs(x)) + self.slack
 
 
-def _subset_bound(g: Graph, k: int, metric: Metric,
-                  params: MetricParams) -> Optional[_Bound]:
+def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
+                  L: np.ndarray) -> Optional[_Bound]:
     """The bound that ``select_best`` skips port sets by, or None for
     eigvec and on a disconnected graph, where a component without a port
     leaves no positive definite matrix to solve with. Each bound builds its
@@ -308,12 +321,12 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     set and O(nk) more work (ARE: O(n^2)), in stacks of ``stack_rows(nk)``
     sets (Gramian: of r nk, for its r resolvents).
 
-    This is the one guard of every bound (``_guarded``): building it and
-    each call of its ``of`` run with floating-point warnings off, a factor
-    that fails (LinAlgError) gives NaN bounds for every set, and a per-set
-    solve that fails NaN for its stack. A bound that is not finite proves
-    nothing, so every set is scored (``_bound_then_solve``). Building or
-    evaluating a bound never raises and never warns.
+    This is the one guard of every bound: building it here and each call
+    of its ``of`` (``_guarded``) run with floating-point warnings off, a
+    factor that fails (LinAlgError) gives NaN bounds for every set, and a
+    per-set solve that fails NaN for its stack. A bound that is not finite
+    proves nothing, so every set is scored (``_bound_then_solve``).
+    Building or evaluating a bound never raises and never warns.
 
     ARE: n/2 plus ``are_bounder`` (proof there), with the relative margin
     ARE_SKIP_MARGIN on the value less n/2.
@@ -364,22 +377,23 @@ def _subset_bound(g: Graph, k: int, metric: Metric,
     if metric is Metric.EIGVEC or not g.is_connected():
         return None
 
-    def unbounded(*args):  # a factor failed: NaN for every set
-        return _Bound(_no_bound, _margin(math.nan), stack_rows(g.n * k))
+    with np.errstate(all="ignore"):
+        try:
+            bound = _built_bound(g, k, metric, params, L)
+        except np.linalg.LinAlgError:  # a factor failed: NaN for every set
+            return _Bound(_no_bound, stack_rows(g.n * k))
+    return _Bound(_guarded(bound.of), *bound[1:])
 
-    of, margin, rows = _guarded(_built_bound, unbounded)(g, k, metric, params)
-    return _Bound(_guarded(of, _no_bound), margin, rows)
 
-
-def _guarded(f, fallback):
-    """f run with floating-point warnings off, and fallback run in its place
-    where a factor or solve fails (LinAlgError)."""
-    def guarded(*args):
+def _guarded(of):
+    """``of`` run with floating-point warnings off, and NaN bounds for a
+    stack whose solve fails (LinAlgError)."""
+    def guarded(S):
         with np.errstate(all="ignore"):
             try:
-                return f(*args)
+                return of(S)
             except np.linalg.LinAlgError:
-                return fallback(*args)
+                return _no_bound(S)
     return guarded
 
 
@@ -388,18 +402,19 @@ def _no_bound(S: np.ndarray) -> np.ndarray:
     return np.full(len(S), np.nan)
 
 
-def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams) -> _Bound:
-    """The bound of ``_subset_bound`` for a connected graph, unguarded."""
-    L = laplacian(g)
+def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
+                 L: np.ndarray) -> _Bound:
+    """The bound of ``_subset_bound`` for a connected graph g with
+    Laplacian L, unguarded."""
     n, eps = g.n, params.epsilon
     rows = stack_rows(n * k)
     if metric is Metric.ARE:
         half, of = n / 2, are_bounder(L, params.rho)
-        return _Bound(lambda S: half + of(S), lambda x: ARE_SKIP_MARGIN * (x - half), rows)
+        return _Bound(lambda S: half + of(S), rows, half=half)
     if metric is Metric.GRAMIAN:
         of, score_error = gramian_bounder(L, k)
-        return _Bound(of, _margin(2 * score_error), stack_rows(GRAMIAN_SHIFTS * n * k))
-    u, v = np.nonzero(np.triu(L, 1))  # the edges
+        return _Bound(of, stack_rows(GRAMIAN_SHIFTS * n * k), 2 * score_error)
+    u, v = _edge_ends(g)
     if metric is Metric.MPLSE:
         norm = np.linalg.norm(L) + eps * math.sqrt(k)
     else:
@@ -427,13 +442,15 @@ def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams) -> _Bou
         R = non_ports(n, S)
         return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
 
-    return _Bound(of, _margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)), rows)
+    return _Bound(of, rows, 2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
 
 
-def _margin(slack: float):
-    """The margin of a bound whose computed scores and bounds each err by at
-    most slack/2: the tie band at x plus slack."""
-    return lambda x: TIE_RTOL * np.maximum(1.0, np.abs(x)) + slack
+def _edge_ends(g: Graph) -> np.ndarray:
+    """The 0-based ends (u, v) of g's edges, in ascending order, as
+    ``np.nonzero(np.triu(laplacian(g), 1))`` lists them."""
+    edges = sorted(g.edges)
+    return np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
+                       count=2 * len(edges)).reshape(-1, 2).T - 1
 
 
 def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,
@@ -461,14 +478,19 @@ def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,
     seen, it is checked.
     """
     maximize = _MAXIMIZING[metric]
-    sign = -1.0 if maximize else 1.0  # sign * score is minimized
     bounds = _in_stacks(bound.of, subsets, bound.rows)
     if not np.isfinite(bounds).all():
         return subsets, _in_stacks(score, subsets, chunk)
 
+    def losing(a, b):
+        """How far a lies on the losing side of b, sign (a - b) for the
+        sign that makes the score minimized; negating is exact, so these
+        are the bits of sign * (a - b)."""
+        return b - a if maximize else a - b
+
     def within(value):
         with np.errstate(all="ignore"):  # an overflowing margin scores every set
-            return sign * (bounds - value) <= bound.margin(value)
+            return losing(bounds, value) <= bound.margin(value)
 
     scores = np.empty(len(subsets))
     solved = within(bounds.max() if maximize else bounds.min())
@@ -479,10 +501,16 @@ def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,
         solved |= rest
     subsets, scores, bounds = subsets[solved], scores[solved], bounds[solved]
     with np.errstate(all="ignore"):
-        wrong = sign * (bounds - scores) > bound.margin(bounds) / 2
+        beyond = losing(bounds, scores)
+        # a margin is never negative (an ARE bound exceeds n/2), so only a
+        # score on the winning side of its bound can be wrong; most
+        # selections have none and compute no margin here
+        wrong = beyond > 0
+        if wrong.any():
+            wrong = beyond > bound.margin(bounds) / 2
     if wrong.any():
         i = int(np.argmax(wrong))
-        side = "above its proven upper" if sign < 0 else "below its proven lower"
+        side = "above its proven upper" if maximize else "below its proven lower"
         raise NumericError(f"{metric.value} score of {tuple(subsets[i].tolist())} "
                            f"is {scores[i]:.6e}, {side} bound {bounds[i]:.6e}")
     return subsets, scores

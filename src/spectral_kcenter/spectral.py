@@ -57,27 +57,52 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
     1e-9 (1 + ||A_i||_F) columnwise (else NumericError, not silently
     inaccurate pairs). A bound or a residual that overflows to inf is a
     NumericError too: the check cannot be skipped unseen.
+
+    The checks make one pass over in-place temporaries: A - A' (its
+    largest entry is its largest |entry|, as it is antisymmetric), then the
+    residual A V - V diag(lam) and the squared sums (``_sq_norms``, which
+    makes no temporary and does not warn), with the square root taken of
+    each matrix's largest column sum. ||A_i||_F^2 is checked finite before the
+    solve, which also keeps A V from overflowing; after it, one comparison
+    passes the residuals, and a NaN or inf one fails it.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ParameterError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     # NaN fails the comparison, so a NaN entry is rejected here too
-    if not (np.abs(A - np.swapaxes(A, -2, -1)).max(initial=0.0) <= 1e-12):
+    T = A - np.swapaxes(A, -2, -1)
+    if not (T.max(initial=0.0) <= 1e-12):
         raise ParameterError("matrix is not symmetric")
+    norm2 = _sq_norms(A, "...")
+    if not norm2.max(initial=0.0) < math.inf:
+        raise NumericError("eigenpair residual check overflowed: entries too large")
     try:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(A, axis=(-2, -1)))
-        residual = np.linalg.norm(A @ vectors - vectors * values[..., None, :], axis=-2)
-    worst = residual.max(axis=-1, initial=0.0)
-    if not (np.isfinite(tol).all() and np.isfinite(worst).all()):
-        raise NumericError("eigenpair residual check overflowed: entries too large")
-    if np.any(worst > tol):
-        i = np.argmax(worst / tol)  # the matrix furthest over its bound
-        raise NumericError(f"eigenpair residual {worst.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
+    R = A @ vectors
+    R -= np.multiply(vectors, values[..., None, :], out=T)
+    worst = np.sqrt(_sq_norms(R, "...j").max(axis=-1, initial=0.0))
+    tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.sqrt(norm2))
+    if not (worst <= tol).all():
+        raise _residual_error("eigenpair", worst, tol)
     return EigenDecomposition(values, vectors)
+
+
+def _sq_norms(X: np.ndarray, out: str) -> np.ndarray:
+    """Sums of squares of each matrix of X, with ``out`` "..." (per matrix)
+    or "...j" (per column), from one ``einsum``: no temporary, and no
+    warning where a square overflows to inf."""
+    return np.einsum(f"...ij,...ij->{out}", X, X)
+
+
+def _residual_error(what: str, residual: np.ndarray, tol: np.ndarray) -> NumericError:
+    """The error of a residual check that failed, naming the matrix
+    furthest over its bound, or the overflow."""
+    if not (np.isfinite(tol).all() and np.isfinite(residual).all()):
+        return NumericError(f"{what} residual check overflowed: entries too large")
+    i = np.argmax(residual / tol)
+    return NumericError(f"{what} residual {residual.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
 
 
 def tridiag_charpoly(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> np.ndarray:
@@ -126,14 +151,24 @@ def lyapunov_solve(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     stacks, by one stacked ``sym_eigen`` call; each solution is bitwise equal
     to solving its pair alone.
 
-    Each A_i must be negative definite (else StabilityError) and each X_i
-    must satisfy ||A_i^T X_i + X_i A_i + W_i||_F <= 1e-9 (1 + ||W_i||_F)
-    (else NumericError); a failing stack reports the matrix furthest out.
+    Each W_i must be finite (else ParameterError), each A_i negative
+    definite (else StabilityError), and each X_i must satisfy
+    ||A_i^T X_i + X_i A_i + W_i||_F <= 1e-9 (1 + ||W_i||_F) (else
+    NumericError); a failing stack reports the matrix furthest out. A
+    bound or a residual that overflows to inf is a NumericError too, and
+    no floating-point warning escapes. The checks run like ``sym_eigen``'s:
+    ||W_i||_F^2 checked finite before the solve, one pass over the
+    residual, one comparison.
     """
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
     if W.shape != A.shape:
         raise ParameterError(f"shapes differ: A {A.shape}, W {W.shape}")
+    norm2 = _sq_norms(W, "...")
+    if not norm2.max(initial=0.0) < math.inf:
+        if not np.isfinite(W).all():
+            raise ParameterError("W must be finite")
+        raise NumericError("Lyapunov residual check overflowed: entries too large")
     dec = sym_eigen(A)
     top = dec.values[..., -1]
     if np.any(top >= -1e-12):
@@ -141,16 +176,20 @@ def lyapunov_solve(A: np.ndarray, W: np.ndarray) -> np.ndarray:
             f"matrix is not negative definite (lambda_max = {top.max():.3e})")
     V = dec.vectors
     Vt = np.swapaxes(V, -2, -1)
-    Wt = Vt @ W @ V
-    denom = dec.values[..., :, None] + dec.values[..., None, :]
-    X = V @ (Wt / (-denom)) @ Vt
-    X = 0.5 * (X + np.swapaxes(X, -2, -1))
-    resid = np.linalg.norm(np.swapaxes(A, -2, -1) @ X + X @ A + W, axis=(-2, -1))
-    tol = LYAPUNOV_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(W, axis=(-2, -1)))
-    if np.any(resid > tol):
-        i = np.argmax(resid / tol)  # the pair furthest over its bound
-        raise NumericError(
-            f"Lyapunov residual {resid.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
+    # finite A and W can still overflow here when A is far from well
+    # conditioned; an inf or NaN residual then fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Wt = Vt @ W @ V
+        denom = dec.values[..., :, None] + dec.values[..., None, :]
+        X = V @ (Wt / (-denom)) @ Vt
+        X = 0.5 * (X + np.swapaxes(X, -2, -1))
+        R = np.swapaxes(A, -2, -1) @ X
+        R += X @ A
+        R += W
+    resid = np.sqrt(_sq_norms(R, "..."))
+    tol = LYAPUNOV_RESIDUAL_FACTOR * (1.0 + np.sqrt(norm2))
+    if not (resid <= tol).all():
+        raise _residual_error("Lyapunov", resid, tol)
     return X
 
 
@@ -239,18 +278,7 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
     check_positive("rho", rho)
     S, single = _port_sets(n, ports)
     m, k = S.shape
-    N = 2 * n + k
-    # Time-reversed LQ data: zdot = L z - B w, cost z'Qz + 2 z'N w + w'R w,
-    # here with B = N = 0; each port set writes its entries of -B, -N, N'
-    # and -B' into its own copy of the pencil.
-    B = np.zeros((n, k))
-    template = np.asfortranarray(np.block([
-        [L, np.zeros((n, n)), -B],
-        [-rho * np.eye(n), -L.T, -0.5 * B],
-        [0.5 * B.T, -B.T, rho * np.eye(k)],
-    ]))
-    E = np.zeros((N, N), order="F")
-    E[: 2 * n, : 2 * n] = np.eye(2 * n)
+    template, E = _pencil_template(L, k, rho)
     stable_schur = _stable_schur_solver(template, E)
     cols = 2 * n + np.arange(k)
     values = np.empty(m)
@@ -262,6 +290,38 @@ def are_charging_energy(L: np.ndarray, ports, rho: float = DEFAULT_RHO) -> float
         M[cols, n + rows] = -1.0
         values[i] = _pencil_energy(*stable_schur(M), n)
     return float(values[0]) if single else values
+
+
+def _pencil_template(L: np.ndarray, k: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """The port-independent (M, E) of the ARE pencil, Fortran-ordered, for
+    an n x n float L and k ports:
+
+        M = [[L, 0, -B], [-rho I, -L', -0.5 B], [0.5 B', -B', rho I_k]],
+        E = diag(I_2n, 0_k),
+
+    with B = 0: the time-reversed LQ data zdot = L z - B w, cost z'Qz +
+    2 z'N w + w'R w, here with B = N = 0; each port set writes its entries
+    of -B, -N, N' and -B' into its own copy of M. Written by slice
+    assignment, bit for bit the ``np.block`` of those blocks, signed zeros
+    included: -0.0 in the -B, -0.5 B and -B' blocks and off the diagonals
+    of -rho I and -L', +0.0 everywhere else.
+    """
+    n = L.shape[0]
+    N = 2 * n + k
+    M = np.zeros((N, N), order="F")
+    E = np.zeros((N, N), order="F")
+    M[:n, :n] = L
+    np.negative(L.T, out=M[n: 2 * n, n: 2 * n])
+    M[:2 * n, 2 * n:] = -0.0  # -B and -0.5 B
+    M[2 * n:, n: 2 * n] = -0.0  # -B'
+    M[n: 2 * n, :n] = -0.0  # -rho I
+    # entry (i, j) of a Fortran-ordered N x N array is entry i + jN of its
+    # column-major view, so a diagonal steps by N + 1
+    flat = M.ravel(order="F")
+    flat[n: n * (N + 1): N + 1] = -rho  # (n + i, i)
+    flat[2 * n * (N + 1):: N + 1] = rho  # (2n + i, 2n + i)
+    E.ravel(order="F")[: 2 * n * (N + 1): N + 1] = 1.0
+    return M, E
 
 
 def are_bounder(L: np.ndarray, rho: float) -> Callable[[np.ndarray], np.ndarray]:

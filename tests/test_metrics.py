@@ -552,7 +552,7 @@ def test_spectral_bound_is_on_the_losing_side_of_every_table_score(metric, param
     for g in ARE_CORPUS:
         for k in (1, 2, 3):
             table = _full_table(g, k, metric, params).table
-            bound = metrics._subset_bound(g, k, metric, params)
+            bound = metrics._subset_bound(g, k, metric, params, laplacian(g))
             values = np.array([v for _, v in table])
             bounds = bound.of(np.array([S for S, _ in table]))
             assert np.all(sign * (bounds - values) <= 1e-4 * bound.margin(values)), (g, k)
@@ -606,7 +606,7 @@ def test_bounds_from_k_by_k_solves_match_direct_solves():
                 if metric is Metric.ARE:
                     got = are_bounder(L, params.rho)(S)
                 else:
-                    got = metrics._subset_bound(g, k, metric, params).of(S)
+                    got = metrics._subset_bound(g, k, metric, params, L).of(S)
                 want = _direct_bound(g, S, metric, params)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (g, k, metric, params)
 
@@ -648,7 +648,7 @@ def test_spectral_skip_on_a_disconnected_graph_scores_every_set(monkeypatch, met
     # is no bound
     seen = _recording_solves(monkeypatch, metric)
     g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
-    assert metrics._subset_bound(g, 2, metric, MetricParams()) is None
+    assert metrics._subset_bound(g, 2, metric, MetricParams(), laplacian(g)) is None
     # the Gramian of a port set that leaves a component unported is infinite
     with (pytest.raises(StabilityError) if metric is Metric.GRAMIAN
           else contextlib.nullcontext()):
@@ -718,7 +718,7 @@ def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd
         monkeypatch.setattr(spectral, "resolvent_ones", fail)
     elif fault == "inv":
         monkeypatch.setattr(np.linalg, "inv", fail)
-    assert np.isnan(metrics._subset_bound(g, 2, metric, params).of(S)).all()
+    assert np.isnan(metrics._subset_bound(g, 2, metric, params, laplacian(g)).of(S)).all()
     assert bool(failed) == (fault in ("solve", "inv"))
     seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
@@ -736,29 +736,36 @@ def test_mplse_bound_at_a_tiny_eps_is_k_eps_over_n():
     S = np.array(list(itertools.combinations(range(1, 10), 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = metrics._subset_bound(g, 2, Metric.MPLSE, params).of(S)
+        bounds = metrics._subset_bound(g, 2, Metric.MPLSE, params, laplacian(g)).of(S)
         res = select_best(g, 2, Metric.MPLSE, params)
     assert np.allclose(bounds, 2e-300 / 9, rtol=1e-12, atol=0.0)
     assert len(res.ties) == len(S)
     assert _same_selection(res, select_best(g, 2, Metric.MPLSE, params, keep_table=True))
 
 
-def _counting_linalg(monkeypatch):
-    """Count the calls of np.linalg.eigh, inv and solve."""
-    counts = collections.Counter()
-    for name in ("eigh", "inv", "solve"):
-        def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _solve(*args, **kwargs)
+def _counting(monkeypatch, module, names):
+    """Count the calls of the callables of the given names in module, by
+    name, through every module of the package that binds the same object."""
+    from spectral_kcenter import experiments, graphs
 
-        monkeypatch.setattr(np.linalg, name, counting)
+    counts = collections.Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for holder in {module, graphs, metrics, spectral, experiments}:
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counting)
     return counts
 
 
 def test_nothing_outlives_a_selection(monkeypatch):
     # a second run makes exactly the eigh, inv and solve calls of the first,
     # as the benchmark's traced passes must: no factor is kept between calls
-    counts = _counting_linalg(monkeypatch)
+    counts = _counting(monkeypatch, np.linalg, ("eigh", "inv", "solve"))
     runs = [functools.partial(select_best, path_graph(9), 2, m) for m in Metric]
     runs.append(functools.partial(run_comparison, ["tree:7"], 2, 0))
     for run in runs:
@@ -768,6 +775,27 @@ def test_nothing_outlives_a_selection(monkeypatch):
             run()
             made.append(dict(counts))
         assert made[0] == made[1] and made[0], (run, made)
+
+
+@pytest.mark.parametrize("keep_table", [False, True])
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
+def test_one_laplacian_per_selection(monkeypatch, keep_table, connected):
+    # the scorer and the bound share the selection's one L, and Z comes from
+    # it, whether the bound is built, skipped (disconnected, eigvec, full
+    # table) or the selection fails
+    from spectral_kcenter import graphs
+
+    g = (random_tree(8, 3) if connected
+         else Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]))
+    counts = _counting(monkeypatch, graphs, ("laplacian", "stochastic"))
+    for metric in Metric:
+        for k in (1, 2):
+            counts.clear()
+            try:
+                select_best(g, k, metric, keep_table=keep_table)
+            except NumericError:  # eigvec, ARE and the Gramian on the disconnected graph
+                assert not connected
+            assert counts == {"laplacian": 1}, (metric, k)
 
 
 # 20 examples per metric, as many as when the Gramian was not drawn

@@ -91,6 +91,25 @@ def test_sym_eigen_stack_checks_each_residual(monkeypatch):
         sym_eigen(stack)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "in-a-stack"])
+def test_sym_eigen_checks_the_last_column_of_every_matrix(monkeypatch, stacked):
+    # the last eigenvector column of one matrix, alone or the last of a stack
+    stack = _perturbed_stack()
+    A = stack if stacked else stack[-1]
+    column = np.s_[-1, :, -1] if stacked else np.s_[:, -1]
+    eigh = np.linalg.eigh
+
+    def perturbed_eigh(M):
+        values, vectors = eigh(M)
+        vectors = vectors.copy()
+        vectors[column] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    with pytest.raises(NumericError, match="eigenpair residual"):
+        sym_eigen(A)
+
+
 def test_rayleigh_bounds():
     rng = np.random.default_rng(5)
     for g in (path_graph(6), figure1_graph()):
@@ -239,6 +258,85 @@ def test_lyapunov_stack_checks_each_residual(monkeypatch, layer):
     with pytest.raises(NumericError,
                        match="eigenpair" if layer == "eigh" else "Lyapunov residual"):
         lyapunov_solve(A, W)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "in-a-stack"])
+@pytest.mark.parametrize("layer", ["eigh", "sym_eigen"])
+def test_lyapunov_checks_the_last_column_of_every_matrix(monkeypatch, layer, stacked):
+    # as above, with the last eigenvector column of one matrix perturbed,
+    # alone or the last of a stack
+    from spectral_kcenter import spectral
+    A, W = _lyapunov_stack()
+    if not stacked:
+        A, W = A[-1], W[-1]
+    column = np.s_[-1, :, -1] if stacked else np.s_[:, -1]
+    solve = np.linalg.eigh if layer == "eigh" else spectral.sym_eigen
+
+    def perturbed(M):
+        values, vectors = solve(M)
+        vectors = vectors.copy()
+        vectors[column] += 1e-6
+        return spectral.EigenDecomposition(values, vectors)
+
+    monkeypatch.setattr(np.linalg if layer == "eigh" else spectral, layer, perturbed)
+    with pytest.raises(NumericError,
+                       match="eigenpair" if layer == "eigh" else "Lyapunov residual"):
+        lyapunov_solve(A, W)
+
+
+def test_lyapunov_fails_closed_on_a_bad_or_huge_right_side():
+    # a NaN or inf in W is rejected, and a W whose norm or residual
+    # overflows fails its check, before any solve and without a warning
+    import warnings
+
+    A, W = _lyapunov_stack()
+    bad = W.copy()
+    bad[5, 0, 0] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (math.nan, math.inf, -math.inf):
+            one = W[0].copy()
+            one[1, 2] = one[2, 1] = value
+            with pytest.raises(ParameterError, match="W must be finite"):
+                lyapunov_solve(A[0], one)
+        with pytest.raises(ParameterError, match="W must be finite"):
+            lyapunov_solve(A, bad)
+        with pytest.raises(NumericError, match="residual check overflowed"):
+            lyapunov_solve(-np.eye(2), np.diag([1e200, 1.0]))
+        with pytest.raises(NumericError, match="residual check overflowed"):
+            lyapunov_solve(A, W * np.where(np.arange(12) == 7, 1e200, 1.0)[:, None, None])
+
+
+def _block_template(L, k, rho):
+    """The ARE pencil's template and E as np.block builds them."""
+    n = L.shape[0]
+    B = np.zeros((n, k))
+    M = np.asfortranarray(np.block([
+        [L, np.zeros((n, n)), -B],
+        [-rho * np.eye(n), -L.T, -0.5 * B],
+        [0.5 * B.T, -B.T, rho * np.eye(k)],
+    ]))
+    E = np.zeros((2 * n + k, 2 * n + k), order="F")
+    E[: 2 * n, : 2 * n] = np.eye(2 * n)
+    return M, E
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 1), (5, 4), (9, 3), (11, 10), (20, 19)])
+def test_pencil_template_is_the_block_template_bit_for_bit(n, k):
+    # slice assignment keeps every bit of np.block, its signed zeros too:
+    # -0.0 in -B, -0.5 B, -B' and off the diagonals of -rho I and -L'
+    from spectral_kcenter.spectral import _pencil_template
+
+    L = laplacian(random_connected_graph(n, 0.5, n + k))
+    for rho in (DEFAULT_RHO, 1.0, 3e5):
+        got, want = _pencil_template(L, k, rho), _block_template(L, k, rho)
+        for a, b in zip(got, want):
+            assert a.flags.f_contiguous
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (n, k, rho)
+    M = got[0]
+    assert np.signbit(M[n + 1, 0]) and np.signbit(M[0, 2 * n])  # -rho I, -B
+    assert not np.signbit(M[2 * n, 0])  # 0.5 B'
+    assert k == 1 or not np.signbit(M[-1, 2 * n])  # rho I_k
 
 
 def test_charging_energy_single_capacitor():
@@ -582,7 +680,7 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
         L = laplacian(g)
         for k in (1, 2):
             of, error = gramian_bounder(L, k)
-            margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams()).margin
+            margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams(), L).margin
             S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
             for ports, score, bound in zip(S.tolist(), gramian_extraction_energy(L, S), of(S)):
                 exact = _exact_gramian(L, ports)
