@@ -41,7 +41,3 @@ class IllPosedError(NumericError):
 
 class DegenerateEigenvalueError(NumericError):
     """A repeated eigenvalue makes an eigenvector-based quantity undefined."""
-
-
-class RootFindError(NumericError):
-    """Safeguarded Newton failed to locate a root to tolerance."""

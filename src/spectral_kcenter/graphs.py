@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -102,12 +103,15 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees())
 
 
-def check_tau(g: Graph, tau: float) -> float:
+def check_tau(g: Graph, tau: Optional[float]) -> float:
     """The step tau, which must lie in (0, 1/max_degree] for a graph with an
-    edge: the range where Z = I - tau*L is stochastic."""
+    edge: the range where Z = I - tau*L is stochastic. None stands for
+    1/(max_degree + 1), strictly inside it."""
     d = max_degree(g)
     if d == 0:
         raise ParameterError("graph has no edges")
+    if tau is None:
+        return 1.0 / (d + 1)
     if not (0 < tau <= 1.0 / d):
         raise ParameterError(f"tau={tau} outside (0, 1/{d}]")
     return tau

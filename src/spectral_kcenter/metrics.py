@@ -35,7 +35,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateEigenvalueError, NumericError, ParameterError
-from .graphs import Graph, check_tau, laplacian, max_degree
+from .graphs import Graph, check_tau, laplacian
 from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, GRAMIAN_SHIFTS,
                        are_bounder, are_charging_energy, check_index, check_ports,
                        check_positive, gramian_bounder, gramian_extraction_energy,
@@ -79,7 +79,7 @@ class MetricParams:
     """Shared knobs: perturbation eps, stochastic step tau, ARE regularizer rho.
 
     tau = None means 1/(max_degree + 1), strictly inside the stochastic
-    range for every graph.
+    range for every graph with an edge.
     """
 
     epsilon: float = 0.01
@@ -92,8 +92,6 @@ class MetricParams:
 
     def tau_for(self, g: Graph) -> float:
         """Resolve tau for a graph, validating the stochastic range."""
-        if self.tau is None:
-            return 1.0 / (max_degree(g) + 1)
         return check_tau(g, self.tau)
 
 
@@ -118,7 +116,7 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
 
 
 def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) -> float:
-    scores = _subset_scorer(g, k, metric, params, laplacian(g))
+    scores = _subset_scorer(g, k, metric, params, laplacian(g), _step(g, metric, params))
     return float(scores(np.array([ports]))[0])
 
 
@@ -129,7 +127,7 @@ def mplse_score(g: Graph, ports,
     array of port sets, scored in stacks of ``stack_rows(n**2)``. Each score
     is bit for bit that of its port set alone."""
     S, single = _port_sets(g.n, ports)
-    values = _in_stacks(_subset_scorer(g, S.shape[1], Metric.MPLSE, params, laplacian(g)),
+    values = _in_stacks(_subset_scorer(g, S.shape[1], Metric.MPLSE, params, laplacian(g), None),
                         S, stack_rows(g.n ** 2))
     return float(values[0]) if single else values
 
@@ -159,9 +157,9 @@ def eigvec_heuristic_score(g: Graph, ports, k: int) -> float:
 
 
 def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
-                   L: np.ndarray):
-    """Precompute shared matrices from g's Laplacian L and return a batch
-    scorer.
+                   L: np.ndarray, tau: Optional[float]):
+    """Precompute shared matrices from g's Laplacian L and, for msub and
+    msup, its step tau (``_step``), and return a batch scorer.
 
     The scorer maps an (m, k) int array of 1-based port sets to the array of
     their m scores. It is the only place a metric is computed: ``select_best``
@@ -175,7 +173,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
         if metric is Metric.MPLSE:
             base, end = L, 0
         else:
-            base, end = _stochastic(g, L, params), -1
+            base, end = np.eye(g.n) - tau * L, -1
         eps = params.epsilon
 
         def scores(S):
@@ -183,7 +181,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
             mats[np.arange(len(S))[:, None], S - 1, S - 1] += eps
             return sym_eigen(mats).values[:, end]
     elif metric is Metric.MSUB_LE:
-        Z = _stochastic(g, L, params)
+        Z = np.eye(g.n) - tau * L
 
         def scores(S):
             R = non_ports(g.n, S)
@@ -217,10 +215,11 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
     return scores
 
 
-def _stochastic(g: Graph, L: np.ndarray, params: MetricParams) -> np.ndarray:
-    """Z = I - tau L from g's Laplacian L, bit for bit ``graphs.stochastic``
-    with tau resolved and checked for g by the same rule."""
-    return np.eye(g.n) - check_tau(g, params.tau_for(g)) * L
+def _step(g: Graph, metric: Metric, params: MetricParams) -> Optional[float]:
+    """tau for g, resolved and checked (``MetricParams.tau_for``), for msub
+    and msup, which score through Z = I - tau L (bit for bit
+    ``graphs.stochastic``); None for the other metrics."""
+    return params.tau_for(g) if metric in (Metric.MSUB_LE, Metric.MSUP_LE) else None
 
 
 def stack_rows(entries: int) -> int:
@@ -265,12 +264,13 @@ def select_best(g: Graph, k: int, metric: Metric,
     """
     count = check_subset_count(g.n, k)
     L = laplacian(g)  # the one Laplacian of the selection
-    score = _subset_scorer(g, k, metric, params, L)
+    tau = _step(g, metric, params)  # and its one tau
+    score = _subset_scorer(g, k, metric, params, L, tau)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
     chunk = stack_rows(g.n ** 2)
-    bound = None if keep_table else _subset_bound(g, k, metric, params, L)
+    bound = None if keep_table else _subset_bound(g, k, metric, params, L, tau)
     if bound is None:
         scores = _in_stacks(score, subsets, chunk)
     else:
@@ -313,7 +313,7 @@ class _Bound(NamedTuple):
 
 
 def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
-                  L: np.ndarray) -> Optional[_Bound]:
+                  L: np.ndarray, tau: Optional[float]) -> Optional[_Bound]:
     """The bound that ``select_best`` skips port sets by, or None for
     eigvec and on a disconnected graph, where a component without a port
     leaves no positive definite matrix to solve with. Each bound builds its
@@ -379,7 +379,7 @@ def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
 
     with np.errstate(all="ignore"):
         try:
-            bound = _built_bound(g, k, metric, params, L)
+            bound = _built_bound(g, k, metric, params, L, tau)
         except np.linalg.LinAlgError:  # a factor failed: NaN for every set
             return _Bound(_no_bound, stack_rows(g.n * k))
     return _Bound(_guarded(bound.of), *bound[1:])
@@ -403,22 +403,22 @@ def _no_bound(S: np.ndarray) -> np.ndarray:
 
 
 def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
-                 L: np.ndarray) -> _Bound:
+                 L: np.ndarray, tau: Optional[float]) -> _Bound:
     """The bound of ``_subset_bound`` for a connected graph g with
-    Laplacian L, unguarded."""
+    Laplacian L and step tau (``_step``), unguarded."""
     n, eps = g.n, params.epsilon
     rows = stack_rows(n * k)
     if metric is Metric.ARE:
         half, of = n / 2, are_bounder(L, params.rho)
         return _Bound(lambda S: half + of(S), rows, half=half)
+    ends = _edge_ends(g)
     if metric is Metric.GRAMIAN:
-        of, score_error = gramian_bounder(L, k)
+        of, score_error = gramian_bounder(L, k, ends)
         return _Bound(of, stack_rows(GRAMIAN_SHIFTS * n * k), 2 * score_error)
-    u, v = _edge_ends(g)
+    u, v = ends
     if metric is Metric.MPLSE:
         norm = np.linalg.norm(L) + eps * math.sqrt(k)
     else:
-        tau = params.tau_for(g)
         norm = np.linalg.norm(np.eye(n) - tau * L)  # ||Z||_F
         norm += eps * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
     if metric is Metric.MSUP_LE:

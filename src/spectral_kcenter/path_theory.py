@@ -1,6 +1,8 @@
 """Closed-form oracle for path graphs: exact eigenpairs, optimal port
 formulas, second-order smallest-eigenvalue series, grounded-segment
-eigenvalues, and perturbed characteristic polynomials.
+eigenvalues, perturbed characteristic polynomials, their eps-slices, and
+the root series (``root_series_single``, ``root_series_double``) that
+expands the smallest root of a sliced polynomial in eps.
 
 Everything here is exact path-graph theory; the generic eigensolver in
 ``spectral`` serves as the independent cross-check in the test suite.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -235,3 +238,55 @@ def charpoly_eps_slices_2port(n: int, j1: int, j2: int
     d1, d2 = _center_offsets(n, (j1, j2))
     b1 = -((3.0 * n * n - 4) / 8.0 - n * (j1 - j2) / 2.0 + d1 ** 2 + d2 ** 2)
     return path_charpoly(n), (2.0, b1), (float(j2 - j1),)
+
+
+@dataclass(frozen=True)
+class RootSeries:
+    """First two coefficients of the smallest-root expansion in eps."""
+
+    beta1: float
+    beta2: float
+
+    def at(self, eps: float) -> float:
+        return self.beta1 * eps + self.beta2 * eps * eps
+
+
+def root_series_single(a, b) -> RootSeries:
+    """Series of the root of a(s) + eps*b(s) emanating from s = 0.
+
+    beta1 = -b0/a1 and beta2 = (a1 b1 b0 - a2 b0^2) / a1^3; requires
+    a0 = 0, a1 != 0, b0 != 0. The c = 0 case of ``root_series_double``.
+    """
+    return _root_series(a, b, 0.0)
+
+
+def root_series_double(a, b, c) -> RootSeries:
+    """Series of the root of a(s) + eps*b(s) + eps^2*c(s) from s = 0.
+
+    beta1 = -b0/a1 and beta2 = (a1 b1 b0 - a2 b0^2 - a1^2 c0) / a1^3;
+    requires a0 = 0 and a1, b0, c0 all nonzero.
+    """
+    c = np.asarray(c, dtype=float)
+    if len(c) == 0 or c[0] == 0:
+        raise AssumptionError("coefficient c_0 must be nonzero")
+    return _root_series(a, b, c[0])
+
+
+def _root_series(a, b, c0: float) -> RootSeries:
+    """The series of both ``root_series_*`` functions, c0 = 0 for a single
+    eps term; checks a0 = 0, a1 != 0 and b0 != 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = max(1.0, np.abs(a).max(initial=0.0))
+    if abs(a[0]) > 1e-12 * scale:
+        raise AssumptionError(f"a(0) must vanish, got {a[0]:.3e}")
+    if len(a) < 2 or a[1] == 0:
+        raise AssumptionError("coefficient a_1 must be nonzero")
+    if len(b) == 0 or b[0] == 0:
+        raise AssumptionError("coefficient b_0 must be nonzero")
+    a1 = a[1]
+    a2 = a[2] if len(a) > 2 else 0.0
+    b0 = b[0]
+    b1 = b[1] if len(b) > 1 else 0.0
+    beta2 = (a1 * b1 * b0 - a2 * b0 * b0 - a1 * a1 * c0) / a1 ** 3
+    return RootSeries(beta1=-b0 / a1, beta2=beta2)

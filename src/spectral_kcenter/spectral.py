@@ -555,7 +555,8 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
     return float(values[0]) if single else values
 
 
-def gramian_bounder(L: np.ndarray, k: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+def gramian_bounder(L: np.ndarray, k: int,
+                    ends: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """A proven upper bound on ``gramian_extraction_energy(L, S)`` for port
     sets S of size k, from GRAMIAN_SHIFTS = r resolvent solves and no
     Lyapunov solve, with the ``eigh`` of L, the shifts and the resolvents
@@ -564,9 +565,11 @@ def gramian_bounder(L: np.ndarray, k: int) -> tuple[Callable[[np.ndarray], np.nd
     leave at least one node, to their m bounds. ``score_error`` bounds the
     error of every score that ``gramian_extraction_energy`` returns for such
     a set. L must be the Laplacian of a connected unweighted graph with
-    n >= 2, as ``laplacian(g)`` builds it: the edge sums below count each
-    edge once with weight 1, and the proofs need L1 = 0 and lambda_2 > 0. A
-    factor or solve that fails raises LinAlgError.
+    n >= 2, as ``laplacian(g)`` builds it, and ``ends`` the 0-based ends
+    (u, v) of its edges, each edge once (``metrics._edge_ends``): the edge
+    sums below count each edge once with weight 1, and the proofs need
+    L1 = 0 and lambda_2 > 0. A factor or solve that fails raises
+    LinAlgError.
 
     With M = L + E_S, 1'Q1 = n/2 - D(S) (see ``gramian_extraction_energy``),
     and for shifts a_1..a_r > 0
@@ -619,7 +622,7 @@ def gramian_bounder(L: np.ndarray, k: int) -> tuple[Callable[[np.ndarray], np.nd
     a = lo * (max(4 * k / n, lam[-1]) / lo) ** _SHIFT_STEPS
     K = (V / (lam + a[:, None, None])) @ V.T  # (r, n, n)
     shifted = L + a[:, None, None] * np.eye(n)
-    u, v = np.nonzero(np.triu(L, 1))  # the edges
+    u, v = ends
     # rounding allowances: of |r_i|, from the largest row sum of |L + E_S +
     # a_i I| times max |z_i| <= (1 + |r_i|) / a_i, and of c'b and c'Hc,
     # relative to their sums of absolute terms

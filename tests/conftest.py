@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from spectral_kcenter import (Graph, laplacian, path_graph, perturbed_laplacian,
                               random_connected_graph, random_tree, sym_eigen)
@@ -24,6 +25,21 @@ def exact_lambda_min(n, ports, eps):
     """lambda_min(L(P_n) + eps E_S) for the 1-based ports S, by one eigensolve."""
     Lt = perturbed_laplacian(laplacian(path_graph(n)), ports, eps)
     return float(sym_eigen(Lt).values[0])
+
+
+def nearest_real_root(poly, guess: float) -> float:
+    """The root of the polynomial (coefficients in ascending order) nearest
+    ``guess``, among all its roots from one companion-matrix eigensolve
+    (``polyroots``). Asserts that this root is real and that the
+    polynomial's residual there is small next to its sum of absolute terms."""
+    poly = np.asarray(poly, dtype=float)
+    roots = P.polyroots(poly)
+    root = roots[np.argmin(np.abs(roots - guess))]
+    assert abs(root.imag) <= 1e-8, (root, guess)
+    root = float(root.real)
+    scale = P.polyval(abs(root), np.abs(poly))
+    assert abs(P.polyval(root, poly)) <= 1e-10 * scale, (root, guess)
+    return root
 
 
 @pytest.fixture(scope="session")

@@ -33,15 +33,15 @@ from spectral_kcenter import (Metric, MetricParams, SelectionResult,
                               path_charpoly_lowcoeffs, path_graph,
                               perturbed_charpoly_1port, perturbed_charpoly_2port,
                               perturbed_laplacian, pseudo_toeplitz_lambda_min,
-                              root_series_double, select_best,
-                              smallest_root_numeric, stochastic, sym_eigen,
-                              tridiag_charpoly)
+                              root_series_double, select_best, stochastic,
+                              sym_eigen, tridiag_charpoly)
 from spectral_kcenter.experiments import _row_instance, run_comparison
 from spectral_kcenter.metrics import _is_tie
 from spectral_kcenter.path_theory import (convexity_series_gap,
                                           lambda_min_series_positions)
 
-from conftest import exact_lambda_min, lambda_min_taylor, mixed_corpus
+from conftest import (exact_lambda_min, lambda_min_taylor, mixed_corpus,
+                      nearest_real_root)
 
 # C2 from one eigh of L is good to a few ulps: exact second-order ties in
 # the C04 and C12b corpora differ by at most 4e-16, the nearest non-tie by
@@ -366,14 +366,7 @@ def _pert_root(a, b, c, eps):
     pe = np.array(a, dtype=float)
     pe[: len(b)] += eps * np.asarray(b)
     pe[: len(c)] += eps * eps * np.asarray(c)
-    series = root_series_double(a, b, c)
-    root = smallest_root_numeric(pe, series.at(eps))
-    # cross-validate the oracle against a full companion-matrix root solve
-    all_roots = np.roots(pe[::-1])
-    real_roots = all_roots[np.abs(all_roots.imag) < 1e-8].real
-    nearest = real_roots[np.argmin(np.abs(real_roots - series.at(eps)))]
-    assert abs(root - nearest) <= 1e-9 * (1 + abs(nearest))
-    return root
+    return nearest_real_root(pe, root_series_double(a, b, c).at(eps))
 
 
 def test_criterion_09_root_series_cubic_scaling():

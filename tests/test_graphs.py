@@ -107,14 +107,14 @@ def test_stochastic_rejects_bad_tau():
             stochastic(g, tau)
     with pytest.raises(ParameterError):
         stochastic(Graph(3), 0.1)  # edgeless
-    # MetricParams checks tau by the same rule, so msub and msup reject an
-    # edgeless graph too
-    params = MetricParams(tau=0.5)
-    with pytest.raises(ParameterError, match="graph has no edges"):
-        params.tau_for(Graph(3))
-    for score in (msup_score, msub_score):
+    # MetricParams checks tau by the same rule, the default tau too, so msub
+    # and msup reject an edgeless graph too
+    for params in (MetricParams(tau=0.5), MetricParams()):
         with pytest.raises(ParameterError, match="graph has no edges"):
-            score(Graph(3), (1,), params)
+            params.tau_for(Graph(3))
+        for score in (msup_score, msub_score):
+            with pytest.raises(ParameterError, match="graph has no edges"):
+                score(Graph(3), (1,), params)
 
 
 @settings(max_examples=40, deadline=None)

@@ -552,7 +552,8 @@ def test_spectral_bound_is_on_the_losing_side_of_every_table_score(metric, param
     for g in ARE_CORPUS:
         for k in (1, 2, 3):
             table = _full_table(g, k, metric, params).table
-            bound = metrics._subset_bound(g, k, metric, params, laplacian(g))
+            bound = metrics._subset_bound(g, k, metric, params, laplacian(g),
+                                          metrics._step(g, metric, params))
             values = np.array([v for _, v in table])
             bounds = bound.of(np.array([S for S, _ in table]))
             assert np.all(sign * (bounds - values) <= 1e-4 * bound.margin(values)), (g, k)
@@ -606,7 +607,8 @@ def test_bounds_from_k_by_k_solves_match_direct_solves():
                 if metric is Metric.ARE:
                     got = are_bounder(L, params.rho)(S)
                 else:
-                    got = metrics._subset_bound(g, k, metric, params, L).of(S)
+                    got = metrics._subset_bound(g, k, metric, params, L,
+                                                metrics._step(g, metric, params)).of(S)
                 want = _direct_bound(g, S, metric, params)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (g, k, metric, params)
 
@@ -648,7 +650,8 @@ def test_spectral_skip_on_a_disconnected_graph_scores_every_set(monkeypatch, met
     # is no bound
     seen = _recording_solves(monkeypatch, metric)
     g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
-    assert metrics._subset_bound(g, 2, metric, MetricParams(), laplacian(g)) is None
+    assert metrics._subset_bound(g, 2, metric, MetricParams(), laplacian(g),
+                                 metrics._step(g, metric, MetricParams())) is None
     # the Gramian of a port set that leaves a component unported is infinite
     with (pytest.raises(StabilityError) if metric is Metric.GRAMIAN
           else contextlib.nullcontext()):
@@ -718,7 +721,8 @@ def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd
         monkeypatch.setattr(spectral, "resolvent_ones", fail)
     elif fault == "inv":
         monkeypatch.setattr(np.linalg, "inv", fail)
-    assert np.isnan(metrics._subset_bound(g, 2, metric, params, laplacian(g)).of(S)).all()
+    tau = metrics._step(g, metric, params)
+    assert np.isnan(metrics._subset_bound(g, 2, metric, params, laplacian(g), tau).of(S)).all()
     assert bool(failed) == (fault in ("solve", "inv"))
     seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
@@ -736,7 +740,7 @@ def test_mplse_bound_at_a_tiny_eps_is_k_eps_over_n():
     S = np.array(list(itertools.combinations(range(1, 10), 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = metrics._subset_bound(g, 2, Metric.MPLSE, params, laplacian(g)).of(S)
+        bounds = metrics._subset_bound(g, 2, Metric.MPLSE, params, laplacian(g), None).of(S)
         res = select_best(g, 2, Metric.MPLSE, params)
     assert np.allclose(bounds, 2e-300 / 9, rtol=1e-12, atol=0.0)
     assert len(res.ties) == len(S)
@@ -780,14 +784,15 @@ def test_nothing_outlives_a_selection(monkeypatch):
 @pytest.mark.parametrize("keep_table", [False, True])
 @pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
 def test_one_laplacian_per_selection(monkeypatch, keep_table, connected):
-    # the scorer and the bound share the selection's one L, and Z comes from
-    # it, whether the bound is built, skipped (disconnected, eigvec, full
-    # table) or the selection fails
+    # the scorer and the bound share the selection's one L and one tau, and
+    # Z comes from them, whether the bound is built, skipped (disconnected,
+    # eigvec, full table) or the selection fails; tau is resolved, and its
+    # max_degree taken, at most once
     from spectral_kcenter import graphs
 
     g = (random_tree(8, 3) if connected
          else Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]))
-    counts = _counting(monkeypatch, graphs, ("laplacian", "stochastic"))
+    counts = _counting(monkeypatch, graphs, ("laplacian", "stochastic", "max_degree"))
     for metric in Metric:
         for k in (1, 2):
             counts.clear()
@@ -795,6 +800,7 @@ def test_one_laplacian_per_selection(monkeypatch, keep_table, connected):
                 select_best(g, k, metric, keep_table=keep_table)
             except NumericError:  # eigvec, ARE and the Gramian on the disconnected graph
                 assert not connected
+            assert counts.pop("max_degree", 0) <= 1, (metric, k)
             assert counts == {"laplacian": 1}, (metric, k)
 
 

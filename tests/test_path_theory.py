@@ -11,10 +11,11 @@ from spectral_kcenter import (AssumptionError, ParameterError,
                               laplacian, optimal_ports, path_charpoly,
                               path_eigenpair, path_graph, perturbed_charpoly_1port,
                               perturbed_charpoly_2port, perturbed_laplacian,
-                              pseudo_toeplitz_lambda_min, sym_eigen)
+                              pseudo_toeplitz_lambda_min, root_series_double,
+                              root_series_single, sym_eigen)
 from spectral_kcenter.path_theory import lambda_min_series_positions
 
-from conftest import exact_lambda_min
+from conftest import exact_lambda_min, nearest_real_root
 
 
 def bump_diagonal(M, ports, eps):
@@ -317,3 +318,88 @@ def test_eps_slices_2port_gate():
         charpoly_eps_slices_2port(12, 3, 9)
     with pytest.raises(AssumptionError):
         charpoly_eps_slices_2port(14, 8, 10)
+
+
+def test_root_series_single_examples():
+    rs = root_series_single([0, 1, 1], [1])
+    assert (rs.beta1, rs.beta2) == (-1.0, -1.0)
+    # exact root of s^2 + s + eps: (-1 + sqrt(1-4 eps))/2 = -eps - eps^2 - ...
+    eps = 1e-3
+    exact = (-1 + math.sqrt(1 - 4 * eps)) / 2
+    assert abs(exact - rs.at(eps)) <= 5 * eps ** 3
+
+    rs = root_series_single([0, 2, 1], [1])
+    assert (rs.beta1, rs.beta2) == (-0.5, -0.125)
+
+    rs = root_series_single([0, 1, 1], [1, 1])
+    assert (rs.beta1, rs.beta2) == (-1.0, 0.0)
+
+
+def test_root_series_double_examples():
+    gamma = 0.7
+    rs = root_series_double([0, 1], [1], [gamma])
+    assert (rs.beta1, rs.beta2) == (-1.0, -gamma)
+    # s + eps + gamma eps^2 = 0 is solved exactly by the two-term series
+    eps = 1e-2
+    assert abs(rs.at(eps) + (eps + gamma * eps * eps)) <= 1e-15
+
+    rs = root_series_double([0, 1, 1], [1], [1])
+    assert (rs.beta1, rs.beta2) == (-1.0, -2.0)
+
+
+def test_root_series_hypothesis_violations():
+    with pytest.raises(AssumptionError):
+        root_series_single([1, 1], [1])       # a0 != 0
+    with pytest.raises(AssumptionError):
+        root_series_single([0, 0, 1], [1])    # a1 = 0
+    with pytest.raises(AssumptionError):
+        root_series_single([0, 1], [0, 1])    # b0 = 0
+    with pytest.raises(AssumptionError):
+        root_series_double([0, 1], [1], [0.0])
+
+
+def test_smallest_root_on_perturbed_path_charpoly():
+    n, eps = 11, 0.01
+    poly = perturbed_charpoly_1port(n, 6, eps)
+    root = nearest_real_root(poly, eps / n)
+    Lt = perturbed_laplacian(laplacian(path_graph(n)), (6,), eps)
+    assert abs(root - sym_eigen(Lt).values[0]) <= 1e-9
+
+
+def test_root_series_matches_numeric_oracle_on_sample_triples():
+    rng = np.random.default_rng(999)
+    for _ in range(5):
+        deg = int(rng.integers(3, 6))
+        a = np.r_[0.0, rng.uniform(0.5, 2.0) * rng.choice([-1, 1]),
+                  rng.uniform(-2, 2, deg - 2), 1.0]
+        b = np.r_[rng.uniform(0.5, 2.0) * rng.choice([-1, 1]),
+                  rng.uniform(-2, 2, deg - 1)]
+        c = np.r_[rng.uniform(0.5, 2.0) * rng.choice([-1, 1]),
+                  rng.uniform(-2, 2, deg - 2)]
+        rs = root_series_double(a, b, c)
+        eps = 1e-3
+        pe = a.copy()
+        pe[: len(b)] += eps * b
+        pe[: len(c)] += eps * eps * c
+        root = nearest_real_root(pe, rs.at(eps))
+        assert abs(root - rs.at(eps)) <= 1e-5  # O(eps^3) with headroom
+
+
+def test_slices_to_series_pipeline_closure():
+    # route: characteristic slices -> root series reproduces the quadratic
+    # one-port shift coefficients
+    for n in (3, 5, 7, 9, 11, 13):
+        pstar = (n + 1) // 2
+        for j in range(1, n + 1):
+            a, (b0, b1) = charpoly_eps_slices_1port(n, j)
+            rs = root_series_single(a, [b0, b1])
+            assert math.isclose(rs.beta1, 1.0 / n, rel_tol=1e-9)
+            expect = -((n * n - 1) + 12.0 * (j - pstar) ** 2) / (12.0 * n * n)
+            assert math.isclose(rs.beta2, expect, rel_tol=1e-9)
+
+
+def test_two_port_slices_to_series_pipeline():
+    a, (b0, b1), (c0,) = charpoly_eps_slices_2port(14, 4, 11)
+    rs = root_series_double(a, [b0, b1], [c0])
+    assert math.isclose(rs.beta1, 2.0 / 14, rel_tol=1e-12)
+    assert math.isclose(rs.beta2, -(14 ** 2 - 4) / (12.0 * 14 ** 2), rel_tol=1e-9)

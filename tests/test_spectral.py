@@ -633,7 +633,7 @@ def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
         L, n = laplacian(g), g.n
         mu = np.linalg.eigvalsh(L + _port_matrices(n, np.arange(1, n + 1)[:, None]))[:, 0]
         for k in (1, 3):
-            _, error = gramian_bounder(L, k)
+            _, error = gramian_bounder(L, k, metrics._edge_ends(g))
             mu_0 = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * error)
             assert 0 < mu_0 <= mu.min(), g
             assert mu_0 > mu.min() / (2 * n), g  # not vacuous
@@ -679,8 +679,8 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
               random_connected_graph(5, 0.6, 3)):
         L = laplacian(g)
         for k in (1, 2):
-            of, error = gramian_bounder(L, k)
-            margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams(), L).margin
+            of, error = gramian_bounder(L, k, metrics._edge_ends(g))
+            margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams(), L, None).margin
             S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
             for ports, score, bound in zip(S.tolist(), gramian_extraction_energy(L, S), of(S)):
                 exact = _exact_gramian(L, ports)
@@ -695,9 +695,10 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
 def test_gramian_bound_takes_one_set_or_a_stack():
     # a set's bound does not depend on the stack it comes in, and lies above
     # the computed score and below n/2
-    L = laplacian(path_graph(7))
+    g = path_graph(7)
+    L = laplacian(g)
     S = np.array([[1, 4], [2, 5], [3, 6]])
-    of, _ = gramian_bounder(L, 2)
+    of, _ = gramian_bounder(L, 2, metrics._edge_ends(g))
     one = of(S[1:2])
     assert one.shape == (1,)
     batch = of(S)
