@@ -9,6 +9,7 @@ from spectral_kcenter import (Graph, GraphFormatError, MetricParams,
                               parse_edge_list, path_charpoly, path_graph,
                               random_connected_graph, random_tree, relabel,
                               serialize_edge_list, stochastic)
+from spectral_kcenter.graphs import check_tau
 
 FIG1_DEGREES = [1, 2, 3, 1, 3, 1, 2, 3, 2, 3, 1]
 
@@ -115,6 +116,29 @@ def test_stochastic_rejects_bad_tau():
         for score in (msup_score, msub_score):
             with pytest.raises(ParameterError, match="graph has no edges"):
                 score(Graph(3), (1,), params)
+
+
+def test_check_tau_default_is_one_over_max_degree_plus_one():
+    # None stands for 1/(d + 1), the default of MetricParams, which the
+    # range check then accepts unchanged
+    for g in (path_graph(2), path_graph(9), figure1_graph(), random_tree(12, 4)):
+        tau = 1.0 / (max_degree(g) + 1)
+        assert check_tau(g, None) == tau
+        assert MetricParams().tau_for(g) == tau
+        assert check_tau(g, tau) == tau
+
+
+def test_check_tau_names_the_range_it_rejects():
+    g = path_graph(4)
+    for reject in (lambda tau: check_tau(g, tau),
+                   lambda tau: MetricParams(tau=tau).tau_for(g),
+                   lambda tau: msub_score(g, (1,), MetricParams(tau=tau)),
+                   lambda tau: msup_score(g, (1,), MetricParams(tau=tau))):
+        with pytest.raises(ParameterError, match=r"tau=0\.6 outside \(0, 1/2\]"):
+            reject(0.6)
+        with pytest.raises(ParameterError, match=r"tau=0\.0 outside \(0, 1/2\]"):
+            reject(0.0)
+    assert MetricParams(tau=0.5).tau_for(g) == 0.5  # the closed end
 
 
 @settings(max_examples=40, deadline=None)

@@ -781,6 +781,22 @@ def test_nothing_outlives_a_selection(monkeypatch):
         assert made[0] == made[1] and made[0], (run, made)
 
 
+def test_step_resolves_tau_for_the_metrics_with_z_only():
+    # msub and msup score through Z = I - tau L with tau resolved and checked
+    # once per selection; the other metrics get no tau
+    g = figure1_graph()
+    for params in (MetricParams(), MetricParams(tau=0.2)):
+        for metric in Metric:
+            tau = metrics._step(g, metric, params)
+            if metric in (Metric.MSUB_LE, Metric.MSUP_LE):
+                assert tau == params.tau_for(g)
+            else:
+                assert tau is None, metric
+    with pytest.raises(ParameterError, match="graph has no edges"):
+        metrics._step(Graph(3), Metric.MSUB_LE, MetricParams())
+    assert metrics._step(Graph(3), Metric.MPLSE, MetricParams()) is None
+
+
 @pytest.mark.parametrize("keep_table", [False, True])
 @pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
 def test_one_laplacian_per_selection(monkeypatch, keep_table, connected):

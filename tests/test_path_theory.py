@@ -358,6 +358,37 @@ def test_root_series_hypothesis_violations():
         root_series_double([0, 1], [1], [0.0])
 
 
+def test_nearest_real_root_picks_the_root_nearest_the_guess():
+    # (s - 1)(s - 2)(s - 3), ascending coefficients
+    poly = [-6.0, 11.0, -6.0, 1.0]
+    for guess, root in ((0.4, 1.0), (2.2, 2.0), (10.0, 3.0)):
+        assert abs(nearest_real_root(poly, guess) - root) <= 1e-12
+
+
+def test_nearest_real_root_rejects_a_complex_root():
+    # (s - 1)(s^2 + 1): the real root is taken near 1, and near -0.5 the
+    # nearest roots are +-i, which the oracle refuses
+    poly = [-1.0, 1.0, -1.0, 1.0]
+    assert abs(nearest_real_root(poly, 0.8) - 1.0) <= 1e-12
+    with pytest.raises(AssertionError):
+        nearest_real_root(poly, -0.5)
+    with pytest.raises(AssertionError):
+        nearest_real_root([1.0, 0.0, 1.0], 0.0)  # s^2 + 1
+
+
+def test_root_series_are_exported_from_path_theory():
+    # the root series live next to the eps-slices that feed them
+    import importlib
+
+    import spectral_kcenter
+    from spectral_kcenter import path_theory
+
+    for name in ("RootSeries", "root_series_single", "root_series_double"):
+        assert getattr(spectral_kcenter, name) is getattr(path_theory, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("spectral_kcenter.perturbation")
+
+
 def test_smallest_root_on_perturbed_path_charpoly():
     n, eps = 11, 0.01
     poly = perturbed_charpoly_1port(n, 6, eps)

@@ -692,6 +692,20 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
     assert worst > 0
 
 
+def test_gramian_bounder_edge_ends_are_the_laplacian_edges():
+    # the selection hands gramian_bounder the edge ends it builds for every
+    # bound; they list g's edges in the order np.nonzero(np.triu(L, 1))
+    # does, so the bound is bit for bit the one from L's own edges
+    for g in DIGEST_CORPUS[::6] + [figure1_graph(),
+                                   relabel(path_graph(6), dict(zip(range(1, 7), (3, 6, 1, 5, 2, 4))))]:
+        L = laplacian(g)
+        ends, own = metrics._edge_ends(g), np.nonzero(np.triu(L, 1))
+        assert np.array_equal(ends, own), g
+        S = np.array(list(itertools.combinations(range(1, g.n + 1), 2)))
+        assert np.array_equal(gramian_bounder(L, 2, ends)[0](S),
+                              gramian_bounder(L, 2, own)[0](S)), g
+
+
 def test_gramian_bound_takes_one_set_or_a_stack():
     # a set's bound does not depend on the stack it comes in, and lies above
     # the computed score and below n/2
