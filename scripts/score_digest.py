@@ -16,8 +16,12 @@ G(20, 0.4) at the same seed.
 
 The target ``select`` hashes, for every metric, graph of the corpus and k,
 the best set, the tie set and the score bytes of ``select_best(g, k,
-metric)`` without the table: the call that skips the port sets ruled out by
-their bound. It does so at the default parameters for all six metrics, then
+metric)`` without the table: the call that scores every port set of a
+small selection outright and, above that size and for ARE at every size,
+skips the port sets ruled out by their bound. For mplse, msub, msup and
+the Gramian, the corpus reaches the skip on the three n = 20 graphs, and
+on path:11 and the n = 9 graphs at k = 2 and 3 (msub on the n = 9 graphs
+at k = 3 only). It does so at the default parameters for all six metrics, then
 for mplse, msub and msup again at each of SELECT_PARAMS (eps = 1e-4, eps = 1
 and tau = 0.05), where the skip scores the most and the fewest sets. A case
 where the full-table selection raises is hashed by that error instead, so a

@@ -7,11 +7,13 @@ principal submatrices of Z, and one ``sym_eigen`` call solves each stack; ARE
 and Gramian pass the whole batch to ``are_charging_energy`` and
 ``gramian_extraction_energy``.
 ``select_best`` ranks all subsets, in lexicographic order and in stacks of
-about 2**14 matrix entries. With ``keep_table``, on a disconnected graph and
-for eigvec it scores every subset. Otherwise each subset of mplse, msub,
-msup, ARE and Gramian first gets a proven bound on its score
-(``_subset_bound``), and only the subsets that the bound cannot rule out are
-scored (``_bound_then_solve``), with the bits that scoring every subset gives.
+about 2**14 matrix entries. With ``keep_table``, on a disconnected graph,
+for eigvec and where scoring every subset is cheap (``_scored_outright``:
+a stack of at most _OUTRIGHT_ENTRIES matrix entries, never for ARE) it
+scores every subset. Otherwise each subset of mplse, msub, msup, ARE and
+Gramian first gets a proven bound on its score (``_subset_bound``), and
+only the subsets that the bound cannot rule out are scored
+(``_bound_then_solve``), with the bits that scoring every subset gives.
 The public ``*_score`` functions check their port set and score it as a
 one-row batch; ``mplse_score`` also takes an (m, k) array of port sets.
 Agreement of two selectors over an instance stream (``agreement_rate``)
@@ -50,6 +52,9 @@ EIGVEC_GAP_MIN = 1e-9
 # relative error in that difference, 1'D1, which is 1.9e-3
 ARE_SKIP_MARGIN = 1e-2
 _CHUNK_ENTRIES = 2 ** 14
+# one stacked solve of every set costs less than a bound's build, its
+# per-set solves and a second scoring round, below this many matrix entries
+_OUTRIGHT_ENTRIES = 2 ** 11
 
 
 class Metric(enum.Enum):
@@ -116,7 +121,8 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
 
 
 def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) -> float:
-    scores = _subset_scorer(g, k, metric, params, laplacian(g), _step(g, metric, params))
+    L = laplacian(g)
+    scores = _subset_scorer(g, k, metric, params, L, _step(g, metric, params, L))
     return float(scores(np.array([ports]))[0])
 
 
@@ -157,9 +163,9 @@ def eigvec_heuristic_score(g: Graph, ports, k: int) -> float:
 
 
 def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
-                   L: np.ndarray, tau: Optional[float]):
+                   L: np.ndarray, step: Optional[_Step]):
     """Precompute shared matrices from g's Laplacian L and, for msub and
-    msup, its step tau (``_step``), and return a batch scorer.
+    msup, its step (``_step``: tau and Z), and return a batch scorer.
 
     The scorer maps an (m, k) int array of 1-based port sets to the array of
     their m scores. It is the only place a metric is computed: ``select_best``
@@ -170,10 +176,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
     """
     if metric in (Metric.MPLSE, Metric.MSUP_LE):
         # eps on the port diagonal of L or Z, then an end of the spectrum
-        if metric is Metric.MPLSE:
-            base, end = L, 0
-        else:
-            base, end = np.eye(g.n) - tau * L, -1
+        base, end = (L, 0) if metric is Metric.MPLSE else (step.Z, -1)
         eps = params.epsilon
 
         def scores(S):
@@ -181,7 +184,7 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
             mats[np.arange(len(S))[:, None], S - 1, S - 1] += eps
             return sym_eigen(mats).values[:, end]
     elif metric is Metric.MSUB_LE:
-        Z = np.eye(g.n) - tau * L
+        Z = step.Z
 
         def scores(S):
             R = non_ports(g.n, S)
@@ -215,11 +218,23 @@ def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
     return scores
 
 
-def _step(g: Graph, metric: Metric, params: MetricParams) -> Optional[float]:
-    """tau for g, resolved and checked (``MetricParams.tau_for``), for msub
-    and msup, which score through Z = I - tau L (bit for bit
-    ``graphs.stochastic``); None for the other metrics."""
-    return params.tau_for(g) if metric in (Metric.MSUB_LE, Metric.MSUP_LE) else None
+class _Step(NamedTuple):
+    """The step of msub and msup: tau and Z = I - tau L."""
+
+    tau: float
+    Z: np.ndarray
+
+
+def _step(g: Graph, metric: Metric, params: MetricParams,
+          L: np.ndarray) -> Optional[_Step]:
+    """For msub and msup, which score through Z = I - tau L: tau for g,
+    resolved and checked (``MetricParams.tau_for``), and Z from g's
+    Laplacian L (bit for bit ``graphs.stochastic``); None for the other
+    metrics."""
+    if metric not in (Metric.MSUB_LE, Metric.MSUP_LE):
+        return None
+    tau = params.tau_for(g)
+    return _Step(tau, np.eye(g.n) - tau * L)
 
 
 def stack_rows(entries: int) -> int:
@@ -256,21 +271,23 @@ def select_best(g: Graph, k: int, metric: Metric,
     rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
     is the lexicographically smallest of them.
 
-    With ``keep_table``, on a disconnected graph and for eigvec, every set
-    is scored. Otherwise only the sets that the bound of
+    With ``keep_table``, on a disconnected graph, for eigvec and where
+    ``_scored_outright`` finds scoring every set cheaper than a bound, every
+    set is scored. Otherwise only the sets that the bound of
     ``_subset_bound`` cannot rule out are scored (``_bound_then_solve``);
     ``best``, ``ties`` and ``score`` are bit for bit those of scoring every
     set, and the selection fails only where a set that it scores fails.
     """
     count = check_subset_count(g.n, k)
     L = laplacian(g)  # the one Laplacian of the selection
-    tau = _step(g, metric, params)  # and its one tau
-    score = _subset_scorer(g, k, metric, params, L, tau)
+    step = _step(g, metric, params, L)  # and its one tau and Z
+    score = _subset_scorer(g, k, metric, params, L, step)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
         dtype=np.intp, count=count * k).reshape(count, k)
     chunk = stack_rows(g.n ** 2)
-    bound = None if keep_table else _subset_bound(g, k, metric, params, L, tau)
+    outright = keep_table or _scored_outright(g.n, k, metric, count)
+    bound = None if outright else _subset_bound(g, k, metric, params, L, step)
     if bound is None:
         scores = _in_stacks(score, subsets, chunk)
     else:
@@ -280,6 +297,18 @@ def select_best(g: Graph, k: int, metric: Metric,
     table = list(zip(map(tuple, subsets.tolist()), scores.tolist())) if keep_table else None
     return SelectionResult(metric=metric, k=k, best=ties[0], score=best_score,
                            ties=ties, table=table)
+
+
+def _scored_outright(n: int, k: int, metric: Metric, count: int) -> bool:
+    """Whether ``select_best`` scores all count port sets of size k in an
+    n-node graph without building a bound: where the matrices to be solved
+    hold at most _OUTRIGHT_ENTRIES entries in all. Never for ARE: its
+    per-set QZ solve costs many times a bound evaluation, and its bound can
+    skip a set whose solve fails."""
+    if metric is Metric.ARE:
+        return False
+    order = n - k if metric is Metric.MSUB_LE else n  # msub solves L_RR
+    return count * order * order <= _OUTRIGHT_ENTRIES
 
 
 def _in_stacks(f, rows: np.ndarray, chunk: int) -> np.ndarray:
@@ -313,7 +342,7 @@ class _Bound(NamedTuple):
 
 
 def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
-                  L: np.ndarray, tau: Optional[float]) -> Optional[_Bound]:
+                  L: np.ndarray, step: Optional[_Step]) -> Optional[_Bound]:
     """The bound that ``select_best`` skips port sets by, or None for
     eigvec and on a disconnected graph, where a component without a port
     leaves no positive definite matrix to solve with. Each bound builds its
@@ -379,7 +408,7 @@ def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
 
     with np.errstate(all="ignore"):
         try:
-            bound = _built_bound(g, k, metric, params, L, tau)
+            bound = _built_bound(g, k, metric, params, L, step)
         except np.linalg.LinAlgError:  # a factor failed: NaN for every set
             return _Bound(_no_bound, stack_rows(g.n * k))
     return _Bound(_guarded(bound.of), *bound[1:])
@@ -403,9 +432,9 @@ def _no_bound(S: np.ndarray) -> np.ndarray:
 
 
 def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
-                 L: np.ndarray, tau: Optional[float]) -> _Bound:
+                 L: np.ndarray, step: Optional[_Step]) -> _Bound:
     """The bound of ``_subset_bound`` for a connected graph g with
-    Laplacian L and step tau (``_step``), unguarded."""
+    Laplacian L and step (``_step``), unguarded."""
     n, eps = g.n, params.epsilon
     rows = stack_rows(n * k)
     if metric is Metric.ARE:
@@ -419,7 +448,8 @@ def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
     if metric is Metric.MPLSE:
         norm = np.linalg.norm(L) + eps * math.sqrt(k)
     else:
-        norm = np.linalg.norm(np.eye(n) - tau * L)  # ||Z||_F
+        tau = step.tau
+        norm = np.linalg.norm(step.Z)  # ||Z||_F
         norm += eps * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
     if metric is Metric.MSUP_LE:
         F, shift = np.linalg.inv(L + (eps / tau) * np.eye(n)), -tau / eps

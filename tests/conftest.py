@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from spectral_kcenter import (Graph, laplacian, path_graph, perturbed_laplacian,
-                              random_connected_graph, random_tree, sym_eigen)
+from spectral_kcenter import (Graph, MetricParams, laplacian, metrics, path_graph,
+                              perturbed_laplacian, random_connected_graph, random_tree,
+                              select_best, sym_eigen)
 
 
 def mixed_corpus(count: int, seed: int, n_lo: int = 4, n_hi: int = 9) -> list[Graph]:
@@ -40,6 +43,14 @@ def nearest_real_root(poly, guess: float) -> float:
     scale = P.polyval(abs(root), np.abs(poly))
     assert abs(P.polyval(root, poly)) <= 1e-10 * scale, (root, guess)
     return root
+
+
+def select_bounded(g: Graph, k: int, metric, params=MetricParams()):
+    """``select_best(g, k, metric, params)`` on its bound-then-solve path
+    whatever the size of the selection: no stack is small enough to be
+    scored outright, so every metric with a bound builds it."""
+    with mock.patch.object(metrics, "_OUTRIGHT_ENTRIES", 0):
+        return select_best(g, k, metric, params)
 
 
 @pytest.fixture(scope="session")

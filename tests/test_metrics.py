@@ -25,7 +25,7 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
 from spectral_kcenter import metrics, spectral
 from spectral_kcenter.experiments import _row_instance, run_comparison
 from spectral_kcenter.spectral import DEFAULT_RHO, are_bounder
-from conftest import mixed_corpus
+from conftest import mixed_corpus, select_bounded
 
 # exact symbolic eigensolve of the 3x3 instance, frozen independently
 P3_CENTER_SCORE = 0.0033259341654727771
@@ -540,7 +540,7 @@ def test_spectral_skip_selects_bit_for_bit_like_the_full_table(metric, params):
     for g in ARE_CORPUS:
         for k in (1, 2, 3):
             full = _full_table(g, k, metric, params)
-            assert _same_selection(select_best(g, k, metric, params), full), (g, k)
+            assert _same_selection(select_bounded(g, k, metric, params), full), (g, k)
 
 
 @pytest.mark.parametrize("metric, params", SKIP_CASES)
@@ -552,8 +552,9 @@ def test_spectral_bound_is_on_the_losing_side_of_every_table_score(metric, param
     for g in ARE_CORPUS:
         for k in (1, 2, 3):
             table = _full_table(g, k, metric, params).table
-            bound = metrics._subset_bound(g, k, metric, params, laplacian(g),
-                                          metrics._step(g, metric, params))
+            L = laplacian(g)
+            bound = metrics._subset_bound(g, k, metric, params, L,
+                                          metrics._step(g, metric, params, L))
             values = np.array([v for _, v in table])
             bounds = bound.of(np.array([S for S, _ in table]))
             assert np.all(sign * (bounds - values) <= 1e-4 * bound.margin(values)), (g, k)
@@ -608,7 +609,7 @@ def test_bounds_from_k_by_k_solves_match_direct_solves():
                     got = are_bounder(L, params.rho)(S)
                 else:
                     got = metrics._subset_bound(g, k, metric, params, L,
-                                                metrics._step(g, metric, params)).of(S)
+                                                metrics._step(g, metric, params, L)).of(S)
                 want = _direct_bound(g, S, metric, params)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (g, k, metric, params)
 
@@ -650,12 +651,13 @@ def test_spectral_skip_on_a_disconnected_graph_scores_every_set(monkeypatch, met
     # is no bound
     seen = _recording_solves(monkeypatch, metric)
     g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
-    assert metrics._subset_bound(g, 2, metric, MetricParams(), laplacian(g),
-                                 metrics._step(g, metric, MetricParams())) is None
+    L = laplacian(g)
+    assert metrics._subset_bound(g, 2, metric, MetricParams(), L,
+                                 metrics._step(g, metric, MetricParams(), L)) is None
     # the Gramian of a port set that leaves a component unported is infinite
     with (pytest.raises(StabilityError) if metric is Metric.GRAMIAN
           else contextlib.nullcontext()):
-        select_best(g, 2, metric)
+        select_bounded(g, 2, metric)
     assert seen[0] == math.comb(6, 2)
 
 
@@ -664,7 +666,7 @@ def test_spectral_score_beyond_its_bound_is_a_numeric_error(monkeypatch, metric)
     # move every bound past its score by 1: below a maximized score, above a
     # minimized one
     shift = -1.0 if metrics._MAXIMIZING[metric] else 1.0
-    expected = select_best(path_graph(9), 2, metric)
+    expected = select_best(path_graph(12), 2, metric)
     bound_of = metrics._subset_bound
 
     def moved(*args):
@@ -674,8 +676,8 @@ def test_spectral_score_beyond_its_bound_is_a_numeric_error(monkeypatch, metric)
     monkeypatch.setattr(metrics, "_subset_bound", moved)
     side = "above its proven upper" if shift < 0 else "below its proven lower"
     with pytest.raises(NumericError, match=side + " bound"):
-        select_best(path_graph(9), 2, metric)
-    assert _same_selection(select_best(path_graph(9), 2, metric, keep_table=True), expected)
+        select_bounded(path_graph(12), 2, metric)
+    assert _same_selection(select_best(path_graph(12), 2, metric, keep_table=True), expected)
 
 
 def _nan_bounds(monkeypatch):
@@ -703,8 +705,8 @@ def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd
     # bounds that are not finite, or whose factor or solve fails
     # (LinAlgError), prove nothing: the selection scores every set,
     # silently, as the full table does
-    g, params = path_graph(9), MetricParams(epsilon=eps)
-    S = np.array(list(itertools.combinations(range(1, 10), 2)))
+    g, params = path_graph(12), MetricParams(epsilon=eps)
+    S = np.array(list(itertools.combinations(range(1, 13), 2)))
     full = select_best(g, 2, metric, params, keep_table=True)
     failed = []
 
@@ -721,13 +723,14 @@ def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd
         monkeypatch.setattr(spectral, "resolvent_ones", fail)
     elif fault == "inv":
         monkeypatch.setattr(np.linalg, "inv", fail)
-    tau = metrics._step(g, metric, params)
-    assert np.isnan(metrics._subset_bound(g, 2, metric, params, laplacian(g), tau).of(S)).all()
+    L = laplacian(g)
+    step = metrics._step(g, metric, params, L)
+    assert np.isnan(metrics._subset_bound(g, 2, metric, params, L, step).of(S)).all()
     assert bool(failed) == (fault in ("solve", "inv"))
     seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = select_best(g, 2, metric, params)
+        res = select_bounded(g, 2, metric, params)
     assert seen[0] == len(S)
     assert _same_selection(res, full)
     assert capfd.readouterr() == ("", "")
@@ -783,18 +786,38 @@ def test_nothing_outlives_a_selection(monkeypatch):
 
 def test_step_resolves_tau_for_the_metrics_with_z_only():
     # msub and msup score through Z = I - tau L with tau resolved and checked
-    # once per selection; the other metrics get no tau
+    # once per selection, and Z built once from it, bit for bit stochastic's;
+    # the other metrics get no step
     g = figure1_graph()
+    L = laplacian(g)
     for params in (MetricParams(), MetricParams(tau=0.2)):
         for metric in Metric:
-            tau = metrics._step(g, metric, params)
+            step = metrics._step(g, metric, params, L)
             if metric in (Metric.MSUB_LE, Metric.MSUP_LE):
-                assert tau == params.tau_for(g)
+                assert step.tau == params.tau_for(g)
+                assert step.Z.tobytes() == stochastic(g, step.tau).tobytes()
             else:
-                assert tau is None, metric
+                assert step is None, metric
     with pytest.raises(ParameterError, match="graph has no edges"):
-        metrics._step(Graph(3), Metric.MSUB_LE, MetricParams())
-    assert metrics._step(Graph(3), Metric.MPLSE, MetricParams()) is None
+        metrics._step(Graph(3), Metric.MSUB_LE, MetricParams(), laplacian(Graph(3)))
+    assert metrics._step(Graph(3), Metric.MPLSE, MetricParams(), laplacian(Graph(3))) is None
+
+
+@pytest.mark.parametrize("metric", [Metric.MSUB_LE, Metric.MSUP_LE])
+def test_bound_slack_takes_the_norm_of_the_shared_z(metric):
+    # the bound takes ||Z||_F from the step the scorer uses; its slack keeps
+    # the bits of rebuilding Z = I - tau L for the norm
+    for g in ARE_CORPUS:
+        L = laplacian(g)
+        for params in (MetricParams(), MetricParams(epsilon=1e-4, tau=0.05)):
+            tau = params.tau_for(g)
+            for k in (1, 2, 3):
+                norm = np.linalg.norm(np.eye(g.n) - tau * L)
+                norm += params.epsilon * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
+                slack = 2 * spectral.EIGEN_RESIDUAL_FACTOR * (1.0 + norm)
+                bound = metrics._subset_bound(g, k, metric, params, L,
+                                              metrics._step(g, metric, params, L))
+                assert np.float64(bound.slack).tobytes() == np.float64(slack).tobytes()
 
 
 @pytest.mark.parametrize("keep_table", [False, True])
@@ -820,6 +843,46 @@ def test_one_laplacian_per_selection(monkeypatch, keep_table, connected):
             assert counts == {"laplacian": 1}, (metric, k)
 
 
+# (graph, k, metric, bounds built): select_best scores a stack of at most
+# 2**11 matrix entries outright; mplse on path:11 at k = 1 holds 11 * 11**2
+# entries, on path:13 13 * 13**2, and msub solves L_RR, 13 * 12**2 on path:13
+OUTRIGHT_CASES = [pytest.param(path_graph(11), 1, Metric.MPLSE, 0, id="mplse-path11"),
+                  pytest.param(path_graph(13), 1, Metric.MPLSE, 1, id="mplse-path13"),
+                  pytest.param(path_graph(13), 1, Metric.MSUB_LE, 0, id="msub-path13")]
+
+
+@pytest.mark.parametrize("g, k, metric, bounds", OUTRIGHT_CASES)
+def test_small_selections_are_scored_outright(monkeypatch, g, k, metric, bounds):
+    counts = _counting(monkeypatch, metrics, ("_subset_bound",))
+    res = select_best(g, k, metric)
+    assert counts["_subset_bound"] == bounds
+    assert _same_selection(res, select_best(g, k, metric, keep_table=True))
+
+
+def test_every_desk_cap_selection_is_bounded(monkeypatch):
+    # the benchmark's selections at n = 20, k = 1..3, on a path, a tree and
+    # a G(20, 0.4), each build their bound (eigvec has none to build)
+    counts = _counting(monkeypatch, metrics, ("_subset_bound",))
+    for g in ARE_CORPUS[-3:]:
+        for metric in SKIP_METRICS + (Metric.ARE,):
+            for k in (1, 2, 3):
+                counts.clear()
+                select_best(g, k, metric)
+                assert counts == {"_subset_bound": 1}, (g, metric, k)
+
+
+def test_are_is_bounded_at_every_size(monkeypatch):
+    # path:5 at k = 1 is far below the cutoff, yet ARE builds its bound, and
+    # the bound skips the set whose charging energy comes out negative at
+    # rho = 1e8, which the full table solves
+    counts = _counting(monkeypatch, metrics, ("_subset_bound",))
+    params = MetricParams(rho=1e8)
+    select_best(path_graph(5), 1, Metric.ARE, params)
+    assert counts == {"_subset_bound": 1}
+    with pytest.raises(NumericError, match="charging energy came out negative"):
+        select_best(path_graph(5), 1, Metric.ARE, params, keep_table=True)
+
+
 # 20 examples per metric, as many as when the Gramian was not drawn
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(3, 9), p=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 10**6),
@@ -833,4 +896,4 @@ def test_spectral_skip_property_on_random_connected_graphs(n, p, seed, tree, met
     tau = None if tau_share is None else tau_share / max(g.degrees())
     params = MetricParams(epsilon=eps, tau=tau)
     full = select_best(g, k, metric, params, keep_table=True)
-    assert _same_selection(select_best(g, k, metric, params), full)
+    assert _same_selection(select_bounded(g, k, metric, params), full)
