@@ -3,8 +3,13 @@ characteristic polynomials, and the small Lyapunov/Riccati solves behind the
 control-theoretic scores.
 
 ``sym_eigen`` and ``lyapunov_solve`` take one matrix or an (..., n, n) stack
-and solve a stack in one ``eigh`` call, bitwise equal to solving each matrix
-alone. ``are_charging_energy`` and ``gramian_extraction_energy`` score one
+and solve it bitwise equal to solving each matrix alone: in one ``eigh``
+call, or, for an (m, n, n) stack with m n^3 >= _SPLIT_WORK on a process
+allowed two or more CPUs, in two ``eigh`` calls on its two halves at once,
+the second on the module's one worker thread. NumPy's ``eigh`` loops over a
+stack calling LAPACK once per matrix, so the halves' matrices get the very
+calls they get in one stack, and their bits. ``are_charging_energy`` and
+``gramian_extraction_energy`` score one
 port set or an (m, k) array of port sets: the Gramian as one stacked
 Lyapunov solve; ARE as a loop over the sets, each set's pencil copied from
 one template and given one QZ solve (LAPACK's ``gges`` and ``tgsen`` called
@@ -26,6 +31,8 @@ Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +45,13 @@ DEFAULT_RHO = 1e-6  # the ARE regularizer of MetricParams and are_charging_energ
 GRAMIAN_SHIFTS = 4  # r, the resolvents behind each Gramian bound
 _ULP = np.finfo(float).eps
 _SHIFT_STEPS = np.arange(GRAMIAN_SHIFTS) / (GRAMIAN_SHIFTS - 1)
+# an (m, n, n) stack of at least this m n^3 is solved in two halves at once:
+# the hand-off costs 100-300 us, so a split loses below about 0.4 ms of
+# serial work, and from this size (about 1 ms) it saves up to a third
+# (2-vCPU Xeon at 2.0 GHz, BLAS on one thread; CHANGES.md has the table)
+_SPLIT_WORK = 2 ** 18
+_worker_lock = threading.Lock()
+_worker = None  # (pid, executor) of the one worker thread, made by the first split
 
 
 class EigenDecomposition(NamedTuple):
@@ -49,8 +63,19 @@ class EigenDecomposition(NamedTuple):
 
 def sym_eigen(A: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition, with a residual check, of a symmetric matrix
-    or of each matrix A_i of an (..., n, n) stack, by one ``eigh`` call that
-    is bitwise equal to solving each matrix alone.
+    or of each matrix A_i of an (..., n, n) stack, bitwise equal to solving
+    each matrix alone.
+
+    A stack is one ``eigh`` call, except an (m, n, n) stack with m >= 2 and
+    m n^3 >= _SPLIT_WORK on a process allowed two or more CPUs: its first
+    half is solved on the calling thread while its second is solved on the
+    module's one worker thread (made by the first such stack, holding
+    nothing between calls), each half by one ``eigh`` call and its residual
+    products. ``eigh`` solves a stack one matrix at a time, so every pair
+    keeps its bits. The call waits for both halves, then joins them and
+    runs the checks below over the whole stack, so it raises what one call
+    would: a convergence failure in either half, or the residual error
+    naming the matrix furthest over its bound.
 
     Each A_i must be symmetric within 1e-12 and free of NaN (else
     ParameterError), and its pairs must satisfy ||A_i v - lam v|| <=
@@ -76,17 +101,65 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
     norm2 = _sq_norms(A, "...")
     if not norm2.max(initial=0.0) < math.inf:
         raise NumericError("eigenpair residual check overflowed: entries too large")
+    solve = _solved_in_halves if _splits(A) else _solved
+    values, vectors, worst = solve(A, T)
+    tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.sqrt(norm2))
+    if not (worst <= tol).all():
+        raise _residual_error("eigenpair", worst, tol)
+    return EigenDecomposition(values, vectors)
+
+
+def _solved(A: np.ndarray, T: np.ndarray):
+    """``eigh`` of A, with each matrix's largest residual column norm
+    ||A_i v - lam v||; T, of A's shape, is overwritten as scratch."""
     try:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     R = A @ vectors
     R -= np.multiply(vectors, values[..., None, :], out=T)
-    worst = np.sqrt(_sq_norms(R, "...j").max(axis=-1, initial=0.0))
-    tol = EIGEN_RESIDUAL_FACTOR * (1.0 + np.sqrt(norm2))
-    if not (worst <= tol).all():
-        raise _residual_error("eigenpair", worst, tol)
-    return EigenDecomposition(values, vectors)
+    return values, vectors, np.sqrt(_sq_norms(R, "...j").max(axis=-1, initial=0.0))
+
+
+def _splits(A: np.ndarray) -> bool:
+    """Whether ``sym_eigen`` solves A in two halves at once."""
+    return (A.ndim == 3 and len(A) >= 2 and len(A) * A.shape[-1] ** 3 >= _SPLIT_WORK
+            and _cpus() >= 2)
+
+
+def _solved_in_halves(A: np.ndarray, T: np.ndarray):
+    """``_solved`` of an (m, n, n) stack, its first half on this thread
+    while the worker thread solves the second, joined; it returns or
+    raises only once the worker's half is done."""
+    h = (len(A) + 1) // 2
+    second = _worker_executor().submit(_solved, A[h:], T[h:])
+    try:
+        first = _solved(A[:h], T[:h])
+    except BaseException:
+        second.exception()  # waits for the worker's half
+        raise
+    return tuple(np.concatenate(pair) for pair in zip(first, second.result()))
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _worker_executor():
+    """The executor of the one worker thread, made on first use, and made
+    again in a forked child, which inherits the executor but not its thread."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sym_eigen")
+            _worker = (os.getpid(), executor)
+        return _worker[1]
 
 
 def _sq_norms(X: np.ndarray, out: str) -> np.ndarray:

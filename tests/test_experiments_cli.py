@@ -756,6 +756,40 @@ def test_only_are_loads_scipy():
     assert result["best"] == [2, 5] and 0 < result["score"] < math.inf
 
 
+_THREAD_PROBE = """
+import json, os, sys, threading
+import numpy as np
+from spectral_kcenter import Metric, path_graph, select_best, spectral
+from spectral_kcenter.experiments import run_comparison
+select_best(path_graph(11), 1, Metric.MPLSE)
+counts = ["concurrent.futures" in sys.modules]
+run_comparison(["tree:7"], 2, 0)  # its ARE selections load SciPy, which loads that
+counts.append(threading.active_count())
+rng = np.random.default_rng(0)
+A = rng.standard_normal((11, 30, 30))
+A += np.swapaxes(A, -2, -1)
+affinity = os.sched_getaffinity
+os.sched_getaffinity = lambda pid: {0}
+spectral.sym_eigen(A)
+counts.append(threading.active_count())
+os.sched_getaffinity = lambda pid: {0, 1}
+spectral.sym_eigen(A)
+spectral.sym_eigen(A)
+counts.append(threading.active_count())
+print(json.dumps(counts))
+"""
+
+
+def test_small_work_starts_no_thread():
+    # the set-up selection (which does not even import concurrent.futures)
+    # and a comparison row stay below the split, and a large stack on one
+    # CPU does too; on two CPUs the first large stack starts the one worker
+    r = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": CLI_PATH})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [False, 1, 1, 2]
+
+
 def _readme_commands():
     """The ``spectral-kcenter ...`` lines of README's code blocks."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -23,7 +23,7 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               random_tree, relabel, select_best, stochastic,
                               sym_eigen)
 from spectral_kcenter import metrics, spectral
-from spectral_kcenter.experiments import _row_instance, run_comparison
+from spectral_kcenter.experiments import _row_instance, path_theory_checks, run_comparison
 from spectral_kcenter.spectral import DEFAULT_RHO, are_bounder
 from conftest import mixed_corpus, select_bounded
 
@@ -775,6 +775,8 @@ def test_nothing_outlives_a_selection(monkeypatch):
     counts = _counting(monkeypatch, np.linalg, ("eigh", "inv", "solve"))
     runs = [functools.partial(select_best, path_graph(9), 2, m) for m in Metric]
     runs.append(functools.partial(run_comparison, ["tree:7"], 2, 0))
+    # the path suite at n = 38 splits its large stacks between two threads
+    runs.append(functools.partial(path_theory_checks, 38))
     for run in runs:
         made = []
         for _ in range(2):

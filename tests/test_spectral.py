@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +19,7 @@ from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
                               path_charpoly_lowcoeffs, path_graph,
                               random_connected_graph, random_tree, relabel,
                               stochastic, sym_eigen, tridiag_charpoly)
-from spectral_kcenter import Metric, MetricParams, metrics
+from spectral_kcenter import Metric, MetricParams, metrics, spectral
 from spectral_kcenter.experiments import _row_instance
 from spectral_kcenter.spectral import (DEFAULT_RHO, LYAPUNOV_RESIDUAL_FACTOR, are_bounder,
                                        gramian_bounder)
@@ -775,3 +780,240 @@ def test_sym_eigen_fails_closed_when_its_check_overflows():
             sym_eigen(np.diag([1e200, 1.0]))
         with pytest.raises(NumericError, match="residual check overflowed"):
             sym_eigen(np.stack([np.eye(2), np.diag([1e200, 1.0])]))
+
+
+def _symmetric_stack(m, n, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n, n))
+    return A + np.swapaxes(A, -2, -1)
+
+
+def _eigh_calls(monkeypatch, change=None):
+    """Patch np.linalg.eigh to record, as each call ends, its stack length
+    (0 for one matrix) and thread name; ``change(A, values, vectors)`` may
+    alter the pairs or raise."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def recorded(A):
+        try:
+            values, vectors = eigh(A)
+            return change(A, values, vectors) if change else (values, vectors)
+        finally:
+            calls.append((len(A) if A.ndim == 3 else 0, threading.current_thread().name))
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return calls
+
+
+def _halves(m):
+    """The eigh calls of a split (m, n, n) stack: the first half on this
+    thread, the second on the worker."""
+    h = (m + 1) // 2
+    return [(h, threading.current_thread().name), (m - h, "sym_eigen_0")]
+
+
+# m n^3 at, and just below, _SPLIT_WORK for n = 32
+_AT_SPLIT = -(-spectral._SPLIT_WORK // 32 ** 3)
+
+
+@pytest.mark.parametrize("m, n", [(11, 30), (2, 51), (_AT_SPLIT, 32), (_AT_SPLIT - 1, 32)])
+def test_split_stack_keeps_the_bits_of_one_by_one_solves(monkeypatch, m, n):
+    # odd m, m = 2, and the stacks at and just below the split: each half is
+    # one eigh call, and every pair and residual keeps the bits of one call
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    A = _symmetric_stack(m, n)
+    split = m * n ** 3 >= spectral._SPLIT_WORK
+    calls = _eigh_calls(monkeypatch)
+    dec = sym_eigen(A)
+    assert sorted(calls) == (sorted(_halves(m)) if split
+                             else [(m, threading.current_thread().name)])
+    monkeypatch.undo()
+    for i in range(m):
+        values, vectors = np.linalg.eigh(A[i])
+        assert values.tobytes() == dec.values[i].tobytes()
+        assert vectors.tobytes() == dec.vectors[i].tobytes()
+    T = A - np.swapaxes(A, -2, -1)
+    one = spectral._solved(A, T.copy())
+    two = spectral._solved_in_halves(A, T.copy())
+    assert [x.tobytes() for x in one] == [x.tobytes() for x in two]
+
+
+def test_split_lyapunov_stack_keeps_the_bits_of_one_by_one_solves(monkeypatch):
+    # a Gramian batch at n = 20: 40 grounded Laplacians, split in sym_eigen
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    L = laplacian(random_connected_graph(20, 0.4, 1))
+    S = np.array(list(itertools.combinations(range(20), 2))[:40])
+    G = np.zeros((40, 20, 20))
+    G[np.arange(40)[:, None], S, S] = 1.0
+    calls = _eigh_calls(monkeypatch)
+    X = lyapunov_solve(-(L + G), G)
+    assert sorted(calls) == sorted(_halves(40))
+    for i in range(40):
+        assert X[i].tobytes() == lyapunov_solve(-(L + G[i]), G[i]).tobytes()
+
+
+def test_one_cpu_solves_a_large_stack_in_one_call(monkeypatch):
+    # a process allowed one CPU makes one eigh call and starts no thread
+    def no_worker():
+        raise AssertionError("a worker was asked for")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(spectral, "_worker_executor", no_worker)
+    threads = threading.active_count()
+    calls = _eigh_calls(monkeypatch)
+    sym_eigen(_symmetric_stack(11, 30))
+    assert calls == [(11, threading.current_thread().name)]
+    assert threading.active_count() == threads
+    # without affinity masks, the count of CPUs, and 1 where that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert spectral._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectral._cpus() == 1
+
+
+_MARK = 1e3  # a diagonal entry no entry of _symmetric_stack comes near
+
+
+def _marked_stack(bad):
+    A = _symmetric_stack(11, 30)
+    for j, i in enumerate(bad):
+        A[i, 0, 0] = _MARK + j
+    return A
+
+
+def _serial_and_split_errors(monkeypatch, A, change):
+    """The NumericError texts of sym_eigen(A) on one CPU and on two, and
+    the eigh calls each made."""
+    calls = _eigh_calls(monkeypatch, change)
+    out = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+        calls.clear()
+        with pytest.raises(NumericError) as err:
+            sym_eigen(A)
+        out.append((str(err.value), sorted(calls)))
+    return out
+
+
+@pytest.mark.parametrize("bad", [2, 9], ids=["first-half", "worker-half"])
+def test_split_stack_raises_the_serial_convergence_error(monkeypatch, bad):
+    # a LinAlgError in either half is the serial NumericError, raised once
+    # both halves are done; the worker is slowed so that an early return shows
+    def change(M, values, vectors):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        if np.any(M[..., 0, 0] == _MARK):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return values, vectors
+
+    A = _marked_stack([bad])
+    (serial, one), (split, two) = _serial_and_split_errors(monkeypatch, A, change)
+    assert serial == split == "eigensolver failed to converge: Eigenvalues did not converge"
+    assert one == [(11, threading.current_thread().name)]
+    assert two == sorted(_halves(11))
+    monkeypatch.undo()
+    _check_next_split_succeeds(monkeypatch, A)
+
+
+@pytest.mark.parametrize("bad", [[2], [9], [2, 9], [9, 2]])
+def test_split_stack_residual_error_names_the_serial_matrix(monkeypatch, bad):
+    # one perturbed pair in either half, or one in each with the second
+    # furthest out: the split names the matrix the serial check names
+    def change(M, values, vectors):
+        vectors = vectors.copy()
+        for j, size in enumerate((1e-6, 1e-5)):
+            vectors[M[:, 0, 0] == _MARK + j, :, 0] += size
+        return values, vectors
+
+    A = _marked_stack(bad)
+    (serial, _), (split, two) = _serial_and_split_errors(monkeypatch, A, change)
+    assert serial == split and serial.startswith("eigenpair residual")
+    assert two == sorted(_halves(11))
+    monkeypatch.undo()
+    _check_next_split_succeeds(monkeypatch, A)
+
+
+def _check_next_split_succeeds(monkeypatch, A):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    dec = sym_eigen(A)
+    values, vectors = np.linalg.eigh(A)
+    assert dec.values.tobytes() == values.tobytes()
+    assert dec.vectors.tobytes() == vectors.tobytes()
+
+
+def test_callers_on_many_threads_share_one_worker(monkeypatch):
+    # four callers racing for the first split make one worker between them,
+    # and every result keeps the bits of one eigh call
+    from concurrent import futures
+
+    made = []
+
+    class SlowToMake(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.01)  # widens the window for a second caller to make one
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", SlowToMake)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_worker", None)
+    before = set(threading.enumerate())
+    stacks = [_symmetric_stack(11, 30, seed) for seed in range(4)]
+    expected = [np.linalg.eigh(A) for A in stacks]
+    start = threading.Barrier(len(stacks))
+    got = [[] for _ in stacks]
+
+    def caller(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append(sym_eigen(stacks[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(stacks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    workers = set(threading.enumerate()) - before
+    for executor in made:
+        executor.shutdown()
+    assert len(made) == len(workers) == 1
+    for (values, vectors), decs in zip(expected, got):
+        assert len(decs) == 3
+        for dec in decs:
+            assert dec.values.tobytes() == values.tobytes()
+            assert dec.vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_worker(monkeypatch):
+    # a child forked after a split inherits the executor but not its thread:
+    # its first split must make a worker of its own, not wait on that one
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    A = _symmetric_stack(11, 30)
+    expected = sym_eigen(A).vectors.tobytes()
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit, whatever happens
+        code = 1
+        try:
+            code = 0 if sym_eigen(A).vectors.tobytes() == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split never finished")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
