@@ -48,7 +48,8 @@ one command for each nonzero exit code) in a fresh interpreter inside an
 empty directory, and hashes its exit code, its stdout bytes, its stderr
 bytes and the bytes of every file it wrote there.
 
-    PYTHONPATH=src python3 scripts/score_digest.py are gramian select path oracle cli
+    PYTHONPATH=src python3 scripts/score_digest.py mplse msub msup eigvec are gramian \\
+        select path oracle cli
 """
 
 import argparse

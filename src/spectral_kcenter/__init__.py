@@ -16,12 +16,12 @@ from .path_theory import (RootSeries, charpoly_eps_slices_1port,
                           charpoly_eps_slices_2port, end_segment_charpoly,
                           inner_segment_charpoly, lambda_min_quadratic_1port,
                           lambda_min_quadratic_2port, lambda_min_series_kport,
-                          optimal_ports, path_charpoly, path_eigenpair,
-                          perturbed_charpoly_1port, perturbed_charpoly_2port,
-                          pseudo_toeplitz_lambda_min, root_series_double,
-                          root_series_single)
+                          optimal_ports, path_charpoly, path_charpoly_lowcoeffs,
+                          path_eigenpair, perturbed_charpoly_1port,
+                          perturbed_charpoly_2port, pseudo_toeplitz_lambda_min,
+                          root_series_double, root_series_single,
+                          tridiag_charpoly)
 from .spectral import (EigenDecomposition, are_charging_energy,
-                       gramian_extraction_energy, lyapunov_solve,
-                       path_charpoly_lowcoeffs, sym_eigen, tridiag_charpoly)
+                       gramian_extraction_energy, lyapunov_solve, sym_eigen)
 
 __version__ = "0.1.0"

@@ -22,8 +22,9 @@ import numpy as np
 from .errors import DegenerateEigenvalueError, ParameterError
 from .graphs import (Graph, figure1_graph, laplacian, path_graph,
                      random_connected_graph, random_tree)
-from .metrics import (Metric, MetricParams, check_subset_count, mplse_score,
-                      msub_score, perturbed_laplacian, select_best, stack_rows)
+from .metrics import (Metric, MetricParams, _in_stacks, check_subset_count,
+                      mplse_score, msub_score, perturbed_laplacian, select_best,
+                      stack_rows)
 from .path_theory import (convexity_series_gap, has_optimal_ports,
                           lambda_min_quadratic_1port, lambda_min_quadratic_2port,
                           lambda_min_series_kport, lambda_min_series_positions,
@@ -450,21 +451,20 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
     base[:n, :n] = L1
     base[n:, n:] = L1
     lam_union = float(sym_eigen(base).values[0])
-    # bridge (u, n + w) for u, w = 1..n, u-major
-    a = np.repeat(np.arange(n), n)
-    b = np.tile(np.arange(n, 2 * n), n)
-    chunk = stack_rows((2 * n) ** 2)
-    lam_bridged = []
-    for i in range(0, n * n, chunk):
-        ai, bi = a[i:i + chunk], b[i:i + chunk]
-        rows = np.arange(len(ai))
-        bridged = np.repeat(base[None], len(ai), axis=0)
-        bridged[rows, ai, ai] += 1
-        bridged[rows, bi, bi] += 1
-        bridged[rows, ai, bi] -= 1
-        bridged[rows, bi, ai] -= 1
-        lam_bridged.append(sym_eigen(bridged).values[:, 0])
-    dev = np.abs(np.concatenate(lam_bridged) - lam_ref)
+    # bridge (a, b) = (u, n + w), 0-based, for u, w = 1..n, u-major
+    bridges = np.stack([np.repeat(np.arange(n), n), np.tile(np.arange(n, 2 * n), n)], axis=1)
+
+    def lam_bridged(ab):
+        a, b = ab[:, 0], ab[:, 1]
+        rows = np.arange(len(ab))
+        bridged = np.repeat(base[None], len(ab), axis=0)
+        bridged[rows, a, a] += 1
+        bridged[rows, b, b] += 1
+        bridged[rows, a, b] -= 1
+        bridged[rows, b, a] -= 1
+        return sym_eigen(bridged).values[:, 0]
+
+    dev = np.abs(_in_stacks(lam_bridged, bridges, stack_rows((2 * n) ** 2)) - lam_ref)
     i = int(np.argmax(dev))  # the first maximum in (u, w) order
     return {
         "n": n,
@@ -473,5 +473,5 @@ def conjecture_probe(n: int, eps: float = MetricParams.epsilon) -> dict:
         "disconnected_union_deviation": abs(lam_union - lam_ref),
         "edges_checked": n * n,
         "max_abs_deviation": float(dev[i]),
-        "worst_edge": [int(a[i]) + 1, int(b[i]) + 1] if dev[i] else None,
+        "worst_edge": (bridges[i] + 1).tolist() if dev[i] else None,
     }

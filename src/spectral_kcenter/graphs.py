@@ -29,6 +29,11 @@ class Graph:
 
     def __post_init__(self):
         check_index("node count", self.n, 1)
+        if not isinstance(self.edges, frozenset):
+            # a list or tuple would keep duplicate edges and be unhashable
+            raise ParameterError(f"edges must be a frozenset of (u, v) with u < v, "
+                                 f"got {type(self.edges).__name__}; "
+                                 "Graph.from_edges builds one from any pairs")
         for (u, v) in self.edges:
             check_index("edge endpoint", u, 1, self.n)
             check_index("edge endpoint", v, 1, self.n)

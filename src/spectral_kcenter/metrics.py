@@ -1,7 +1,8 @@
 """The six k-center selection metrics and the exhaustive subset engine.
 
 Scores are pure functions of (graph, subset, params), and each metric is
-computed in one place, ``_subset_scorer``, which scores a batch of port sets:
+stated in one place, ``_plan``, which gives a selection its batch scorer,
+its bound builder and the order of the matrix each set's score solves:
 mplse and msup stack L or Z with eps added on each port diagonal, msub stacks
 principal submatrices of Z, and one ``sym_eigen`` call solves each stack; ARE
 and Gramian pass the whole batch to ``are_charging_energy`` and
@@ -9,11 +10,12 @@ and Gramian pass the whole batch to ``are_charging_energy`` and
 ``select_best`` ranks all subsets, in lexicographic order and in stacks of
 about 2**14 matrix entries. With ``keep_table``, on a disconnected graph,
 for eigvec and where scoring every subset is cheap (``_scored_outright``:
-a stack of at most _OUTRIGHT_ENTRIES matrix entries, never for ARE) it
-scores every subset. Otherwise each subset of mplse, msub, msup, ARE and
-Gramian first gets a proven bound on its score (``_subset_bound``), and
-only the subsets that the bound cannot rule out are scored
-(``_bound_then_solve``), with the bits that scoring every subset gives.
+a stack of at most _OUTRIGHT_ENTRIES matrix entries of the plan's order,
+never for ARE) it scores every subset. Otherwise each subset of mplse,
+msub, msup, ARE and Gramian first gets a proven bound on its score (the
+plan's, guarded by ``_subset_bound``), and only the subsets that the bound
+cannot rule out are scored (``_bound_then_solve``), with the bits that
+scoring every subset gives.
 The public ``*_score`` functions check their port set and score it as a
 one-row batch; ``mplse_score`` also takes an (m, k) array of port sets.
 Agreement of two selectors over an instance stream (``agreement_rate``)
@@ -121,9 +123,7 @@ def perturbed_laplacian(L: np.ndarray, ports: Iterable[int], eps: float) -> np.n
 
 
 def _score_one(g: Graph, k: int, metric: Metric, params: MetricParams, ports) -> float:
-    L = laplacian(g)
-    scores = _subset_scorer(g, k, metric, params, L, _step(g, metric, params, L))
-    return float(scores(np.array([ports]))[0])
+    return float(_plan(g, k, metric, params, laplacian(g)).score(np.array([ports]))[0])
 
 
 def mplse_score(g: Graph, ports,
@@ -133,7 +133,7 @@ def mplse_score(g: Graph, ports,
     array of port sets, scored in stacks of ``stack_rows(n**2)``. Each score
     is bit for bit that of its port set alone."""
     S, single = _port_sets(g.n, ports)
-    values = _in_stacks(_subset_scorer(g, S.shape[1], Metric.MPLSE, params, laplacian(g), None),
+    values = _in_stacks(_plan(g, S.shape[1], Metric.MPLSE, params, laplacian(g)).score,
                         S, stack_rows(g.n ** 2))
     return float(values[0]) if single else values
 
@@ -162,200 +162,39 @@ def eigvec_heuristic_score(g: Graph, ports, k: int) -> float:
     return _score_one(g, k, Metric.EIGVEC, MetricParams(), ports)
 
 
-def _subset_scorer(g: Graph, k: int, metric: Metric, params: MetricParams,
-                   L: np.ndarray, step: Optional[_Step]):
-    """Precompute shared matrices from g's Laplacian L and, for msub and
-    msup, its step (``_step``: tau and Z), and return a batch scorer.
+class _Plan(NamedTuple):
+    """One metric on one selection (``_plan``)."""
 
-    The scorer maps an (m, k) int array of 1-based port sets to the array of
-    their m scores. It is the only place a metric is computed: ``select_best``
-    and the public ``*_score`` functions (with a one-row batch, or for
-    ``mplse_score`` the caller's batch) both score through it. It trusts
-    every row to be a valid port set (the ARE and Gramian functions check
-    each batch again).
-    """
-    if metric in (Metric.MPLSE, Metric.MSUP_LE):
-        # eps on the port diagonal of L or Z, then an end of the spectrum
-        base, end = (L, 0) if metric is Metric.MPLSE else (step.Z, -1)
-        eps = params.epsilon
-
-        def scores(S):
-            mats = np.repeat(base[None], len(S), axis=0)
-            mats[np.arange(len(S))[:, None], S - 1, S - 1] += eps
-            return sym_eigen(mats).values[:, end]
-    elif metric is Metric.MSUB_LE:
-        Z = step.Z
-
-        def scores(S):
-            R = non_ports(g.n, S)
-            return sym_eigen(Z[R[:, :, None], R[:, None, :]]).values[:, -1]
-    elif metric is Metric.EIGVEC:
-        # |v_{k+1}| of the Laplacian, guarded against a repeated lambda_{k+1}
-        check_index("k", k, 1, g.n - 1)
-        dec = sym_eigen(L)
-        lam = dec.values
-        gap = min(lam[k] - lam[k - 1], lam[k + 1] - lam[k] if k + 1 < g.n else math.inf)
-        if gap <= EIGVEC_GAP_MIN:
-            raise DegenerateEigenvalueError(
-                f"lambda_{k + 1} is repeated (gap {gap:.2e}); "
-                "eigenvector heuristic undefined")
-        mags = np.abs(dec.vectors[:, k])
-
-        def scores(S):
-            # cumsum adds in port order, bit for bit like a running sum;
-            # sum() would pair the terms of eight or more ports
-            return mags[S - 1].cumsum(axis=1)[:, -1]
-    elif metric is Metric.ARE:
-        # one pencil template per batch, one QZ solve per port set in order
-        def scores(S):
-            return are_charging_energy(L, S, params.rho)
-    elif metric is Metric.GRAMIAN:
-        # one stacked Lyapunov solve per batch
-        def scores(S):
-            return gramian_extraction_energy(L, S)
-    else:  # pragma: no cover
-        raise ParameterError(f"unhandled metric {metric}")
-    return scores
+    score: Callable[[np.ndarray], np.ndarray]
+    bound: Optional[Callable[[], _Bound]]
+    order: float
 
 
-class _Step(NamedTuple):
-    """The step of msub and msup: tau and Z = I - tau L."""
+def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
+          L: np.ndarray) -> _Plan:
+    """The metric on the port sets of size k of g, whose Laplacian is L:
+    the one place each metric is stated.
 
-    tau: float
-    Z: np.ndarray
+    ``score`` maps an (m, k) int array of 1-based port sets to the array of
+    their m scores. ``select_best`` and the public ``*_score`` functions
+    (with a one-row batch, or for ``mplse_score`` the caller's batch) all
+    score through it. It trusts every row to be a valid port set (the ARE
+    and Gramian functions check each batch again). msub and msup resolve
+    and check tau here (``MetricParams.tau_for``) and build Z = I - tau L,
+    bit for bit ``graphs.stochastic``, once for the score and the bound.
 
+    ``bound``, None for eigvec, builds a proven bound on each set's score
+    (``_Bound``), unguarded: ``_subset_bound`` calls it, on a connected
+    graph only, and guards it. The call builds the factors of L, once per
+    selection; then each set needs a k x k solve and O(nk) more work (ARE:
+    O(n^2)), in stacks of ``stack_rows(nk)`` sets (Gramian: of r nk, for
+    its r resolvents).
 
-def _step(g: Graph, metric: Metric, params: MetricParams,
-          L: np.ndarray) -> Optional[_Step]:
-    """For msub and msup, which score through Z = I - tau L: tau for g,
-    resolved and checked (``MetricParams.tau_for``), and Z from g's
-    Laplacian L (bit for bit ``graphs.stochastic``); None for the other
-    metrics."""
-    if metric not in (Metric.MSUB_LE, Metric.MSUP_LE):
-        return None
-    tau = params.tau_for(g)
-    return _Step(tau, np.eye(g.n) - tau * L)
-
-
-def stack_rows(entries: int) -> int:
-    """How many items of the given number of entries each (an n x n matrix:
-    n**2) one stacked computation takes: about _CHUNK_ENTRIES entries in
-    all, which bounds the memory of a stack, and at least one item."""
-    return max(1, _CHUNK_ENTRIES // entries)
-
-
-def _is_tie(a, b):
-    """Whether scores a and b tie; elementwise over arrays."""
-    return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-
-def check_subset_count(n: int, k: int) -> int:
-    """C(n, k), the number of port sets ``select_best`` scores; raises
-    ParameterError unless k is in 1..n-1 and C(n, k) is at most
-    DEFAULT_ENUMERATION_CAP."""
-    check_index("k", k, 1, n - 1)
-    count = math.comb(n, k)
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise ParameterError(f"C({n},{k}) = {count} exceeds the enumeration "
-                             f"cap {DEFAULT_ENUMERATION_CAP}")
-    return count
-
-
-def select_best(g: Graph, k: int, metric: Metric,
-                params: MetricParams = MetricParams(),
-                keep_table: bool = False) -> SelectionResult:
-    """Exhaustively rank all C(n, k) port sets, at most
-    DEFAULT_ENUMERATION_CAP of them, and return the optimum.
-
-    Scores that tie with the optimal score are collected, by the module's
-    rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
-    is the lexicographically smallest of them.
-
-    With ``keep_table``, on a disconnected graph, for eigvec and where
-    ``_scored_outright`` finds scoring every set cheaper than a bound, every
-    set is scored. Otherwise only the sets that the bound of
-    ``_subset_bound`` cannot rule out are scored (``_bound_then_solve``);
-    ``best``, ``ties`` and ``score`` are bit for bit those of scoring every
-    set, and the selection fails only where a set that it scores fails.
-    """
-    count = check_subset_count(g.n, k)
-    L = laplacian(g)  # the one Laplacian of the selection
-    step = _step(g, metric, params, L)  # and its one tau and Z
-    score = _subset_scorer(g, k, metric, params, L, step)
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
-        dtype=np.intp, count=count * k).reshape(count, k)
-    chunk = stack_rows(g.n ** 2)
-    outright = keep_table or _scored_outright(g.n, k, metric, count)
-    bound = None if outright else _subset_bound(g, k, metric, params, L, step)
-    if bound is None:
-        scores = _in_stacks(score, subsets, chunk)
-    else:
-        subsets, scores = _bound_then_solve(subsets, score, bound, chunk, metric)
-    best_score = float(scores.max() if _MAXIMIZING[metric] else scores.min())
-    ties = list(map(tuple, subsets[_is_tie(scores, best_score)].tolist()))
-    table = list(zip(map(tuple, subsets.tolist()), scores.tolist())) if keep_table else None
-    return SelectionResult(metric=metric, k=k, best=ties[0], score=best_score,
-                           ties=ties, table=table)
-
-
-def _scored_outright(n: int, k: int, metric: Metric, count: int) -> bool:
-    """Whether ``select_best`` scores all count port sets of size k in an
-    n-node graph without building a bound: where the matrices to be solved
-    hold at most _OUTRIGHT_ENTRIES entries in all. Never for ARE: its
-    per-set QZ solve costs many times a bound evaluation, and its bound can
-    skip a set whose solve fails."""
-    if metric is Metric.ARE:
-        return False
-    order = n - k if metric is Metric.MSUB_LE else n  # msub solves L_RR
-    return count * order * order <= _OUTRIGHT_ENTRIES
-
-
-def _in_stacks(f, rows: np.ndarray, chunk: int) -> np.ndarray:
-    """f applied to the rows in stacks of ``chunk``, as one array."""
-    if len(rows) <= chunk:
-        return f(rows) if len(rows) else np.empty(0)
-    return np.concatenate([f(rows[i:i + chunk]) for i in range(0, len(rows), chunk)])
-
-
-class _Bound(NamedTuple):
-    """A proven bound on the score of each port set of one selection.
-
-    ``of`` maps an (m, k) batch of port sets to their m bounds: no set
-    scores better than its bound, so it is a lower bound on a minimized
-    score and an upper bound on a maximized one. ``rows`` is how many sets
-    one call of ``of`` takes. ``margin`` maps a score, or an array of them,
-    to the tie band there plus ``slack``, twice the largest error of a
-    computed score or bound; for ARE, where ``half`` is n/2, to
-    ARE_SKIP_MARGIN times the score less n/2 instead.
-    """
-
-    of: Callable[[np.ndarray], np.ndarray]
-    rows: int
-    slack: float = math.nan
-    half: Optional[float] = None
-
-    def margin(self, x):
-        if self.half is not None:
-            return ARE_SKIP_MARGIN * (x - self.half)
-        return TIE_RTOL * np.maximum(1.0, np.abs(x)) + self.slack
-
-
-def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
-                  L: np.ndarray, step: Optional[_Step]) -> Optional[_Bound]:
-    """The bound that ``select_best`` skips port sets by, or None for
-    eigvec and on a disconnected graph, where a component without a port
-    leaves no positive definite matrix to solve with. Each bound builds its
-    factors of L here, once per selection, and then needs a k x k solve per
-    set and O(nk) more work (ARE: O(n^2)), in stacks of ``stack_rows(nk)``
-    sets (Gramian: of r nk, for its r resolvents).
-
-    This is the one guard of every bound: building it here and each call
-    of its ``of`` (``_guarded``) run with floating-point warnings off, a
-    factor that fails (LinAlgError) gives NaN bounds for every set, and a
-    per-set solve that fails NaN for its stack. A bound that is not finite
-    proves nothing, so every set is scored (``_bound_then_solve``).
-    Building or evaluating a bound never raises and never warns.
+    ``order`` is the order of the matrix each set's score solves, which
+    ``_scored_outright`` weighs: n - k for msub's Z_RR, 0 for eigvec, which
+    solves none, n for the rest but ARE, and infinite for ARE, which is
+    never scored outright: its per-set QZ solve costs many times a bound
+    evaluation, and its bound can skip a set whose solve fails.
 
     ARE: n/2 plus ``are_bounder`` (proof there), with the relative margin
     ARE_SKIP_MARGIN on the value less n/2.
@@ -403,15 +242,201 @@ def _subset_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
     RQ(y) is a few ulps too. So delta covers the error of a computed score,
     and delta again that of a bound.
     """
-    if metric is Metric.EIGVEC or not g.is_connected():
-        return None
+    n, eps = g.n, params.epsilon
+    if metric is Metric.EIGVEC:
+        # |v_{k+1}| of the Laplacian, guarded against a repeated lambda_{k+1}
+        check_index("k", k, 1, n - 1)
+        dec = sym_eigen(L)
+        lam = dec.values
+        gap = min(lam[k] - lam[k - 1], lam[k + 1] - lam[k] if k + 1 < n else math.inf)
+        if gap <= EIGVEC_GAP_MIN:
+            raise DegenerateEigenvalueError(
+                f"lambda_{k + 1} is repeated (gap {gap:.2e}); "
+                "eigenvector heuristic undefined")
+        mags = np.abs(dec.vectors[:, k])
 
+        def score(S):
+            # cumsum adds in port order, bit for bit like a running sum;
+            # sum() would pair the terms of eight or more ports
+            return mags[S - 1].cumsum(axis=1)[:, -1]
+        return _Plan(score, None, 0)
+    if metric is Metric.ARE:
+        def bound():
+            half, of = n / 2, are_bounder(L, params.rho)
+            return _Bound(lambda S: half + of(S), stack_rows(n * k), half=half)
+        # one pencil template per batch, one QZ solve per port set in order
+        return _Plan(lambda S: are_charging_energy(L, S, params.rho), bound, math.inf)
+    if metric is Metric.GRAMIAN:
+        def bound():
+            of, score_error = gramian_bounder(L, k, _edge_ends(g))
+            return _Bound(of, stack_rows(GRAMIAN_SHIFTS * n * k), 2 * score_error)
+        # one stacked Lyapunov solve per batch
+        return _Plan(lambda S: gramian_extraction_energy(L, S), bound, n)
+
+    # mplse, msub, msup: eps on the port diagonal of L or Z (msub: Z's
+    # non-port block), then an end of the spectrum
+    if metric is Metric.MPLSE:
+        tau, base, end = None, L, 0
+    else:
+        tau = params.tau_for(g)
+        base, end = np.eye(n) - tau * L, -1
+    if metric is Metric.MSUB_LE:
+        def score(S):
+            R = non_ports(n, S)
+            return sym_eigen(base[R[:, :, None], R[:, None, :]]).values[:, -1]
+    else:
+        def score(S):
+            mats = np.repeat(base[None], len(S), axis=0)
+            mats[np.arange(len(S))[:, None], S - 1, S - 1] += eps
+            return sym_eigen(mats).values[:, end]
+
+    def bound():
+        u, v = _edge_ends(g)
+        norm = np.linalg.norm(base)  # ||L||_F or ||Z||_F, plus the port diagonal's
+        norm += 0.0 if metric is Metric.MSUB_LE else eps * math.sqrt(k)
+        if metric is Metric.MSUP_LE:
+            F, shift = np.linalg.inv(L + (eps / tau) * np.eye(n)), -tau / eps
+        else:
+            F, shift = laplacian_pinv(L), 1.0 / eps
+
+        def of(S):
+            sets = np.arange(len(S))[:, None]
+            if metric is Metric.MSUB_LE:
+                y = _grounded_ones(F, S)
+            else:
+                y = resolvent_ones(F, S, shift)
+                y /= np.abs(y).max(axis=1, keepdims=True)
+            edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
+            yy = (y * y).sum(axis=1)
+            if metric is Metric.MSUB_LE:
+                return 1.0 - tau * edge / yy
+            if metric is Metric.MPLSE:
+                return (edge + eps * (y[sets, S - 1] ** 2).sum(axis=1)) / yy
+            R = non_ports(n, S)
+            return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
+
+        return _Bound(of, stack_rows(n * k), 2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
+    return _Plan(score, bound, n - k if metric is Metric.MSUB_LE else n)
+
+
+def stack_rows(entries: int) -> int:
+    """How many items of the given number of entries each (an n x n matrix:
+    n**2) one stacked computation takes: about _CHUNK_ENTRIES entries in
+    all, which bounds the memory of a stack, and at least one item."""
+    return max(1, _CHUNK_ENTRIES // entries)
+
+
+def _is_tie(a, b):
+    """Whether scores a and b tie; elementwise over arrays."""
+    return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def check_subset_count(n: int, k: int) -> int:
+    """C(n, k), the number of port sets ``select_best`` scores; raises
+    ParameterError unless k is in 1..n-1 and C(n, k) is at most
+    DEFAULT_ENUMERATION_CAP."""
+    check_index("k", k, 1, n - 1)
+    count = math.comb(n, k)
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise ParameterError(f"C({n},{k}) = {count} exceeds the enumeration "
+                             f"cap {DEFAULT_ENUMERATION_CAP}")
+    return count
+
+
+def select_best(g: Graph, k: int, metric: Metric,
+                params: MetricParams = MetricParams(),
+                keep_table: bool = False) -> SelectionResult:
+    """Exhaustively rank all C(n, k) port sets, at most
+    DEFAULT_ENUMERATION_CAP of them, and return the optimum.
+
+    Scores that tie with the optimal score are collected, by the module's
+    rule (relative 1e-9 above |score| = 1, absolute 1e-9 below it); ``best``
+    is the lexicographically smallest of them.
+
+    With ``keep_table``, on a disconnected graph, for eigvec and where
+    ``_scored_outright`` finds scoring every set cheaper than a bound, every
+    set is scored. Otherwise only the sets that the bound of
+    ``_subset_bound`` cannot rule out are scored (``_bound_then_solve``);
+    ``best``, ``ties`` and ``score`` are bit for bit those of scoring every
+    set, and the selection fails only where a set that it scores fails.
+    """
+    count = check_subset_count(g.n, k)
+    plan = _plan(g, k, metric, params, laplacian(g))  # the selection's one L, tau and Z
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, g.n + 1), k)),
+        dtype=np.intp, count=count * k).reshape(count, k)
+    chunk = stack_rows(g.n ** 2)
+    outright = keep_table or _scored_outright(plan, count)
+    bound = None if outright else _subset_bound(g, plan)
+    if bound is None:
+        scores = _in_stacks(plan.score, subsets, chunk)
+    else:
+        subsets, scores = _bound_then_solve(subsets, plan.score, bound, chunk, metric)
+    best_score = float(scores.max() if _MAXIMIZING[metric] else scores.min())
+    ties = list(map(tuple, subsets[_is_tie(scores, best_score)].tolist()))
+    table = list(zip(map(tuple, subsets.tolist()), scores.tolist())) if keep_table else None
+    return SelectionResult(metric=metric, k=k, best=ties[0], score=best_score,
+                           ties=ties, table=table)
+
+
+def _scored_outright(plan: _Plan, count: int) -> bool:
+    """Whether ``select_best`` scores all count port sets without building
+    a bound: where the matrices their scores solve, of the plan's order,
+    hold at most _OUTRIGHT_ENTRIES entries in all."""
+    return count * plan.order * plan.order <= _OUTRIGHT_ENTRIES
+
+
+def _in_stacks(f, rows: np.ndarray, chunk: int) -> np.ndarray:
+    """f applied to the rows in stacks of ``chunk``, as one array."""
+    if len(rows) <= chunk:
+        return f(rows) if len(rows) else np.empty(0)
+    return np.concatenate([f(rows[i:i + chunk]) for i in range(0, len(rows), chunk)])
+
+
+class _Bound(NamedTuple):
+    """A proven bound on the score of each port set of one selection.
+
+    ``of`` maps an (m, k) batch of port sets to their m bounds: no set
+    scores better than its bound, so it is a lower bound on a minimized
+    score and an upper bound on a maximized one. ``rows`` is how many sets
+    one call of ``of`` takes. ``margin`` maps a score, or an array of them,
+    to the tie band there plus ``slack``, twice the largest error of a
+    computed score or bound; for ARE, where ``half`` is n/2, to
+    ARE_SKIP_MARGIN times the score less n/2 instead.
+    """
+
+    of: Callable[[np.ndarray], np.ndarray]
+    rows: int
+    slack: float = math.nan
+    half: Optional[float] = None
+
+    def margin(self, x):
+        if self.half is not None:
+            return ARE_SKIP_MARGIN * (x - self.half)
+        return TIE_RTOL * np.maximum(1.0, np.abs(x)) + self.slack
+
+
+def _subset_bound(g: Graph, plan: _Plan) -> Optional[_Bound]:
+    """The plan's bound, by which ``select_best`` skips port sets, or None:
+    for eigvec, on a disconnected graph, where a component without a port
+    leaves no positive definite matrix to solve with, and where a factor
+    of the bound fails.
+
+    This is the one guard of every bound: building it here and each call
+    of its ``of`` (``_guarded``) run with floating-point warnings off; a
+    factor that fails (LinAlgError) gives no bound, so every set is scored,
+    and a per-set solve that fails NaN for its stack. A bound that is not
+    finite proves nothing, so every set is scored (``_bound_then_solve``).
+    Building or evaluating a bound never raises and never warns.
+    """
+    if plan.bound is None or not g.is_connected():
+        return None
     with np.errstate(all="ignore"):
         try:
-            bound = _built_bound(g, k, metric, params, L, step)
-        except np.linalg.LinAlgError:  # a factor failed: NaN for every set
-            return _Bound(_no_bound, stack_rows(g.n * k))
-    return _Bound(_guarded(bound.of), *bound[1:])
+            bound = plan.bound()
+        except np.linalg.LinAlgError:
+            return None
+    return bound._replace(of=_guarded(bound.of))
 
 
 def _guarded(of):
@@ -422,57 +447,8 @@ def _guarded(of):
             try:
                 return of(S)
             except np.linalg.LinAlgError:
-                return _no_bound(S)
+                return np.full(len(S), np.nan)
     return guarded
-
-
-def _no_bound(S: np.ndarray) -> np.ndarray:
-    """NaN for each port set: no bound."""
-    return np.full(len(S), np.nan)
-
-
-def _built_bound(g: Graph, k: int, metric: Metric, params: MetricParams,
-                 L: np.ndarray, step: Optional[_Step]) -> _Bound:
-    """The bound of ``_subset_bound`` for a connected graph g with
-    Laplacian L and step (``_step``), unguarded."""
-    n, eps = g.n, params.epsilon
-    rows = stack_rows(n * k)
-    if metric is Metric.ARE:
-        half, of = n / 2, are_bounder(L, params.rho)
-        return _Bound(lambda S: half + of(S), rows, half=half)
-    ends = _edge_ends(g)
-    if metric is Metric.GRAMIAN:
-        of, score_error = gramian_bounder(L, k, ends)
-        return _Bound(of, stack_rows(GRAMIAN_SHIFTS * n * k), 2 * score_error)
-    u, v = ends
-    if metric is Metric.MPLSE:
-        norm = np.linalg.norm(L) + eps * math.sqrt(k)
-    else:
-        tau = step.tau
-        norm = np.linalg.norm(step.Z)  # ||Z||_F
-        norm += eps * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
-    if metric is Metric.MSUP_LE:
-        F, shift = np.linalg.inv(L + (eps / tau) * np.eye(n)), -tau / eps
-    else:
-        F, shift = laplacian_pinv(L), 1.0 / eps
-
-    def of(S):
-        sets = np.arange(len(S))[:, None]
-        if metric is Metric.MSUB_LE:
-            y = _grounded_ones(F, S)
-        else:
-            y = resolvent_ones(F, S, shift)
-            y /= np.abs(y).max(axis=1, keepdims=True)
-        edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
-        yy = (y * y).sum(axis=1)
-        if metric is Metric.MSUB_LE:
-            return 1.0 - tau * edge / yy
-        if metric is Metric.MPLSE:
-            return (edge + eps * (y[sets, S - 1] ** 2).sum(axis=1)) / yy
-        R = non_ports(n, S)
-        return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
-
-    return _Bound(of, rows, 2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
 
 
 def _edge_ends(g: Graph) -> np.ndarray:

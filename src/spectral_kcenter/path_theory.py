@@ -1,8 +1,10 @@
 """Closed-form oracle for path graphs: exact eigenpairs, optimal port
 formulas, second-order smallest-eigenvalue series, grounded-segment
-eigenvalues, perturbed characteristic polynomials, their eps-slices, and
-the root series (``root_series_single``, ``root_series_double``) that
-expands the smallest root of a sliced polynomial in eps.
+eigenvalues, tridiagonal and perturbed characteristic polynomials, their
+eps-slices, and the root series (``root_series_single``,
+``root_series_double``) that expands the smallest root of a sliced
+polynomial in eps. Polynomials are plain 1-D float arrays of coefficients
+in ascending degree.
 
 Everything here is exact path-graph theory; the generic eigensolver in
 ``spectral`` serves as the independent cross-check in the test suite.
@@ -22,8 +24,48 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import AssumptionError
-from .spectral import check_index, check_positive, check_ports, tridiag_charpoly
+from .errors import AssumptionError, ParameterError
+from .spectral import check_index, check_positive, check_ports
+
+
+def tridiag_charpoly(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> np.ndarray:
+    """det(sI - Q_m) for the tridiagonal matrix with diagonal a, sub b, super c.
+
+    Three-term recursion psi_m = (s - a_m) psi_{m-1} - b_m c_m psi_{m-2}
+    seeded with psi_0 = 1, psi_1 = s - a_1. m = 0 gives the constant 1.
+    """
+    a = list(a)
+    b = list(b)
+    c = list(c)
+    m = len(a)
+    if len(b) != max(m - 1, 0) or len(c) != max(m - 1, 0):
+        raise ParameterError(
+            f"diagonal lengths mismatch: |a|={m}, |b|={len(b)}, |c|={len(c)}")
+    prev2 = np.array([1.0])
+    if m == 0:
+        return prev2
+    prev = np.array([-a[0], 1.0])
+    for i in range(1, m):
+        out = np.zeros(i + 2)
+        out[1:] += prev                      # s * psi_{i}
+        out[:-1] -= a[i] * prev              # -a_{i+1} * psi_{i}
+        out[: len(prev2)] -= b[i - 1] * c[i - 1] * prev2
+        prev2, prev = prev, out
+    return prev
+
+
+def path_charpoly_lowcoeffs(n: int) -> tuple[float, float, float, float]:
+    """Low-order coefficients of det(sI + L_n) for the n-node path.
+
+    Returns the coefficients of s, s^2, s^3 and s^(n-1):
+    (n, n(n^2-1)/6, n(n^2-1)(n^2-4)/120, 2(n-1)).
+    """
+    check_index("n", n, 2)
+    c1 = float(n)
+    c2 = n * (n * n - 1) / 6.0
+    c3 = n * (n * n - 1) * (n * n - 4) / 120.0
+    cn1 = 2.0 * (n - 1)
+    return (c1, c2, c3, cn1)
 
 
 def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:

@@ -1,6 +1,5 @@
-"""Dense symmetric eigensolving of single matrices and stacks, tridiagonal
-characteristic polynomials, and the small Lyapunov/Riccati solves behind the
-control-theoretic scores.
+"""Dense symmetric eigensolving of single matrices and stacks, and the
+small Lyapunov/Riccati solves behind the control-theoretic scores.
 
 ``sym_eigen`` and ``lyapunov_solve`` take one matrix or an (..., n, n) stack
 and solve it bitwise equal to solving each matrix alone: in one ``eigh``
@@ -25,7 +24,6 @@ means.
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
 NumPy's, so a process that never scores ARE never loads it.
-Polynomials are plain 1-D float arrays of coefficients in ascending degree.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -176,46 +174,6 @@ def _residual_error(what: str, residual: np.ndarray, tol: np.ndarray) -> Numeric
         return NumericError(f"{what} residual check overflowed: entries too large")
     i = np.argmax(residual / tol)
     return NumericError(f"{what} residual {residual.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
-
-
-def tridiag_charpoly(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> np.ndarray:
-    """det(sI - Q_m) for the tridiagonal matrix with diagonal a, sub b, super c.
-
-    Three-term recursion psi_m = (s - a_m) psi_{m-1} - b_m c_m psi_{m-2}
-    seeded with psi_0 = 1, psi_1 = s - a_1. m = 0 gives the constant 1.
-    """
-    a = list(a)
-    b = list(b)
-    c = list(c)
-    m = len(a)
-    if len(b) != max(m - 1, 0) or len(c) != max(m - 1, 0):
-        raise ParameterError(
-            f"diagonal lengths mismatch: |a|={m}, |b|={len(b)}, |c|={len(c)}")
-    prev2 = np.array([1.0])
-    if m == 0:
-        return prev2
-    prev = np.array([-a[0], 1.0])
-    for i in range(1, m):
-        out = np.zeros(i + 2)
-        out[1:] += prev                      # s * psi_{i}
-        out[:-1] -= a[i] * prev              # -a_{i+1} * psi_{i}
-        out[: len(prev2)] -= b[i - 1] * c[i - 1] * prev2
-        prev2, prev = prev, out
-    return prev
-
-
-def path_charpoly_lowcoeffs(n: int) -> tuple[float, float, float, float]:
-    """Low-order coefficients of det(sI + L_n) for the n-node path.
-
-    Returns the coefficients of s, s^2, s^3 and s^(n-1):
-    (n, n(n^2-1)/6, n(n^2-1)(n^2-4)/120, 2(n-1)).
-    """
-    check_index("n", n, 2)
-    c1 = float(n)
-    c2 = n * (n * n - 1) / 6.0
-    c3 = n * (n * n - 1) * (n * n - 4) / 120.0
-    cn1 = 2.0 * (n - 1)
-    return (c1, c2, c3, cn1)
 
 
 def lyapunov_solve(A: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -60,6 +60,16 @@ def test_graph_validation():
             build()
 
 
+@pytest.mark.parametrize("edges", [[(1, 2), (1, 2), (2, 3)], ((1, 2), (2, 3)), {(1, 2), (2, 3)}],
+                         ids=["list-with-duplicate", "tuple", "set"])
+def test_graph_edges_must_be_a_frozenset(edges):
+    # a list keeps the duplicate edge, which gave L the row sums (1, 1, 0),
+    # and an unhashable graph; Graph.from_edges is the way to build from pairs
+    with pytest.raises(ParameterError, match=r"frozenset .*Graph\.from_edges"):
+        Graph(3, edges)
+    assert Graph.from_edges(3, [(2, 1), (2, 3)]) == Graph(3, frozenset({(1, 2), (2, 3)}))
+
+
 def test_laplacian_small_paths():
     assert np.array_equal(laplacian(path_graph(2)), [[1, -1], [-1, 1]])
     assert np.array_equal(laplacian(path_graph(3)),

@@ -530,6 +530,11 @@ SKIP_CASES = ([pytest.param(m, p, id=f"{m}-params{i}") for m in SPECTRAL_METRICS
               + [pytest.param(Metric.GRAMIAN, MetricParams(), id="Metric.GRAMIAN-params0")])
 
 
+def _bound(g, k, metric, params=MetricParams()):
+    """The guarded bound that select_best builds for its plan, or None."""
+    return metrics._subset_bound(g, metrics._plan(g, k, metric, params, laplacian(g)))
+
+
 def _same_selection(res, full):
     return ((res.best, res.ties, np.float64(res.score).tobytes())
             == (full.best, full.ties, np.float64(full.score).tobytes()))
@@ -552,9 +557,7 @@ def test_spectral_bound_is_on_the_losing_side_of_every_table_score(metric, param
     for g in ARE_CORPUS:
         for k in (1, 2, 3):
             table = _full_table(g, k, metric, params).table
-            L = laplacian(g)
-            bound = metrics._subset_bound(g, k, metric, params, L,
-                                          metrics._step(g, metric, params, L))
+            bound = _bound(g, k, metric, params)
             values = np.array([v for _, v in table])
             bounds = bound.of(np.array([S for S, _ in table]))
             assert np.all(sign * (bounds - values) <= 1e-4 * bound.margin(values)), (g, k)
@@ -608,8 +611,7 @@ def test_bounds_from_k_by_k_solves_match_direct_solves():
                 if metric is Metric.ARE:
                     got = are_bounder(L, params.rho)(S)
                 else:
-                    got = metrics._subset_bound(g, k, metric, params, L,
-                                                metrics._step(g, metric, params, L)).of(S)
+                    got = _bound(g, k, metric, params).of(S)
                 want = _direct_bound(g, S, metric, params)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (g, k, metric, params)
 
@@ -651,9 +653,7 @@ def test_spectral_skip_on_a_disconnected_graph_scores_every_set(monkeypatch, met
     # is no bound
     seen = _recording_solves(monkeypatch, metric)
     g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
-    L = laplacian(g)
-    assert metrics._subset_bound(g, 2, metric, MetricParams(), L,
-                                 metrics._step(g, metric, MetricParams(), L)) is None
+    assert _bound(g, 2, metric) is None
     # the Gramian of a port set that leaves a component unported is infinite
     with (pytest.raises(StabilityError) if metric is Metric.GRAMIAN
           else contextlib.nullcontext()):
@@ -723,9 +723,11 @@ def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd
         monkeypatch.setattr(spectral, "resolvent_ones", fail)
     elif fault == "inv":
         monkeypatch.setattr(np.linalg, "inv", fail)
-    L = laplacian(g)
-    step = metrics._step(g, metric, params, L)
-    assert np.isnan(metrics._subset_bound(g, 2, metric, params, L, step).of(S)).all()
+    bound = _bound(g, 2, metric, params)
+    if fault in (None, "inv"):  # a factor failed: no bound
+        assert bound is None
+    else:
+        assert np.isnan(bound.of(S)).all()
     assert bool(failed) == (fault in ("solve", "inv"))
     seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
@@ -743,7 +745,7 @@ def test_mplse_bound_at_a_tiny_eps_is_k_eps_over_n():
     S = np.array(list(itertools.combinations(range(1, 10), 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = metrics._subset_bound(g, 2, Metric.MPLSE, params, laplacian(g), None).of(S)
+        bounds = _bound(g, 2, Metric.MPLSE, params).of(S)
         res = select_best(g, 2, Metric.MPLSE, params)
     assert np.allclose(bounds, 2e-300 / 9, rtol=1e-12, atol=0.0)
     assert len(res.ties) == len(S)
@@ -786,23 +788,33 @@ def test_nothing_outlives_a_selection(monkeypatch):
         assert made[0] == made[1] and made[0], (run, made)
 
 
-def test_step_resolves_tau_for_the_metrics_with_z_only():
+def test_tau_is_resolved_once_per_selection_with_z_only(monkeypatch):
     # msub and msup score through Z = I - tau L with tau resolved and checked
-    # once per selection, and Z built once from it, bit for bit stochastic's;
-    # the other metrics get no step
+    # once per selection, scored outright or bounded, and Z built once from
+    # it, bit for bit stochastic's; the other metrics resolve no tau
     g = figure1_graph()
-    L = laplacian(g)
+    resolved = []
+    tau_for = MetricParams.tau_for
+    monkeypatch.setattr(MetricParams, "tau_for",
+                        lambda self, g: resolved.append(g) or tau_for(self, g))
     for params in (MetricParams(), MetricParams(tau=0.2)):
         for metric in Metric:
-            step = metrics._step(g, metric, params, L)
-            if metric in (Metric.MSUB_LE, Metric.MSUP_LE):
-                assert step.tau == params.tau_for(g)
-                assert step.Z.tobytes() == stochastic(g, step.tau).tobytes()
-            else:
-                assert step is None, metric
+            for k in (1, 3):
+                resolved.clear()
+                select_best(g, k, metric, params)
+                assert len(resolved) == (metric in (Metric.MSUB_LE, Metric.MSUP_LE)), (metric, k)
+        Z = stochastic(g, tau_for(params, g))
+        S = np.array(list(itertools.combinations(range(1, g.n + 1), 2)))
+        R = metrics.non_ports(g.n, S)
+        mats = np.repeat(Z[None], len(S), axis=0)
+        mats[np.arange(len(S))[:, None], S - 1, S - 1] += params.epsilon
+        for metric, want in ((Metric.MSUB_LE, sym_eigen(Z[R[:, :, None], R[:, None, :]])),
+                             (Metric.MSUP_LE, sym_eigen(mats))):
+            got = metrics._plan(g, 2, metric, params, laplacian(g)).score(S)
+            assert got.tobytes() == want.values[:, -1].tobytes(), metric
     with pytest.raises(ParameterError, match="graph has no edges"):
-        metrics._step(Graph(3), Metric.MSUB_LE, MetricParams(), laplacian(Graph(3)))
-    assert metrics._step(Graph(3), Metric.MPLSE, MetricParams(), laplacian(Graph(3))) is None
+        metrics._plan(Graph(3), 1, Metric.MSUB_LE, MetricParams(), laplacian(Graph(3)))
+    metrics._plan(Graph(3), 1, Metric.MPLSE, MetricParams(), laplacian(Graph(3)))
 
 
 @pytest.mark.parametrize("metric", [Metric.MSUB_LE, Metric.MSUP_LE])
@@ -817,8 +829,7 @@ def test_bound_slack_takes_the_norm_of_the_shared_z(metric):
                 norm = np.linalg.norm(np.eye(g.n) - tau * L)
                 norm += params.epsilon * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
                 slack = 2 * spectral.EIGEN_RESIDUAL_FACTOR * (1.0 + norm)
-                bound = metrics._subset_bound(g, k, metric, params, L,
-                                              metrics._step(g, metric, params, L))
+                bound = _bound(g, k, metric, params)
                 assert np.float64(bound.slack).tobytes() == np.float64(slack).tobytes()
 
 

@@ -685,7 +685,8 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
         L = laplacian(g)
         for k in (1, 2):
             of, error = gramian_bounder(L, k, metrics._edge_ends(g))
-            margin = metrics._subset_bound(g, k, Metric.GRAMIAN, MetricParams(), L, None).margin
+            plan = metrics._plan(g, k, Metric.GRAMIAN, MetricParams(), L)
+            margin = metrics._subset_bound(g, plan).margin
             S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
             for ports, score, bound in zip(S.tolist(), gramian_extraction_energy(L, S), of(S)):
                 exact = _exact_gramian(L, ports)
