@@ -27,7 +27,10 @@ and tau = 0.05), where the skip scores the most and the fewest sets. A case
 where the full-table selection raises is hashed by that error instead, so a
 selection that the skip lets succeed where every set used to be solved
 leaves the digest unchanged; everywhere else the two commits must select
-bit for bit alike.
+bit for bit alike. A second line follows the digest line: for each metric
+at the default parameters, the port sets that got a bound and the port sets
+then solved, summed over the corpus (a selection scored outright counts in
+neither).
 
 The target ``path`` hashes every ``path_theory_checks`` result (id, flag,
 residual as float64 bytes and detail) for n = 3..40 and the k-port cases
@@ -60,6 +63,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -76,6 +80,7 @@ from spectral_kcenter.errors import NumericError
 from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
                                           path_theory_checks)
 from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
+from spectral_kcenter import metrics
 from spectral_kcenter.metrics import Metric, MetricParams, select_best
 from spectral_kcenter.path_theory import convexity_series_gap
 
@@ -133,34 +138,49 @@ def metric_digest(metric: Metric, graphs) -> tuple[str, int, int]:
     return h.hexdigest(), scores, errors
 
 
-def select_digest(graphs) -> tuple[str, int, int]:
-    """The digest, the number of selections and the number of full-table
-    errors."""
+def select_digest(graphs) -> tuple[str, int, int, dict]:
+    """The digest, the number of selections, the number of full-table
+    errors, and for each bounded metric at the default parameters the sets
+    whose bound was computed and the sets then solved, summed over the
+    corpus."""
     h = hashlib.sha256()
     selections = errors = 0
     spectral = (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE)
     cases = ([(metric, MetricParams()) for metric in Metric]
              + [(metric, params) for params in SELECT_PARAMS for metric in spectral])
-    for metric, params in cases:
-        for g in graphs:
-            for k in K_LIST:
-                h.update(f"{metric.value} eps={params.epsilon} tau={params.tau} "
-                         f"n={g.n} edges={g.sorted_edges()} k={k}\n".encode())
-                try:
-                    select_best(g, k, metric, params, keep_table=True)
-                except NumericError as exc:
-                    errors += 1
-                    h.update(f"raised {type(exc).__name__}: {exc}\n".encode())
-                    continue
-                try:
-                    res = select_best(g, k, metric, params)
-                except NumericError as exc:
-                    h.update(f"plain raised {type(exc).__name__}: {exc}\n".encode())
-                    continue
-                selections += 1
-                h.update(np.float64(res.score).tobytes())
-                h.update(f"best={res.best} ties={res.ties}\n".encode())
-    return h.hexdigest(), selections, errors
+    counts = {}
+    bound_then_solve = metrics._bound_then_solve
+
+    def counted(subsets, score, bound, chunk, metric):
+        kept, scores = bound_then_solve(subsets, score, bound, chunk, metric)
+        if default:
+            tally = counts.setdefault(metric, [0, 0])
+            tally[0] += len(subsets)
+            tally[1] += len(kept)
+        return kept, scores
+
+    with mock.patch.object(metrics, "_bound_then_solve", counted):
+        for metric, params in cases:
+            default = params == MetricParams()
+            for g in graphs:
+                for k in K_LIST:
+                    h.update(f"{metric.value} eps={params.epsilon} tau={params.tau} "
+                             f"n={g.n} edges={g.sorted_edges()} k={k}\n".encode())
+                    try:
+                        select_best(g, k, metric, params, keep_table=True)
+                    except NumericError as exc:
+                        errors += 1
+                        h.update(f"raised {type(exc).__name__}: {exc}\n".encode())
+                        continue
+                    try:
+                        res = select_best(g, k, metric, params)
+                    except NumericError as exc:
+                        h.update(f"plain raised {type(exc).__name__}: {exc}\n".encode())
+                        continue
+                    selections += 1
+                    h.update(np.float64(res.score).tobytes())
+                    h.update(f"best={res.best} ties={res.ties}\n".encode())
+    return h.hexdigest(), selections, errors, counts
 
 
 def path_digest() -> tuple[str, int, int]:
@@ -292,8 +312,11 @@ def main():
             continue
         graphs = graphs or corpus()
         if target == "select":
-            digest, selections, errors = select_digest(graphs)
+            digest, selections, errors, counts = select_digest(graphs)
             print(f"select {digest} selections={selections} errors={errors}")
+            print("select at the default parameters, sets bounded/solved: "
+                  + " ".join(f"{metric.value}={bounded}/{solved}"
+                             for metric, (bounded, solved) in counts.items()))
             continue
         digest, scores, errors = metric_digest(target, graphs)
         print(f"{target.value} {digest} scores={scores} errors={errors}")

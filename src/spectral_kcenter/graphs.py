@@ -34,7 +34,10 @@ class Graph:
             raise ParameterError(f"edges must be a frozenset of (u, v) with u < v, "
                                  f"got {type(self.edges).__name__}; "
                                  "Graph.from_edges builds one from any pairs")
-        for (u, v) in self.edges:
+        for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2):
+                raise ParameterError(f"edge {edge!r} is not a pair (u, v)")
+            u, v = edge
             check_index("edge endpoint", u, 1, self.n)
             check_index("edge endpoint", v, 1, self.n)
             if u == v:
@@ -46,7 +49,11 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph, normalizing each edge to (min, max) order."""
         canon = set()
-        for (u, v) in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ParameterError(f"edge {edge!r} is not a pair (u, v)") from None
             e = (min(u, v), max(u, v))
             if e in canon:
                 raise ParameterError(f"duplicate edge {e}")
@@ -102,6 +109,19 @@ def laplacian(g: Graph) -> np.ndarray:
     L[ends[0::2], ends[1::2]] = L[ends[1::2], ends[0::2]] = -1.0
     L.flat[::g.n + 1] = np.bincount(ends, minlength=g.n)
     return L
+
+
+def incidence(g: Graph) -> np.ndarray:
+    """Signed incidence matrix B, n x |E|, with B B' = L: the column of each
+    edge (u, v) holds 1 at u and -1 at v, in ascending edge order, as
+    ``np.nonzero(np.triu(laplacian(g), 1))`` lists them. Each entry of
+    y @ B is exactly the rounded difference y_u - y_v, since its column has
+    one 1, one -1 and exact zeros."""
+    ends = np.fromiter(itertools.chain.from_iterable(g.sorted_edges()), dtype=np.intp,
+                       count=2 * len(g.edges)).reshape(-1, 2).T - 1
+    B = np.zeros((g.n, ends.shape[1]))
+    B[ends, np.arange(ends.shape[1])] = ((1.0,), (-1.0,))
+    return B
 
 
 def max_degree(g: Graph) -> int:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateEigenvalueError, NumericError, ParameterError
-from .graphs import Graph, check_tau, laplacian
+from .graphs import Graph, check_tau, incidence, laplacian
 from .spectral import (DEFAULT_RHO, EIGEN_RESIDUAL_FACTOR, GRAMIAN_SHIFTS,
                        are_bounder, are_charging_energy, check_index, check_ports,
                        check_positive, gramian_bounder, gramian_extraction_energy,
@@ -54,6 +54,10 @@ EIGVEC_GAP_MIN = 1e-9
 # relative error in that difference, 1'D1, which is 1.9e-3
 ARE_SKIP_MARGIN = 1e-2
 _CHUNK_ENTRIES = 2 ** 14
+# a bound evaluation's stack, sized by the vectors each set holds (n + |E|
+# entries; the Gramian's r times that): a few whole-stack operations per
+# step, so larger stacks than a solve's pay off
+_BOUND_ENTRIES = 2 ** 17
 # one stacked solve of every set costs less than a bound's build, its
 # per-set solves and a second scoring round, below this many matrix entries
 _OUTRIGHT_ENTRIES = 2 ** 11
@@ -185,10 +189,15 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
 
     ``bound``, None for eigvec, builds a proven bound on each set's score
     (``_Bound``), unguarded: ``_subset_bound`` calls it, on a connected
-    graph only, and guards it. The call builds the factors of L, once per
-    selection; then each set needs a k x k solve and O(nk) more work (ARE:
-    O(n^2)), in stacks of ``stack_rows(nk)`` sets (Gramian: of r nk, for
-    its r resolvents).
+    graph only, and guards it. The call builds the factors of L and, but
+    for ARE, g's signed incidence matrix B (``graphs.incidence``, B B' = L),
+    once per selection; then a stack of sets needs a few whole-stack
+    operations per step of the elimination that solves all its k x k
+    systems together (``resolvent_ones``), and O(n^2 + n|E|) work per set,
+    with no LAPACK call of its own. A stack holds ``stack_rows(n + |E|,
+    _BOUND_ENTRIES)`` sets, the vector y and its edge differences of each
+    (Gramian: r (n + |E|), for its r resolvents; ARE: n, it sums no
+    edges).
 
     ``order`` is the order of the matrix each set's score solves, which
     ``_scored_outright`` weighs: n - k for msub's Z_RR, 0 for eigvec, which
@@ -218,7 +227,7 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
     below. Here y is proportional to P_S^(-1) 1 (for msub, to L_RR^(-1) 1 on
     R and 0 on S): one step of inverse iteration from the all-ones vector,
     near the lowest eigenvector when eps is small. ``resolvent_ones`` gives
-    it from one factor F of L and a k x k solve per set,
+    it from one factor F of L and each set's k x k system,
 
         mplse: y = 1 - L^+[:, S] (I/eps + L^+_SS)^(-1) 1_k,
         msub:  y = 1 - L^+[:, S] (L^+_SS)^(-1) 1_k, then y_S = 0,
@@ -230,7 +239,8 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
     y is scaled to max |y| = 1. y'P_S y is summed from P_S's structure as
     nonnegative terms, (y_u - y_v)^2 over the edges plus the diagonal shift
     times y_j^2 over its nodes, so no cancellation occurs and its relative
-    rounding is a few ulps.
+    rounding is a few ulps. The differences are y @ B, each one rounding of
+    y_u - y_v, since B's column holds one 1, one -1 and exact zeros.
 
     The margin is the tie band TIE_RTOL max(1, |x|) plus 2 delta, where
     delta = EIGEN_RESIDUAL_FACTOR (1 + ||A||_F) is ``sym_eigen``'s residual
@@ -263,13 +273,15 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
     if metric is Metric.ARE:
         def bound():
             half, of = n / 2, are_bounder(L, params.rho)
-            return _Bound(lambda S: half + of(S), stack_rows(n * k), half=half)
+            return _Bound(lambda S: half + of(S), stack_rows(n, _BOUND_ENTRIES), half=half)
         # one pencil template per batch, one QZ solve per port set in order
         return _Plan(lambda S: are_charging_energy(L, S, params.rho), bound, math.inf)
     if metric is Metric.GRAMIAN:
         def bound():
-            of, score_error = gramian_bounder(L, k, _edge_ends(g))
-            return _Bound(of, stack_rows(GRAMIAN_SHIFTS * n * k), 2 * score_error)
+            B = incidence(g)
+            of, score_error = gramian_bounder(L, k, B)
+            return _Bound(of, stack_rows(GRAMIAN_SHIFTS * (n + B.shape[1]), _BOUND_ENTRIES),
+                          2 * score_error)
         # one stacked Lyapunov solve per batch
         return _Plan(lambda S: gramian_extraction_energy(L, S), bound, n)
 
@@ -291,7 +303,7 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
             return sym_eigen(mats).values[:, end]
 
     def bound():
-        u, v = _edge_ends(g)
+        B = incidence(g)
         norm = np.linalg.norm(base)  # ||L||_F or ||Z||_F, plus the port diagonal's
         norm += 0.0 if metric is Metric.MSUB_LE else eps * math.sqrt(k)
         if metric is Metric.MSUP_LE:
@@ -300,30 +312,33 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
             F, shift = laplacian_pinv(L), 1.0 / eps
 
         def of(S):
-            sets = np.arange(len(S))[:, None]
             if metric is Metric.MSUB_LE:
                 y = _grounded_ones(F, S)
             else:
                 y = resolvent_ones(F, S, shift)
                 y /= np.abs(y).max(axis=1, keepdims=True)
-            edge = ((y[:, u] - y[:, v]) ** 2).sum(axis=1)
-            yy = (y * y).sum(axis=1)
+            d = y @ B
+            edge = np.einsum("se,se->s", d, d)
+            yy = y * y
+            total = yy.sum(axis=1)
             if metric is Metric.MSUB_LE:
-                return 1.0 - tau * edge / yy
+                return 1.0 - tau * edge / total
+            ports = np.arange(len(S))[:, None], S - 1
             if metric is Metric.MPLSE:
-                return (edge + eps * (y[sets, S - 1] ** 2).sum(axis=1)) / yy
-            R = non_ports(n, S)
-            return 1.0 + eps - (tau * edge + eps * (y[sets, R] ** 2).sum(axis=1)) / yy
+                return (edge + eps * yy[ports].sum(axis=1)) / total
+            yy[ports] = 0.0  # leaves the terms of the non-ports
+            return 1.0 + eps - (tau * edge + eps * yy.sum(axis=1)) / total
 
-        return _Bound(of, stack_rows(n * k), 2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
+        return _Bound(of, stack_rows(n + B.shape[1], _BOUND_ENTRIES),
+                      2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
     return _Plan(score, bound, n - k if metric is Metric.MSUB_LE else n)
 
 
-def stack_rows(entries: int) -> int:
+def stack_rows(entries: int, budget: int = _CHUNK_ENTRIES) -> int:
     """How many items of the given number of entries each (an n x n matrix:
-    n**2) one stacked computation takes: about _CHUNK_ENTRIES entries in
-    all, which bounds the memory of a stack, and at least one item."""
-    return max(1, _CHUNK_ENTRIES // entries)
+    n**2) one stacked computation takes: about budget entries in all, which
+    bounds the memory of a stack, and at least one item."""
+    return max(1, budget // entries)
 
 
 def _is_tie(a, b):
@@ -449,14 +464,6 @@ def _guarded(of):
             except np.linalg.LinAlgError:
                 return np.full(len(S), np.nan)
     return guarded
-
-
-def _edge_ends(g: Graph) -> np.ndarray:
-    """The 0-based ends (u, v) of g's edges, in ascending order, as
-    ``np.nonzero(np.triu(laplacian(g), 1))`` lists them."""
-    edges = sorted(g.edges)
-    return np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
-                       count=2 * len(edges)).reshape(-1, 2).T - 1
 
 
 def _bound_then_solve(subsets: np.ndarray, score, bound: _Bound, chunk: int,

@@ -17,10 +17,11 @@ batch) and its checks. A batch raises the error its first failing set
 raises alone. ``are_bounder`` gives each set a proven lower bound on its
 ARE value, with no QZ solve, and ``gramian_bounder`` a proven upper bound on
 its Gramian value, with no Lyapunov solve: their vectors come from factors
-of L built once per selection, L^+ or the resolvents (L + aI)^(-1), and a
-k x k solve per set (``resolvent_ones``). They only compute: a factor or
-solve that fails raises, and ``metrics._subset_bound`` decides what that
-means.
+of L built once per selection, L^+ or the resolvents (L + aI)^(-1), and the
+k x k systems of a whole stack of port sets, solved together by elimination
+(``resolvent_ones``), so no port set gets a LAPACK call of its own. They
+only compute: a factor or solve that fails raises, and
+``metrics._subset_bound`` decides what that means.
 ``scipy.linalg`` is imported by the first ARE batch, not with this module:
 everything else here needs only NumPy, and SciPy's import costs more than
 NumPy's, so a process that never scores ARE never loads it.
@@ -383,9 +384,10 @@ def are_bounder(L: np.ndarray, rho: float) -> Callable[[np.ndarray], np.ndarray]
     not change when v is scaled. As rho -> 0, with v = L_RR^(-1) 1 on R,
     LB(S) -> sqrt(rho n c(S)), the leading term of 1'D1.
 
-    Computed: v = ``_grounded_ones(L^+, S)``, one k x k solve per set against
-    L^+ = (L + 11'/n)^(-1) - 11'/n. Since (iii) holds for every v with v_S =
-    0, an inexact solve only loosens the bound. The rest goes through the
+    Computed: v = ``_grounded_ones(L^+, S)``, from the k x k blocks of
+    L^+ = (L + 11'/n)^(-1) - 11'/n, solved for the whole stack together.
+    Since (iii) holds for every v with v_S = 0, an inexact solve only
+    loosens the bound. The rest goes through the
     well-conditioned G = (L + 11'/n + rho I)^(-1): K^(-1) = G + 11'/(n rho
     (1 + rho)), so the 1/rho direction is exact, a'b = v'LGv and |a|^2 =
     v'LGLv; the denominator is written as (|a|^2 |b|^2 - (a'b)^2) / (|a||b|
@@ -420,9 +422,12 @@ def laplacian_pinv(L: np.ndarray) -> np.ndarray:
 def resolvent_ones(F: np.ndarray, S: np.ndarray, shift: float) -> np.ndarray:
     """y = 1 - F[:, S] (shift I + F_SS)^(-1) 1_k for each port set S of an
     (m, k) int array, which it trusts to be valid, and each matrix of F, an
-    (n, n) matrix or an (..., n, n) stack: an (..., m, n) array. One k x k
-    solve per set and matrix, plus O(nk) work. A singular k x k matrix
-    raises LinAlgError.
+    (n, n) matrix or an (..., n, n) stack: an (..., m, n) array. Every
+    shift I + F_SS must be positive or negative definite; the k x k systems
+    of all sets and matrices are solved together by elimination without
+    pivoting (``_definite_solve``), and y = 1 - U F is one product per
+    matrix, where each row of U holds its set's u on its ports and zeros.
+    A result that is not finite raises LinAlgError.
 
     Let L be a connected graph's Laplacian, u = (shift I + F_SS)^(-1) 1_k,
     and F = (L + aI)^(-1) with a > 0, or F = L^+ = (L + 11'/n)^(-1) - 11'/n.
@@ -434,11 +439,56 @@ def resolvent_ones(F: np.ndarray, S: np.ndarray, shift: float) -> np.ndarray:
     and y is proportional to the solution with right side 1 (Woodbury). For
     F = L^+ and shift = 0, y_S = 0 and L y = (1'u/n) 1 off S, so y is
     proportional to L_RR^(-1) 1 on the non-ports R, and 0 on S.
+
+    Every system the bounds form is definite for k < n: L^+_SS and K_SS + I
+    are positive definite (L^+ is semidefinite with null space 1, and no
+    vector that is 0 off S is a multiple of 1), L^+_SS + I/eps too, and
+    K_SS - I/s is negative definite for K = (L + sI)^(-1), whose largest
+    eigenvalue 1/s belongs to 1 alone.
     """
-    rows = S - 1
-    A = F[..., rows[:, :, None], rows[:, None, :]] + shift * np.eye(S.shape[1])
-    u = np.linalg.solve(A, np.ones(A.shape[:-1] + (1,)))
-    return 1.0 - (np.swapaxes(u, -1, -2) @ F[..., rows, :])[..., 0, :]
+    m, k = S.shape
+    n = F.shape[-1]
+    stack = F.reshape(-1, n, n)  # (q, n, n), q = 1 for one matrix
+    q = len(stack)
+    rows = S.T - 1  # (k, m)
+    # (q, k, k, m): each set's k x k system, for every matrix, in one gather
+    A = stack[:, rows[:, None], rows]
+    if shift:
+        A.reshape(q, k * k, m)[:, ::k + 1] += shift  # the diagonal entries
+    u = _definite_solve(A.transpose(1, 2, 0, 3), np.ones((k, q, m)))
+    # y = 1 - U F, with u on each set's ports of U: one product per matrix
+    U = np.zeros((q, m, n))
+    U[:, np.arange(m)[:, None], S - 1] = u.transpose(1, 2, 0)
+    y = U @ stack
+    np.subtract(1.0, y, out=y)
+    return y.reshape(F.shape[:-2] + (m, n))
+
+
+def _definite_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a stack of positive or negative definite k x k
+    systems, stacked on the trailing axes: A is (k, k, ...), b and x are
+    (k, ...). Gaussian elimination without pivoting, then back substitution
+    by columns, each of the 2k - 1 steps a few operations on the whole stack;
+    it overwrites A and b, and runs under the caller's floating-point error
+    state. On a definite matrix every pivot is a ratio of leading minors of
+    one sign and no entry grows, so elimination without pivoting is
+    backward stable there. A result that is not finite (a zero pivot)
+    raises LinAlgError."""
+    k = len(A)
+    for j in range(k - 1):
+        pivot = A[j + 1:, j] / A[j, j]
+        trailing, rest = A[j + 1:, j + 1:], b[j + 1:]
+        np.subtract(trailing, pivot[:, None] * A[j, j + 1:], out=trailing)
+        np.subtract(rest, pivot * b[j], out=rest)
+    for j in range(k - 1, -1, -1):
+        x = b[j]
+        np.divide(x, A[j, j], out=x)
+        if j:
+            done = b[:j]
+            np.subtract(done, A[:j, j] * x, out=done)
+    if not np.isfinite(b).all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return b
 
 
 def _grounded_ones(Lp: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -587,7 +637,7 @@ def gramian_extraction_energy(L: np.ndarray, ports) -> float | np.ndarray:
 
 
 def gramian_bounder(L: np.ndarray, k: int,
-                    ends: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+                    B: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """A proven upper bound on ``gramian_extraction_energy(L, S)`` for port
     sets S of size k, from GRAMIAN_SHIFTS = r resolvent solves and no
     Lyapunov solve, with the ``eigh`` of L, the shifts and the resolvents
@@ -596,10 +646,10 @@ def gramian_bounder(L: np.ndarray, k: int,
     leave at least one node, to their m bounds. ``score_error`` bounds the
     error of every score that ``gramian_extraction_energy`` returns for such
     a set. L must be the Laplacian of a connected unweighted graph with
-    n >= 2, as ``laplacian(g)`` builds it, and ``ends`` the 0-based ends
-    (u, v) of its edges, each edge once (``metrics._edge_ends``): the edge
-    sums below count each edge once with weight 1, and the proofs need
-    L1 = 0 and lambda_2 > 0. A factor or solve that fails raises
+    n >= 2, as ``laplacian(g)`` builds it, and B its signed incidence
+    matrix, n x |E| with B B' = L, each edge once (``graphs.incidence``):
+    the edge sums below count each edge once with weight 1, and the proofs
+    need L1 = 0 and lambda_2 > 0. A factor or solve that fails raises
     LinAlgError.
 
     With M = L + E_S, 1'Q1 = n/2 - D(S) (see ``gramian_extraction_energy``),
@@ -616,18 +666,24 @@ def gramian_bounder(L: np.ndarray, k: int,
     Computed. The shifts are geometric from k/(4n) to max(4k/n, lambda_n).
     K_i = (L + a_i I)^(-1) comes from one ``eigh`` of L, and since L1 = 0,
     Woodbury gives z_i = (1 - K_i[:, S] (I + K_i[S, S])^(-1) 1_k) / a_i
-    (``resolvent_ones``): a k x k solve per set and shift. c solves H c =
-    b. The test trajectory may be built from any vectors, so the computed
+    (``resolvent_ones``), with the k x k systems of every set and shift of a
+    stack solved together. c solves H c = b by elimination without pivoting
+    over the stack (``_definite_solve``): H is the Schur product of the Gram
+    matrix of the z_i in the L seminorm, whose diagonal b is positive, and
+    the positive definite Cauchy matrix 1/(a_i + a_j), so it is positive
+    definite. The test trajectory may be built from any vectors, so the computed
     z_i serve as they are; only the cross term with the exact z_i needs
     their error. If (M + a_i I) z_i = 1 - r_i, the exact vector is z_i + e_i
     with e_i'L e_i <= r_i'(M + a_i I)^(-1) r_i <= |r_i|^2 / a_i, so the
     cross term is within |r_i| sqrt(b_i / a_i) of b_i. |r_i| is computed,
     plus its own rounding, for which max |z_i| <= (1 + |r_i|) / a_i (the
     exact z_i is at most 1/a_i, read at its largest entry). b_i and H_ij
-    are summed over the edges as
-    products of differences z_u - z_v, b_i as nonnegative terms, and the
+    are summed over the edges as products of the differences z_u - z_v,
+    b_i as nonnegative terms; z @ B gives each difference as one rounding
+    of z_u - z_v, since B's column holds one 1, one -1 and exact zeros. The
     rounding of c'b and of c'Hc is bounded through |H_ij| <= sqrt(b_i b_j) /
-    (a_i + a_j). The numerator is lowered and the denominator raised by
+    (a_i + a_j), relative to their sums of absolute terms, whatever the
+    order of the sums. The numerator is lowered and the denominator raised by
     these amounts, so an inexact z_i or an ill-conditioned H only loosens
     the bound; what is left is the rounding of the last few operations, a
     few ulps of n/2. A singular H raises LinAlgError, and a bound that
@@ -653,35 +709,33 @@ def gramian_bounder(L: np.ndarray, k: int,
     a = lo * (max(4 * k / n, lam[-1]) / lo) ** _SHIFT_STEPS
     K = (V / (lam + a[:, None, None])) @ V.T  # (r, n, n)
     shifted = L + a[:, None, None] * np.eye(n)
-    u, v = ends
     # rounding allowances: of |r_i|, from the largest row sum of |L + E_S +
     # a_i I| times max |z_i| <= (1 + |r_i|) / a_i, and of c'b and c'Hc,
     # relative to their sums of absolute terms
     res_round = 2 * math.sqrt(n) * (n + 3) * _ULP * (2 * L.diagonal().max() + 1.0 + a) / a
-    gamma = (len(u) + 2 * GRAMIAN_SHIFTS + 4) * _ULP
+    gamma = (B.shape[1] + 2 * GRAMIAN_SHIFTS + 4) * _ULP
     pair = 1.0 / (a[:, None] + a[None, :])
     root_a = np.sqrt(a)
 
     def of(S):
-        rows, sets = S - 1, np.arange(len(S))[:, None]
-        z = resolvent_ones(K, S, 1.0) / a[:, None, None]
+        rows, sets, m = S - 1, np.arange(len(S))[:, None], len(S)
+        z = resolvent_ones(K, S, 1.0) / a[:, None, None]  # (r, m, n)
         # |r_i|, r_i = 1 - (L + a_i I + E_S) z_i, for each shift and set
         res = 1.0 - z @ shifted
         res[:, sets, rows] -= z[:, sets, rows]
         res = np.linalg.norm(res, axis=-1)
-        res = (res + res_round[:, None] * (1.0 + res)).T  # (m, r)
-        d = np.swapaxes(z[..., u] - z[..., v], 0, 1)  # (m, r, edges)
-        gram = d @ np.swapaxes(d, -1, -2)
-        b = np.diagonal(gram, axis1=-2, axis2=-1)
-        H = gram * pair
-        c = np.linalg.solve(H, b[..., None])
-        cHc = (c * (H @ c))[..., 0].sum(axis=1)
-        c = c[..., 0]
+        res += res_round[:, None] * (1.0 + res)  # (r, m)
+        d = (z.reshape(-1, n) @ B).reshape(GRAMIAN_SHIFTS, m, -1)  # (r, m, edges)
+        gram = np.einsum("ime,jme->ijm", d, d)  # (r, r, m)
+        b = np.diagonal(gram).T
+        H = gram * pair[:, :, None]
+        c = _definite_solve(H.copy(), b.copy())
+        cHc = (c * (H * c).sum(axis=1)).sum(axis=0)
         ac, root_b = np.abs(c), np.sqrt(b)
-        num = np.abs((c * b).sum(axis=1)) - (ac * (res * root_b / root_a
-                                                   + gamma * b)).sum(axis=1)
+        num = np.abs((c * b).sum(axis=0)) - (ac * (res * root_b / root_a[:, None]
+                                                   + gamma * b)).sum(axis=0)
         s = ac * root_b
-        den = cHc + gamma * ((s @ pair) * s).sum(axis=1)
+        den = cHc + gamma * ((pair @ s) * s).sum(axis=0)
         return n / 2 - np.maximum(num, 0.0) ** 2 / den
 
     lam2 = lam[1] - EIGEN_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(L))

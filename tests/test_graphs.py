@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from spectral_kcenter import (Graph, GraphFormatError, MetricParams,
                               parse_edge_list, path_charpoly, path_graph,
                               random_connected_graph, random_tree, relabel,
                               serialize_edge_list, stochastic)
-from spectral_kcenter.graphs import check_tau
+from spectral_kcenter.graphs import check_tau, incidence
 
 FIG1_DEGREES = [1, 2, 3, 1, 3, 1, 2, 3, 2, 3, 1]
 
@@ -68,6 +70,43 @@ def test_graph_edges_must_be_a_frozenset(edges):
     with pytest.raises(ParameterError, match=r"frozenset .*Graph\.from_edges"):
         Graph(3, edges)
     assert Graph.from_edges(3, [(2, 1), (2, 3)]) == Graph(3, frozenset({(1, 2), (2, 3)}))
+
+
+# (build, the edge the error names): an edge that is not a pair of
+# endpoints, whichever way the graph is built
+MALFORMED_EDGES = [
+    pytest.param(lambda: Graph(3, frozenset({(1, 2, 3)})), "(1, 2, 3)", id="triple"),
+    pytest.param(lambda: Graph(3, frozenset({1})), "1", id="int"),
+    pytest.param(lambda: Graph(3, frozenset({frozenset({1, 2})})), "frozenset({1, 2})",
+                 id="frozenset"),
+    pytest.param(lambda: Graph.from_edges(3, [(1, 2, 3)]), "(1, 2, 3)", id="from-triple"),
+    pytest.param(lambda: Graph.from_edges(3, [(1, 2), 3]), "3", id="from-int"),
+    pytest.param(lambda: Graph.from_edges(3, [(1,)]), "(1,)", id="from-single"),
+]
+
+
+@pytest.mark.parametrize("build, edge", MALFORMED_EDGES)
+def test_malformed_edges_are_parameter_errors(build, edge):
+    with pytest.raises(ParameterError, match=f"^edge {re.escape(edge)} is not a pair"):
+        build()
+    # any pair of endpoints is an edge of from_edges
+    assert Graph.from_edges(3, [[1, 2], iter((3, 2))]) == path_graph(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 31 - 1))
+def test_incidence_gives_the_laplacian_and_exact_edge_differences(n, seed):
+    # B B' = L exactly, and y @ B is the per-edge difference y_u - y_v to
+    # the last bit, as the bounds' rounding arguments need
+    g = random_tree(n, seed) if seed % 2 else random_connected_graph(n, 0.5, seed)
+    B = incidence(g)
+    assert B.shape == (n, len(g.edges))
+    assert np.array_equal(B @ B.T, laplacian(g))
+    u, v = B.argmax(axis=0), B.argmin(axis=0)  # each column's 1 and -1
+    assert list(zip(u.tolist(), v.tolist())) == [(a - 1, b - 1) for a, b in g.sorted_edges()]
+    assert np.count_nonzero(B) == 2 * len(g.edges)
+    y = np.random.default_rng(seed).standard_normal((7, n)) * 10.0 ** np.arange(-3, 4)[:, None]
+    assert (y @ B).tobytes() == (y[:, u] - y[:, v]).tobytes()
 
 
 def test_laplacian_small_paths():

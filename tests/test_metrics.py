@@ -616,6 +616,40 @@ def test_bounds_from_k_by_k_solves_match_direct_solves():
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (g, k, metric, params)
 
 
+# the graphs of the desk-cap benchmark at n = 12, where k = 4..6 runs the
+# longer elimination loops of the bounds' k x k solves
+MID_K_GRAPHS = [path_graph(12), random_tree(12, ARE_SEED),
+                random_connected_graph(12, 0.4, ARE_SEED)]
+
+
+@pytest.mark.parametrize("metric", SKIP_METRICS + (Metric.ARE,))
+def test_bounded_mid_k_selections_select_bit_for_bit_like_the_full_table(metric):
+    for g in MID_K_GRAPHS:
+        for k in (4, 5, 6):
+            full = _full_table(g, k, metric, MetricParams())
+            assert _same_selection(select_bounded(g, k, metric), full), (g, k)
+
+
+# the np.linalg routines that call LAPACK
+LAPACK_ROUTINES = ("solve", "inv", "eigh", "eigvalsh", "eig", "eigvals", "cholesky",
+                   "lstsq", "det", "slogdet", "qr", "svd", "pinv")
+
+
+def test_bounds_make_no_lapack_call_per_port_set(monkeypatch):
+    # a bound's factors are built once per selection; evaluating it over
+    # every port set, in one stack or many, calls no LAPACK routine
+    g = random_connected_graph(12, 0.4, ARE_SEED)
+    for k in (1, 3, 5):
+        S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
+        bounds = [_bound(g, k, metric) for metric in SKIP_METRICS + (Metric.ARE,)]
+        with monkeypatch.context() as patch:
+            counts = _counting(patch, np.linalg, LAPACK_ROUTINES)
+            for bound in bounds:
+                assert np.isfinite(metrics._in_stacks(bound.of, S, bound.rows)).all()
+                assert np.isfinite(bound.of(S[:1])).all()
+            assert not counts, (k, counts)
+
+
 def _recording_solves(monkeypatch, metric=Metric.MPLSE):
     """Record how many port sets select_best scores: matrices handed to the
     eigensolver, or port sets to the Gramian or ARE."""

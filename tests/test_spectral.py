@@ -21,8 +21,9 @@ from spectral_kcenter import (IllPosedError, NumericError, ParameterError,
                               stochastic, sym_eigen, tridiag_charpoly)
 from spectral_kcenter import Metric, MetricParams, metrics, spectral
 from spectral_kcenter.experiments import _row_instance
+from spectral_kcenter.graphs import incidence
 from spectral_kcenter.spectral import (DEFAULT_RHO, LYAPUNOV_RESIDUAL_FACTOR, are_bounder,
-                                       gramian_bounder)
+                                       gramian_bounder, resolvent_ones)
 from numpy.polynomial import polynomial as P
 
 
@@ -638,7 +639,7 @@ def test_gramian_score_error_rests_on_a_lower_bound_of_lambda_min():
         L, n = laplacian(g), g.n
         mu = np.linalg.eigvalsh(L + _port_matrices(n, np.arange(1, n + 1)[:, None]))[:, 0]
         for k in (1, 3):
-            _, error = gramian_bounder(L, k, metrics._edge_ends(g))
+            _, error = gramian_bounder(L, k, incidence(g))
             mu_0 = n * LYAPUNOV_RESIDUAL_FACTOR * (1 + math.sqrt(k)) / (2 * error)
             assert 0 < mu_0 <= mu.min(), g
             assert mu_0 > mu.min() / (2 * n), g  # not vacuous
@@ -684,7 +685,7 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
               random_connected_graph(5, 0.6, 3)):
         L = laplacian(g)
         for k in (1, 2):
-            of, error = gramian_bounder(L, k, metrics._edge_ends(g))
+            of, error = gramian_bounder(L, k, incidence(g))
             plan = metrics._plan(g, k, Metric.GRAMIAN, MetricParams(), L)
             margin = metrics._subset_bound(g, plan).margin
             S = np.array(list(itertools.combinations(range(1, g.n + 1), k)))
@@ -698,33 +699,53 @@ def test_gramian_score_error_and_bound_hold_against_the_exact_value():
     assert worst > 0
 
 
-def test_gramian_bounder_edge_ends_are_the_laplacian_edges():
-    # the selection hands gramian_bounder the edge ends it builds for every
-    # bound; they list g's edges in the order np.nonzero(np.triu(L, 1))
+def _own_incidence(L):
+    """The signed incidence matrix of L's own off-diagonal entries, in the
+    order np.nonzero(np.triu(L, 1)) lists them."""
+    u, v = np.nonzero(np.triu(L, 1))
+    B = np.zeros((len(L), len(u)))
+    B[u, np.arange(len(u))] = 1.0
+    B[v, np.arange(len(u))] = -1.0
+    return B
+
+
+def test_gramian_bounder_incidence_is_the_laplacian_edges():
+    # the selection hands gramian_bounder the incidence matrix it builds for
+    # every bound; it lists g's edges in the order np.nonzero(np.triu(L, 1))
     # does, so the bound is bit for bit the one from L's own edges
     for g in DIGEST_CORPUS[::6] + [figure1_graph(),
                                    relabel(path_graph(6), dict(zip(range(1, 7), (3, 6, 1, 5, 2, 4))))]:
         L = laplacian(g)
-        ends, own = metrics._edge_ends(g), np.nonzero(np.triu(L, 1))
-        assert np.array_equal(ends, own), g
+        B, own = incidence(g), _own_incidence(L)
+        assert np.array_equal(B, own), g
         S = np.array(list(itertools.combinations(range(1, g.n + 1), 2)))
-        assert np.array_equal(gramian_bounder(L, 2, ends)[0](S),
+        assert np.array_equal(gramian_bounder(L, 2, B)[0](S),
                               gramian_bounder(L, 2, own)[0](S)), g
 
 
-def test_gramian_bound_takes_one_set_or_a_stack():
-    # a set's bound does not depend on the stack it comes in, and lies above
-    # the computed score and below n/2
-    g = path_graph(7)
+# path:7 at k = 2, three sets; and the first 40 sets of path:12 at k = 2,
+# where most sets' bounds alone differ from their bounds in the stack in the
+# last bits: the products of one row take other paths through BLAS
+STACK_CASES = [pytest.param(path_graph(7), np.array([[1, 4], [2, 5], [3, 6]]), id="path7"),
+               pytest.param(path_graph(12),
+                            np.array(list(itertools.combinations(range(1, 13), 2)))[:40], id="path12")]
+
+
+@pytest.mark.parametrize("g, S", STACK_CASES)
+def test_gramian_bound_takes_one_set_or_a_stack(g, S):
+    # what the proof uses: every bound, alone or in a stack, lies at or above
+    # the computed score and below n/2; alone and stacked agree to rounding,
+    # and a reversed stack gives the reversed bounds bit for bit
     L = laplacian(g)
-    S = np.array([[1, 4], [2, 5], [3, 6]])
-    of, _ = gramian_bounder(L, 2, metrics._edge_ends(g))
-    one = of(S[1:2])
-    assert one.shape == (1,)
+    of, _ = gramian_bounder(L, 2, incidence(g))
     batch = of(S)
-    assert batch.shape == (3,) and batch[1] == one[0]
-    assert np.array_equal(of(S[::-1]), batch[::-1])
-    assert np.all(gramian_extraction_energy(L, S) < batch) and np.all(batch < 3.5)
+    alone = np.concatenate([of(S[i:i + 1]) for i in range(len(S))])
+    assert batch.shape == alone.shape == (len(S),)
+    scores = gramian_extraction_energy(L, S)
+    for bounds in (batch, alone):
+        assert np.all(scores <= bounds) and np.all(bounds < g.n / 2)
+    assert np.allclose(alone, batch, rtol=1e-12, atol=0)
+    assert of(S[::-1]).tobytes() == batch[::-1].tobytes()
 
 
 def _grounded_closeness(L, S):
@@ -749,18 +770,64 @@ def test_are_bound_tends_to_the_cheap_control_limit():
     assert math.isclose(_grounded_closeness(laplacian(path_graph(12)), (1,)), 506)
 
 
-def test_are_bound_takes_one_set_or_a_stack():
-    # a set's bound does not depend on the stack it comes in, and lies below
-    # the value less n/2
-    L = laplacian(path_graph(7))
-    S = np.array([[1, 4], [2, 5], [3, 6]])
+@pytest.mark.parametrize("g, S", STACK_CASES)
+def test_are_bound_takes_one_set_or_a_stack(g, S):
+    # every bound, alone or in a stack, lies below the value less n/2; alone
+    # and stacked agree to rounding, and a reversed stack gives the
+    # reversed bounds bit for bit
+    L = laplacian(g)
     of = are_bounder(L, DEFAULT_RHO)
-    one = of(S[1:2])
-    assert one.shape == (1,)
     batch = of(S)
-    assert batch.shape == (3,) and batch[1] == one[0]
-    assert np.array_equal(of(S[::-1]), batch[::-1])
-    assert one[0] < are_charging_energy(L, (2, 5)) - 3.5
+    alone = np.concatenate([of(S[i:i + 1]) for i in range(len(S))])
+    assert batch.shape == alone.shape == (len(S),)
+    values = are_charging_energy(L, S) - g.n / 2
+    for bounds in (batch, alone):
+        assert np.all(bounds < values)
+    assert np.allclose(alone, batch, rtol=1e-12, atol=0)
+    assert of(S[::-1]).tobytes() == batch[::-1].tobytes()
+
+
+def _resolvent_reference(F, S, shift):
+    """resolvent_ones with one LAPACK solve per set and matrix and a
+    (1, k) @ (k, n) product per set."""
+    rows = S - 1
+    A = F[..., rows[:, :, None], rows[:, None, :]] + shift * np.eye(S.shape[1])
+    u = np.linalg.solve(A, np.ones(A.shape[:-1] + (1,)))
+    return 1.0 - (np.swapaxes(u, -1, -2) @ F[..., rows, :])[..., 0, :]
+
+
+def _resolvent_cases(g):
+    """(F, shift) for every kind of system a bound solves: positive definite
+    (mplse, msub and ARE from L^+, the Gramian from an (r, n, n) stack of
+    resolvents) and negative definite (msup)."""
+    L, n = laplacian(g), g.n
+    Lp = spectral.laplacian_pinv(L)
+    K = np.stack([np.linalg.inv(L + a * np.eye(n)) for a in (0.05, 0.5, 5.0)])
+    return [(Lp, 100.0), (Lp, 0.0), (K, 1.0), (np.linalg.inv(L + 0.05 * np.eye(n)), -20.0)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_resolvent_ones_matches_a_solve_per_set(k):
+    # elimination without pivoting over the whole stack, against LAPACK set
+    # by set, for stacks of one row and of many; each row of y to a relative
+    # 1e-12 of its largest entry (y_S is 0 for shift 0)
+    for g in (random_connected_graph(12, 0.4, 3), random_tree(12, 5)):
+        S = np.array(list(itertools.combinations(range(1, 13), k)))[::7]
+        for F, shift in _resolvent_cases(g):
+            for stack in (S, S[:1]):
+                got, want = resolvent_ones(F, stack, shift), _resolvent_reference(F, stack, shift)
+                assert got.shape == want.shape == F.shape[:-2] + (len(stack), 12)
+                scale = np.abs(want).max(axis=-1)
+                assert np.all(np.abs(got - want).max(axis=-1) <= 1e-12 * scale), (g, k, shift)
+
+
+def test_resolvent_ones_raises_on_a_singular_system():
+    # a zero pivot: the k x k block of all ones, and a zero matrix
+    S = np.array([[1, 2], [2, 3]])
+    for F in (np.ones((4, 4)), np.zeros((3, 4, 4))):
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            resolvent_ones(F, S, 0.0)
+    assert np.isfinite(resolvent_ones(np.ones((4, 4)), S, 1.0)).all()
 
 
 def test_non_ports_lists_the_other_nodes_ascending():
