@@ -35,7 +35,8 @@ neither).
 The target ``path`` hashes every ``path_theory_checks`` result (id, flag,
 residual as float64 bytes and detail) for n = 3..40 and the k-port cases
 (9, 3) and (15, 5), then every ``conjecture_probe`` report for odd
-n = 5..19, the cases of the path-oracle benchmark.
+n = 5..19, the cases of the path-oracle benchmark. A second line follows:
+the matrices ``sym_eigen`` solves over the path cases and over the probes.
 
 The target ``oracle`` hashes, as float64 bytes, the outputs of the path
 oracle's closed forms for n = 2..40 and eps in ORACLE_EPS, at every port
@@ -80,7 +81,7 @@ from spectral_kcenter.errors import NumericError
 from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
                                           path_theory_checks)
 from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
-from spectral_kcenter import metrics
+from spectral_kcenter import experiments, metrics
 from spectral_kcenter.metrics import Metric, MetricParams, select_best
 from spectral_kcenter.path_theory import convexity_series_gap
 
@@ -183,21 +184,33 @@ def select_digest(graphs) -> tuple[str, int, int, dict]:
     return h.hexdigest(), selections, errors, counts
 
 
-def path_digest() -> tuple[str, int, int]:
-    """The digest, the number of check results and the number of probes."""
+def path_digest() -> tuple[str, int, int, dict]:
+    """The digest, the number of check results, the number of probes, and
+    the matrices ``sym_eigen`` solves over the path cases and the probes."""
     h = hashlib.sha256()
     checks = 0
-    for n, k in PATH_CASES:
-        h.update(f"path n={n} k={k}\n".encode())
-        for c in path_theory_checks(n, k=k):
-            checks += 1
-            h.update(f"{c.check_id} passed={c.passed}\n".encode())
-            h.update(np.float64(c.residual).tobytes())
-            h.update(f"{c.detail}\n".encode())
-    for n in PROBE_ORDERS:
-        # JSON writes each float by its shortest exact repr
-        h.update(f"probe {json.dumps(conjecture_probe(n), sort_keys=True)}\n".encode())
-    return h.hexdigest(), checks, len(PROBE_ORDERS)
+    solved = {"cases": 0, "probes": 0}
+    part = "cases"
+    sym_eigen = experiments.sym_eigen
+
+    def counted(A):
+        solved[part] += int(np.prod(np.shape(A)[:-2]))
+        return sym_eigen(A)
+
+    with mock.patch.object(metrics, "sym_eigen", counted), \
+            mock.patch.object(experiments, "sym_eigen", counted):
+        for n, k in PATH_CASES:
+            h.update(f"path n={n} k={k}\n".encode())
+            for c in path_theory_checks(n, k=k):
+                checks += 1
+                h.update(f"{c.check_id} passed={c.passed}\n".encode())
+                h.update(np.float64(c.residual).tobytes())
+                h.update(f"{c.detail}\n".encode())
+        part = "probes"
+        for n in PROBE_ORDERS:
+            # JSON writes each float by its shortest exact repr
+            h.update(f"probe {json.dumps(conjecture_probe(n), sort_keys=True)}\n".encode())
+    return h.hexdigest(), checks, len(PROBE_ORDERS), solved
 
 
 def _floats(value) -> np.ndarray:
@@ -299,8 +312,10 @@ def main():
     graphs = None
     for target in args.targets:
         if target == "path":
-            digest, checks, probes = path_digest()
+            digest, checks, probes, solved = path_digest()
             print(f"path {digest} checks={checks} probes={probes}")
+            print("path matrices sym_eigen solves: "
+                  + " ".join(f"{part}={count}" for part, count in solved.items()))
             continue
         if target == "oracle":
             digest, outputs = oracle_digest()

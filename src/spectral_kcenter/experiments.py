@@ -28,7 +28,8 @@ from .metrics import (Metric, MetricParams, _in_stacks, check_subset_count,
 from .path_theory import (convexity_series_gap, has_optimal_ports,
                           lambda_min_quadratic_1port, lambda_min_quadratic_2port,
                           lambda_min_series_kport, lambda_min_series_positions,
-                          optimal_ports, path_eigenpair, pseudo_toeplitz_lambda_min)
+                          optimal_ports, path_eigenpair, path_lambda_min,
+                          pseudo_toeplitz_lambda_min)
 from .spectral import check_index, check_positive, sym_eigen
 
 DESK_MAX_N = 20  # largest order of every select and compare graph
@@ -238,7 +239,9 @@ class CheckResult:
 
 def _series_tolerance(eps: float) -> float:
     """50 eps^3, the bound the suite allows the series' remainder; a
-    ParameterError if it is not finite."""
+    ParameterError unless it is a positive normal float: an infinite one
+    passes everything, and below the normal range the checks' own terms
+    (eps^2 (n^2 + 2) / (12 n^2) in the convexity identity) flush to 0."""
     try:
         tol = 50.0 * eps ** 3
     except OverflowError:
@@ -246,6 +249,9 @@ def _series_tolerance(eps: float) -> float:
     if not math.isfinite(tol):
         raise ParameterError(f"eps = {eps:g} makes the series tolerance "
                              "50 eps^3 overflow")
+    if not tol >= np.finfo(float).tiny:
+        raise ParameterError(f"eps = {eps:g} makes the series tolerance "
+                             "50 eps^3 underflow")
     return tol
 
 
@@ -254,14 +260,15 @@ def path_theory_checks(n: int, k: Optional[int] = None,
     """Run the path-graph oracle suite for order n; each check reports a
     residual and pass flag. Checks that need a parity or divisibility
     assumption are included only when n (and k) satisfy it; k, if given,
-    must be in 1..n-1, and eps must leave every tolerance finite.
+    must be in 1..n-1, and eps must leave every tolerance a positive
+    normal float.
 
     Each (k, metric) is selected once. The exact one-port values are read
     from the k = 1 mplse selection's score table, which solves each of the
     n matrices once. The two-port mplse selection solves only the pairs
-    its bound cannot rule out, and ``mplse_score`` solves the (n/2 - 1) n/2
-    pairs j1 < n/2 < j2 that the two-port series check reads, so only a
-    pair near the optimum is solved twice.
+    its bound cannot rule out. The (n/2 - 1) n/2 pairs j1 < n/2 < j2 that
+    the two-port series check reads come from ``path_lambda_min``, one
+    certified tridiagonal stack with no dense eigensolve.
     """
     check_index("n", n, 3, PATH_MAX_N)
     if k is not None:
@@ -336,7 +343,7 @@ def path_theory_checks(n: int, k: Optional[int] = None,
         # lambda_min(L + eps e_j1 e_j1' + eps e_j2 e_j2') for j1 < n/2 < j2
         pairs = [(j1, j2) for j1 in range(1, n // 2)
                  for j2 in range(n // 2 + 1, n + 1)]
-        exact = mplse_score(g, np.array(pairs), params).tolist()
+        exact = path_lambda_min(n, np.array(pairs), eps).tolist()
         worst = max(abs(e - lambda_min_quadratic_2port(n, j1, j2, eps))
                     for (j1, j2), e in zip(pairs, exact))
         add("two-port-series-vs-exact", worst, series_tol)

@@ -7,7 +7,11 @@ polynomial in eps. Polynomials are plain 1-D float arrays of coefficients
 in ascending degree.
 
 Everything here is exact path-graph theory; the generic eigensolver in
-``spectral`` serves as the independent cross-check in the test suite.
+``spectral`` serves as the independent cross-check in the test suite. The
+one numerical kernel, ``path_lambda_min``, gives the exact smallest
+eigenvalue of L(P_n) + eps E_S for a whole stack of port sets in O(n) work
+per set and Newton step, using only that the matrix is tridiagonal, and
+certifies each value by two Sturm counts.
 Every optimal center comes from ``optimal_ports``, the one place that states
 where the centers sit, and ``has_optimal_ports`` says where they exist; every
 argument is checked by ``spectral``'s ``check_index``, ``check_ports`` and
@@ -24,8 +28,14 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import AssumptionError, ParameterError
-from .spectral import check_index, check_positive, check_ports
+from .errors import AssumptionError, NumericError, ParameterError
+from .spectral import _ULP, _port_sets, check_index, check_positive, check_ports
+
+# each lambda_min of ``path_lambda_min`` is certified to within
+# _CERTIFY_FACTOR n ulp (4 + eps), 4 + eps bounding ||L(P_n) + eps E_S||
+_CERTIFY_FACTOR = 2.0
+# LAPACK dstebz's pivmin, safemin max(1, e^2), at off-diagonal e = -1
+_PIVMIN = np.finfo(float).tiny
 
 
 def tridiag_charpoly(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> np.ndarray:
@@ -183,6 +193,97 @@ def pseudo_toeplitz_lambda_min(n: int) -> float:
     """
     check_index("n", n, 1)
     return 2.0 - 2.0 * math.cos(math.pi / (2 * n + 1))
+
+
+def path_lambda_min(n: int, ports, eps: float) -> np.ndarray:
+    """lambda_min(L(P_n) + eps E_S) for each port set S of an (m, k) array
+    of 1-based ports, each certified to within delta = 2 n ulp (4 + eps).
+
+    Each matrix T is tridiagonal: off-diagonal -1, diagonal d = (1, 2, ...,
+    2, 1) plus eps on the ports. It is positive definite, so x = 0 lies
+    below lambda_min, and Newton's method on det(T - xI) rises from there
+    monotonically to lambda_min. One pass over the rows gives every set's
+    LDL' pivots q_i = (d_i - x) - 1/q_(i-1), their derivatives in x and
+    so its step. A set stops once its step is at most delta/4; its
+    arithmetic is elementwise, so it gets the bits it gets alone.
+
+    The certificate is two Sturm counts (``_sturm_counts``): no eigenvalue
+    below x - delta and at least one below x + delta put lambda_min in
+    [x - delta, x + delta]. Each count is exact for a matrix within a few
+    ulp ||T|| of T (Kahan 1966), well inside delta. A set that fails it is
+    a NumericError, and so is one still moving by more than delta/4 after
+    n log(4 ||T|| / delta) steps, which no exact Newton iteration takes:
+    each step, 1 / sum_j 1/(lambda_j - x), closes at least 1/n of the gap
+    lambda_min - x, and the first gap is at most ||T|| <= 4 + eps.
+    """
+    check_index("n", n, 2)
+    check_positive("eps", eps)
+    S, _ = _port_sets(n, ports)
+    m = len(S)
+    d = np.full((n, m), 2.0)
+    d[[0, -1]] = 1.0
+    d[S - 1, np.arange(m)[:, None]] += eps  # row i is every set's d_i
+    delta = _CERTIFY_FACTOR * n * _ULP * (4.0 + eps)
+    # n log(4 ||T|| / delta) with ||T|| <= 4 + eps, which cancels
+    max_steps = math.ceil(n * math.log(4.0 / (_CERTIFY_FACTOR * n * _ULP))) + 1
+    x = _newton_from_zero(d, delta, max_steps)
+    below, above = _sturm_counts(d, np.stack([x - delta, x + delta]))
+    bad = np.flatnonzero((below != 0) | (above < 1))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"lambda_min of P_{n} with ports {S[i].tolist()} at eps = {eps:g} is not "
+            f"certified: {below[i]} eigenvalues below {x[i] - delta:.17g}, "
+            f"{above[i]} below {x[i] + delta:.17g}")
+    return x
+
+
+def _newton_from_zero(d: np.ndarray, delta: float, max_steps: int) -> np.ndarray:
+    """Newton's method from x = 0 on det(T - xI) for the tridiagonal T of
+    each column of d (diagonal d, off-diagonal -1), each column stopping
+    once its step is at most delta/4; a NumericError if a column has not
+    stopped after max_steps passes.
+
+    Below lambda_min every pivot is positive and the step -p/p' = -1 /
+    sum_i q_i'/q_i, with q_i' = q_(i-1)'/q_(i-1)^2 - 1, is positive and
+    finite. A column with a pivot at or below 0 has rounded onto or past
+    lambda_min: it takes no step and stops, and what its pass computed
+    (possibly inf or NaN, hence the errstate) is unused."""
+    x = np.zeros(d.shape[1])
+    live = np.arange(d.shape[1])
+    for _ in range(max_steps):
+        xs = x[live]
+        r = dq = s = 0.0  # an empty leading block: 1/q_0 = q_0' = 0
+        past = False
+        with np.errstate(all="ignore"):
+            for row in d[:, live] - xs:
+                dq = dq * r * r - 1.0
+                q = row - r
+                s += dq / q
+                past |= q <= 0
+                r = 1.0 / q
+            step = -1.0 / s
+            x[live] = np.where(past, xs, xs + step)
+            live = live[~past & (step > 0.25 * delta)]
+        if not live.size:
+            return x
+    raise NumericError(f"Newton's method for lambda_min did not settle within "
+                       f"{max_steps} steps")
+
+
+def _sturm_counts(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """How many eigenvalues of each column's tridiagonal T (diagonal d,
+    off-diagonal -1) lie below y, for y of shape (..., m): the negative
+    pivots of T - yI, a pivot of magnitude at most pivmin taken as -pivmin
+    as LAPACK's dstebz takes it, so no division is by zero or overflows."""
+    count = np.zeros(y.shape, dtype=np.intp)
+    r = 0.0
+    for row in d:
+        q = (row - y) - r
+        q[np.abs(q) <= _PIVMIN] = -_PIVMIN
+        count += q < 0
+        r = 1.0 / q
+    return count
 
 
 def end_segment_charpoly(m: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from spectral_kcenter.metrics import MetricParams, perturbed_laplacian, select_b
 from spectral_kcenter.path_theory import (lambda_min_quadratic_1port,
                                           lambda_min_quadratic_2port,
                                           lambda_min_series_positions,
+                                          path_lambda_min,
                                           pseudo_toeplitz_lambda_min)
 from spectral_kcenter.spectral import sym_eigen
 
@@ -74,16 +75,27 @@ def test_path_theory_checks_reject_overflowing_tolerance(n, eps):
         path_theory_checks(n, eps=eps)
 
 
+@pytest.mark.parametrize("eps", [1e-120, 1e-200, 5e-324])
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_path_theory_checks_reject_underflowing_tolerance(n, eps):
+    # 50 eps^3 below the normal range: at 1e-200 the convexity identity's
+    # eps^2 (n^2 + 2) / (12 n^2) is 0 and n = 6 ended in ZeroDivisionError
+    with pytest.raises(ParameterError, match="underflow"):
+        path_theory_checks(n, eps=eps)
+
+
 def _lambda_min(L, ports, eps):
-    """One matrix, one solve: how the suite computed each exact value."""
+    """One matrix, one dense solve: how the suite computes each one-port
+    exact value."""
     return float(sym_eigen(perturbed_laplacian(L, ports, eps)).values[0])
 
 
 @pytest.mark.parametrize("n", [11, 14, 38])
 def test_path_theory_checks_bitwise_equal_single_solves(n):
-    # the exact values read from the one-port mplse table and scored by
-    # mplse_score equal single solves bit for bit; n = 38 spreads the 342
-    # straddling two-port pairs over 32 stacks of 11
+    # the exact values read from the one-port mplse table equal single
+    # dense solves bit for bit; the 342 straddling two-port pairs of n = 38,
+    # solved in one path_lambda_min stack, equal its single-pair values bit
+    # for bit and single dense solves within its certified width
     eps = 0.01
     g = path_graph(n)
     L = laplacian(g)
@@ -99,10 +111,14 @@ def test_path_theory_checks_bitwise_equal_single_solves(n):
         expected["pseudo-toeplitz-value"] = abs(
             _lambda_min(L, (1,), 1.0) - pseudo_toeplitz_lambda_min(n))
     else:
+        pairs = [(j1, j2) for j1 in range(1, n // 2) for j2 in range(n // 2 + 1, n + 1)]
+        alone = [path_lambda_min(n, np.array([pair]), eps)[0] for pair in pairs]
+        delta = 2 * n * np.finfo(float).eps * (4 + eps)
+        for pair, value in zip(pairs, alone):
+            assert abs(value - _lambda_min(L, pair, eps)) <= delta, pair
         expected["two-port-series-vs-exact"] = max(
-            abs(_lambda_min(L, (j1, j2), eps)
-                - lambda_min_quadratic_2port(n, j1, j2, eps))
-            for j1 in range(1, n // 2) for j2 in range(n // 2 + 1, n + 1))
+            abs(value - lambda_min_quadratic_2port(n, j1, j2, eps))
+            for (j1, j2), value in zip(pairs, alone))
         lam2 = select_best(g, 2, Metric.MPLSE, params).score
         lam1 = select_best(g, 1, Metric.MPLSE, params).score
         expected["convexity-exact"] = (0.0 if lam2 - 2 * lam1 > 0 else 1.0,
@@ -129,8 +145,8 @@ def test_path_theory_checks_vanishing_quadratic_form():
 
 def test_path_theory_checks_call_contract(monkeypatch):
     # each (k, metric) is selected once: the two-port mplse selection serves
-    # the centers and lambda*(2), and the exact series values come from
-    # mplse_score, not from a selection
+    # the centers and lambda*(2), and the exact two-port series values come
+    # from path_lambda_min's tridiagonal kernel, not from a selection
     calls = []
     select_best = experiments.select_best
 
@@ -147,10 +163,12 @@ def test_path_theory_checks_call_contract(monkeypatch):
 
 
 def test_path_theory_checks_solve_fewer_matrices_than_the_two_port_table(monkeypatch):
-    # path:38 has C(38, 2) = 703 two-port sets; the series check solves the
-    # 342 pairs j1 < 19 < j2 that it reads, and each selection only the sets
-    # its bound cannot rule out, so the whole suite solves fewer matrices
-    # than the full two-port table alone
+    # path:38 has C(38, 2) = 703 two-port sets; the series check reads its
+    # 342 pairs j1 < 19 < j2 from path_lambda_min, which solves no dense
+    # matrix, and each selection solves only the sets its bound cannot rule
+    # out, so the suite solves fewer dense matrices than n = 38 has nodes
+    # (17 here; a bound loosened by an eigen residual factor of 1e-4
+    # instead of 1e-9 gives 1,459)
     solved = []
     for module in (metrics, experiments):
         def counting(A, _solve=module.sym_eigen):
@@ -158,7 +176,7 @@ def test_path_theory_checks_solve_fewer_matrices_than_the_two_port_table(monkeyp
             return _solve(A)
         monkeypatch.setattr(module, "sym_eigen", counting)
     path_theory_checks(38)
-    assert 342 <= sum(solved) < math.comb(38, 2)
+    assert sum(solved) < 38
 
 
 def test_series_positions_equal_inline_formula():
@@ -444,11 +462,12 @@ def test_cli_path_theory_bad_k_exit_2(k):
     ("path-theory", "--n", "6", "--epsilon", "1e103"),
     ("path-theory", "--n", "8", "--epsilon", "1e103"),
     ("path-theory", "--n", "15", "--k", "5", "--epsilon", "1e103"),
+    ("path-theory", "--n", "6", "--epsilon", "1e-200"),
     ("conjecture", "--n", "5", "--epsilon", "0"),
     ("conjecture", "--n", "501"),
     ("lambda-profile", "--n", "3", "--epsilon", "0"),
 ], ids=["path-5-huge-eps", "path-6-huge-eps", "path-8-huge-eps",
-        "path-15-k5-huge-eps", "conjecture-zero-eps", "conjecture-n-501",
+        "path-15-k5-huge-eps", "path-6-tiny-eps", "conjecture-zero-eps", "conjecture-n-501",
         "lambda-profile-zero-eps"])
 def test_cli_path_suite_parameter_errors_exit_2(args):
     r = run_cli(*args)

@@ -1,9 +1,13 @@
+import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from spectral_kcenter import (AssumptionError, ParameterError,
+from spectral_kcenter import (AssumptionError, MetricParams, NumericError,
+                              ParameterError, mplse_score, path_theory,
                               charpoly_eps_slices_1port,
                               charpoly_eps_slices_2port, end_segment_charpoly,
                               lambda_min_quadratic_1port,
@@ -13,7 +17,7 @@ from spectral_kcenter import (AssumptionError, ParameterError,
                               perturbed_charpoly_2port, perturbed_laplacian,
                               pseudo_toeplitz_lambda_min, root_series_double,
                               root_series_single, sym_eigen)
-from spectral_kcenter.path_theory import lambda_min_series_positions
+from spectral_kcenter.path_theory import lambda_min_series_positions, path_lambda_min
 
 from conftest import exact_lambda_min, nearest_real_root
 
@@ -215,6 +219,98 @@ def test_pseudo_toeplitz_values():
     v10 = sym_eigen(L10).values[0]
     assert abs(v5 - v10) <= 1e-10
     assert abs(v5 - pseudo_toeplitz_lambda_min(5)) <= 1e-10
+
+
+def certified_width(n, eps):
+    # path_lambda_min's delta = 2 n ulp (4 + eps), 4 + eps bounding the norm
+    return 2 * n * np.finfo(float).eps * (4 + eps)
+
+
+def port_sets(n, k):
+    return np.array(list(itertools.combinations(range(1, n + 1), k)))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.01, 1.0, 30.0])
+def test_path_lambda_min_matches_dense_solves(eps):
+    # every port set with k = 1..3 up to n = 20, and about 40 sets spread
+    # over each k above (all 112,745 sets to n = 40 take ~13 s per eps)
+    for n in range(3, 41):
+        g = path_graph(n)
+        for k in range(1, min(3, n - 1) + 1):
+            S = port_sets(n, k)
+            if n > 20:
+                S = S[::len(S) // 40 or 1]
+            got = path_lambda_min(n, S, eps)
+            want = mplse_score(g, S, MetricParams(epsilon=eps))
+            assert np.abs(got - want).max() <= certified_width(n, eps), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (14, 2), (22, 3), (38, 2)])
+def test_path_lambda_min_is_bitwise_alone_and_in_any_order(n, k):
+    S = port_sets(n, k)[:100]
+    for eps in (1e-4, 30.0):
+        stacked = path_lambda_min(n, S, eps)
+        alone = np.array([path_lambda_min(n, S[i:i + 1], eps)[0] for i in range(len(S))])
+        assert stacked.tobytes() == alone.tobytes()
+        assert path_lambda_min(n, S[::-1], eps).tobytes() == stacked[::-1].tobytes()
+
+
+@pytest.mark.parametrize("shift", [2.0, -2.0])
+def test_path_lambda_min_rejects_a_value_moved_by_two_widths(monkeypatch, shift):
+    # negative control: the Sturm counts catch one set's value moved up or
+    # down by 2 delta, while the unmoved value passes
+    n, eps = 14, 0.01
+    S = port_sets(n, 2)
+    newton = path_theory._newton_from_zero
+
+    def moved(d, delta, max_steps):
+        x = newton(d, delta, max_steps)
+        x[17] += shift * delta
+        return x
+
+    path_lambda_min(n, S, eps)
+    monkeypatch.setattr(path_theory, "_newton_from_zero", moved)
+    with pytest.raises(NumericError, match=re.escape(f"ports {S[17].tolist()} ") + ".* not certified"):
+        path_lambda_min(n, S, eps)
+
+
+def test_path_lambda_min_step_cap_is_a_numeric_error():
+    # Newton from 0 needs several steps on P_14 with one port; a cap of two
+    # passes raises instead of returning an unsettled value
+    d = np.full((14, 1), 2.0)
+    d[[0, -1]] = 1.0
+    d[6] += 0.01
+    delta = certified_width(14, 0.01)
+    x = path_theory._newton_from_zero(d, delta, 100)
+    assert x[0] == path_lambda_min(14, [(7,)], 0.01)[0]
+    with pytest.raises(NumericError, match="did not settle within 2 steps"):
+        path_theory._newton_from_zero(d, delta, 2)
+
+
+def test_path_lambda_min_warns_nothing():
+    # a zero pivot becomes -pivmin in the counts: at y = 1 the leading 1 x 1
+    # block of L(P_4) pivots to exactly 0, and 2 of its eigenvalues
+    # (0 and 2 - sqrt 2) lie below 1; eps = 1e-300 leaves L(P_n) itself,
+    # whose zero eigenvalue Newton meets with a zero pivot at x = 0
+    d = np.array([[1.0], [2.0], [2.0], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert path_theory._sturm_counts(d, np.array([1.0])).tolist() == [2]
+        for eps in (1e-300, 1e-4, 30.0, 1e100, 1e308):
+            for n in (2, 3, 40):
+                values = path_lambda_min(n, port_sets(n, 1), eps)
+                assert np.isfinite(values).all() and (values >= 0).all()
+
+
+def test_path_lambda_min_checks_its_arguments():
+    with pytest.raises(ParameterError):
+        path_lambda_min(1, [(1,)], 0.01)
+    with pytest.raises(ParameterError):
+        path_lambda_min(5, [(1, 6)], 0.01)
+    with pytest.raises(ParameterError):
+        path_lambda_min(5, [(2, 2)], 0.01)
+    with pytest.raises(ParameterError):
+        path_lambda_min(5, [(1,)], 0.0)
 
 
 def test_perturbed_charpoly_1port_unperturbed_case():
