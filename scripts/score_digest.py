@@ -36,7 +36,9 @@ The target ``path`` hashes every ``path_theory_checks`` result (id, flag,
 residual as float64 bytes and detail) for n = 3..40 and the k-port cases
 (9, 3) and (15, 5), then every ``conjecture_probe`` report for odd
 n = 5..19, the cases of the path-oracle benchmark. A second line follows:
-the matrices ``sym_eigen`` solves over the path cases and over the probes.
+the matrices ``sym_eigen`` solves over the path cases and over the probes,
+then the stacks it splits between two threads over each (none on a process
+allowed one CPU).
 
 The target ``oracle`` hashes, as float64 bytes, the outputs of the path
 oracle's closed forms for n = 2..40 and eps in ORACLE_EPS, at every port
@@ -81,7 +83,7 @@ from spectral_kcenter.errors import NumericError
 from spectral_kcenter.experiments import (_row_instance, conjecture_probe,
                                           path_theory_checks)
 from spectral_kcenter.graphs import path_graph, random_connected_graph, random_tree
-from spectral_kcenter import experiments, metrics
+from spectral_kcenter import experiments, metrics, spectral
 from spectral_kcenter.metrics import Metric, MetricParams, select_best
 from spectral_kcenter.path_theory import convexity_series_gap
 
@@ -184,21 +186,30 @@ def select_digest(graphs) -> tuple[str, int, int, dict]:
     return h.hexdigest(), selections, errors, counts
 
 
-def path_digest() -> tuple[str, int, int, dict]:
+def path_digest() -> tuple[str, int, int, dict, dict]:
     """The digest, the number of check results, the number of probes, and
-    the matrices ``sym_eigen`` solves over the path cases and the probes."""
+    the matrices ``sym_eigen`` solves and the stacks it splits, each over
+    the path cases and the probes."""
     h = hashlib.sha256()
     checks = 0
     solved = {"cases": 0, "probes": 0}
+    split = {"cases": 0, "probes": 0}
     part = "cases"
     sym_eigen = experiments.sym_eigen
+    splits = spectral._splits
 
     def counted(A):
         solved[part] += int(np.prod(np.shape(A)[:-2]))
         return sym_eigen(A)
 
+    def counted_split(A):
+        splitting = splits(A)
+        split[part] += splitting
+        return splitting
+
     with mock.patch.object(metrics, "sym_eigen", counted), \
-            mock.patch.object(experiments, "sym_eigen", counted):
+            mock.patch.object(experiments, "sym_eigen", counted), \
+            mock.patch.object(spectral, "_splits", counted_split):
         for n, k in PATH_CASES:
             h.update(f"path n={n} k={k}\n".encode())
             for c in path_theory_checks(n, k=k):
@@ -210,7 +221,7 @@ def path_digest() -> tuple[str, int, int, dict]:
         for n in PROBE_ORDERS:
             # JSON writes each float by its shortest exact repr
             h.update(f"probe {json.dumps(conjecture_probe(n), sort_keys=True)}\n".encode())
-    return h.hexdigest(), checks, len(PROBE_ORDERS), solved
+    return h.hexdigest(), checks, len(PROBE_ORDERS), solved, split
 
 
 def _floats(value) -> np.ndarray:
@@ -312,10 +323,12 @@ def main():
     graphs = None
     for target in args.targets:
         if target == "path":
-            digest, checks, probes, solved = path_digest()
+            digest, checks, probes, solved, split = path_digest()
             print(f"path {digest} checks={checks} probes={probes}")
             print("path matrices sym_eigen solves: "
-                  + " ".join(f"{part}={count}" for part, count in solved.items()))
+                  + " ".join(f"{part}={count}" for part, count in solved.items())
+                  + "; stacks it splits: "
+                  + " ".join(f"{part}={count}" for part, count in split.items()))
             continue
         if target == "oracle":
             digest, outputs = oracle_digest()

@@ -273,7 +273,8 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
     if metric is Metric.ARE:
         def bound():
             half, of = n / 2, are_bounder(L, params.rho)
-            return _Bound(lambda S: half + of(S), stack_rows(n, _BOUND_ENTRIES), half=half)
+            return _Bound(lambda S: half + of(S), stack_rows(n, _BOUND_ENTRIES),
+                          lambda x: ARE_SKIP_MARGIN * (x - half))
         # one pencil template per batch, one QZ solve per port set in order
         return _Plan(lambda S: are_charging_energy(L, S, params.rho), bound, math.inf)
     if metric is Metric.GRAMIAN:
@@ -281,7 +282,7 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
             B = incidence(g)
             of, score_error = gramian_bounder(L, k, B)
             return _Bound(of, stack_rows(GRAMIAN_SHIFTS * (n + B.shape[1]), _BOUND_ENTRIES),
-                          2 * score_error)
+                          _tie_margin(2 * score_error))
         # one stacked Lyapunov solve per batch
         return _Plan(lambda S: gramian_extraction_energy(L, S), bound, n)
 
@@ -330,7 +331,7 @@ def _plan(g: Graph, k: int, metric: Metric, params: MetricParams,
             return 1.0 + eps - (tau * edge + eps * yy.sum(axis=1)) / total
 
         return _Bound(of, stack_rows(n + B.shape[1], _BOUND_ENTRIES),
-                      2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm))
+                      _tie_margin(2 * EIGEN_RESIDUAL_FACTOR * (1.0 + norm)))
     return _Plan(score, bound, n - k if metric is Metric.MSUB_LE else n)
 
 
@@ -415,20 +416,19 @@ class _Bound(NamedTuple):
     scores better than its bound, so it is a lower bound on a minimized
     score and an upper bound on a maximized one. ``rows`` is how many sets
     one call of ``of`` takes. ``margin`` maps a score, or an array of them,
-    to the tie band there plus ``slack``, twice the largest error of a
-    computed score or bound; for ARE, where ``half`` is n/2, to
-    ARE_SKIP_MARGIN times the score less n/2 instead.
+    to how far a bound may lie beyond it and the set still be solved
+    (``_plan`` states each metric's).
     """
 
     of: Callable[[np.ndarray], np.ndarray]
     rows: int
-    slack: float = math.nan
-    half: Optional[float] = None
+    margin: Callable[[np.ndarray], np.ndarray]
 
-    def margin(self, x):
-        if self.half is not None:
-            return ARE_SKIP_MARGIN * (x - self.half)
-        return TIE_RTOL * np.maximum(1.0, np.abs(x)) + self.slack
+
+def _tie_margin(slack: float):
+    """The margin of a bound: the tie band at a score plus ``slack``,
+    twice the largest error of a computed score or bound."""
+    return lambda x: TIE_RTOL * np.maximum(1.0, np.abs(x)) + slack
 
 
 def _subset_bound(g: Graph, plan: _Plan) -> Optional[_Bound]:

@@ -126,7 +126,12 @@ def _centered_series(n: int, k: int, offsets_sq: int, eps: float) -> float:
     """The k-port series, k in {1, 2}, as a quadratic in the ports' offsets
     from their centers: k eps/n - eps^2 [(n^2 - k^2) + 12 k sum_i (j_i -
     p_i*)^2] / (12 n^2), given the sum of squared offsets."""
-    return k * eps / n - eps * eps * ((n * n - k * k) + 12.0 * k * offsets_sq) / (12.0 * n * n)
+    return k * eps / n - _second_order(n, k, offsets_sq, eps)
+
+
+def _second_order(n: int, k: int, offsets_sq: int, eps: float) -> float:
+    """The eps^2 term of ``_centered_series``, less its sign."""
+    return eps * eps * ((n * n - k * k) + 12.0 * k * offsets_sq) / (12.0 * n * n)
 
 
 @functools.lru_cache
@@ -162,8 +167,11 @@ def lambda_min_series_kport(n: int, ports: Sequence[int], eps: float) -> float:
 
 def convexity_series_gap(n: int, eps: float) -> float:
     """Series value of lambda*_min(2) - 2 lambda*_min(1), each optimum taken
-    at its (real-valued) centers: eps^2 (n^2+2)/(12 n^2)."""
-    return _centered_series(n, 2, 0, eps) - 2.0 * _centered_series(n, 1, 0, eps)
+    at its (real-valued) centers: eps^2 (n^2+2)/(12 n^2). The first-order
+    terms 2 eps/n cancel exactly, so the gap is formed from the second-order
+    terms alone; the difference of the two series would keep their
+    rounding, which outweighs the gap at small eps."""
+    return 2.0 * _second_order(n, 1, 0, eps) - _second_order(n, 2, 0, eps)
 
 
 def lambda_min_quadratic_1port(n: int, j: int, eps: float) -> float:

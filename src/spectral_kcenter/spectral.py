@@ -5,9 +5,9 @@ small Lyapunov/Riccati solves behind the control-theoretic scores.
 and solve it bitwise equal to solving each matrix alone: in one ``eigh``
 call, or, for an (m, n, n) stack with m n^3 >= _SPLIT_WORK on a process
 allowed two or more CPUs, in two ``eigh`` calls on its two halves at once,
-the second on the module's one worker thread. NumPy's ``eigh`` loops over a
-stack calling LAPACK once per matrix, so the halves' matrices get the very
-calls they get in one stack, and their bits. ``are_charging_energy`` and
+the second on a thread started for that call and done before it returns.
+NumPy's ``eigh`` loops over a stack calling LAPACK once per matrix, so the
+halves' matrices get the very calls they get in one stack, and their bits. ``are_charging_energy`` and
 ``gramian_extraction_energy`` score one
 port set or an (m, k) array of port sets: the Gramian as one stacked
 Lyapunov solve; ARE as a loop over the sets, each set's pencil copied from
@@ -29,9 +29,9 @@ NumPy's, so a process that never scores ARE never loads it.
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
-import threading
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -45,12 +45,13 @@ GRAMIAN_SHIFTS = 4  # r, the resolvents behind each Gramian bound
 _ULP = np.finfo(float).eps
 _SHIFT_STEPS = np.arange(GRAMIAN_SHIFTS) / (GRAMIAN_SHIFTS - 1)
 # an (m, n, n) stack of at least this m n^3 is solved in two halves at once:
-# the hand-off costs 100-300 us, so a split loses below about 0.4 ms of
-# serial work, and from this size (about 1 ms) it saves up to a third
-# (2-vCPU Xeon at 2.0 GHz, BLAS on one thread; CHANGES.md has the table)
+# the split costs 100-300 us (starting its thread about 40 us, the rest the
+# two halves' eigh calls slowing each other), so it loses below about 0.4 ms
+# of serial work; from this size (about 1 ms) it saved 13-38% in 24 of 25
+# cases with BLAS on one thread, and about nothing above order 25 with
+# OpenBLAS's default two threads (2-vCPU Xeon at 2.0 GHz; CHANGES.md has
+# the tables)
 _SPLIT_WORK = 2 ** 18
-_worker_lock = threading.Lock()
-_worker = None  # (pid, executor) of the one worker thread, made by the first split
 
 
 class EigenDecomposition(NamedTuple):
@@ -67,14 +68,15 @@ def sym_eigen(A: np.ndarray) -> EigenDecomposition:
 
     A stack is one ``eigh`` call, except an (m, n, n) stack with m >= 2 and
     m n^3 >= _SPLIT_WORK on a process allowed two or more CPUs: its first
-    half is solved on the calling thread while its second is solved on the
-    module's one worker thread (made by the first such stack, holding
-    nothing between calls), each half by one ``eigh`` call and its residual
-    products. ``eigh`` solves a stack one matrix at a time, so every pair
-    keeps its bits. The call waits for both halves, then joins them and
-    runs the checks below over the whole stack, so it raises what one call
-    would: a convergence failure in either half, or the residual error
-    naming the matrix furthest over its bound.
+    half is solved on the calling thread while its second is solved on a
+    thread started for this call, each half by one ``eigh`` call and its
+    residual products. ``eigh`` solves a stack one matrix at a time, so
+    every pair keeps its bits. The call waits for both halves, then joins
+    them and runs the checks below over the whole stack, so it raises what
+    one call would: a convergence failure in either half, or the residual
+    error naming the matrix furthest over its bound. Nothing of the split
+    outlives the call, so callers on many threads, and forked children,
+    each split on their own.
 
     Each A_i must be symmetric within 1e-12 and free of NaN (else
     ParameterError), and its pairs must satisfy ||A_i v - lam v|| <=
@@ -128,16 +130,30 @@ def _splits(A: np.ndarray) -> bool:
 
 def _solved_in_halves(A: np.ndarray, T: np.ndarray):
     """``_solved`` of an (m, n, n) stack, its first half on this thread
-    while the worker thread solves the second, joined; it returns or
-    raises only once the worker's half is done."""
+    while a thread started here solves the second, joined; it returns or
+    raises only once that thread's half is done, the first half's error
+    first."""
     h = (len(A) + 1) // 2
-    second = _worker_executor().submit(_solved, A[h:], T[h:])
+    second = []  # the second half's result or exception
+    done = _thread.allocate_lock()
+    done.acquire()
+
+    def solve_second():
+        try:
+            second.append(_solved(A[h:], T[h:]))
+        except BaseException as exc:  # raised again on the calling thread
+            second.append(exc)
+        finally:
+            done.release()
+
+    _thread.start_new_thread(solve_second, ())
     try:
         first = _solved(A[:h], T[:h])
-    except BaseException:
-        second.exception()  # waits for the worker's half
-        raise
-    return tuple(np.concatenate(pair) for pair in zip(first, second.result()))
+    finally:
+        done.acquire()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return tuple(np.concatenate(pair) for pair in zip(first, second[0]))
 
 
 def _cpus() -> int:
@@ -146,19 +162,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         return os.cpu_count() or 1
-
-
-def _worker_executor():
-    """The executor of the one worker thread, made on first use, and made
-    again in a forked child, which inherits the executor but not its thread."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sym_eigen")
-            _worker = (os.getpid(), executor)
-        return _worker[1]
 
 
 def _sq_norms(X: np.ndarray, out: str) -> np.ndarray:

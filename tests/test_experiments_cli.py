@@ -84,6 +84,16 @@ def test_path_theory_checks_reject_underflowing_tolerance(n, eps):
         path_theory_checks(n, eps=eps)
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-20])
+@pytest.mark.parametrize("n", [6, 10])
+def test_convexity_series_identity_holds_at_small_eps(n, eps):
+    # the gap's first-order terms k eps/n cancel; their rounding outweighed
+    # the eps^2 gap (residual 2.7e-8 at n = 6, eps = 1e-8, and 1.0 at 1e-20)
+    (check,) = [c for c in path_theory_checks(n, eps=eps)
+                if c.check_id == "convexity-series-identity"]
+    assert check.passed and check.residual <= 1e-14, check
+
+
 def _lambda_min(L, ports, eps):
     """One matrix, one dense solve: how the suite computes each one-port
     exact value."""
@@ -776,37 +786,43 @@ def test_only_are_loads_scipy():
 
 
 _THREAD_PROBE = """
-import json, os, sys, threading
+import _thread, json, os, sys, time
 import numpy as np
 from spectral_kcenter import Metric, path_graph, select_best, spectral
 from spectral_kcenter.experiments import run_comparison
+started = []
+start = _thread.start_new_thread
+_thread.start_new_thread = lambda *args: started.append(args) or start(*args)
 select_best(path_graph(11), 1, Metric.MPLSE)
-counts = ["concurrent.futures" in sys.modules]
-run_comparison(["tree:7"], 2, 0)  # its ARE selections load SciPy, which loads that
-counts.append(threading.active_count())
+counts = ["concurrent.futures" in sys.modules, len(started)]
+run_comparison(["tree:7"], 2, 0)
+counts.append(len(started))
 rng = np.random.default_rng(0)
 A = rng.standard_normal((11, 30, 30))
 A += np.swapaxes(A, -2, -1)
-affinity = os.sched_getaffinity
 os.sched_getaffinity = lambda pid: {0}
 spectral.sym_eigen(A)
-counts.append(threading.active_count())
+counts.append(len(started))
 os.sched_getaffinity = lambda pid: {0, 1}
 spectral.sym_eigen(A)
 spectral.sym_eigen(A)
-counts.append(threading.active_count())
+counts.append(len(started))
+deadline = time.monotonic() + 5  # a split's thread ends just after its half
+while _thread._count() and time.monotonic() < deadline:
+    time.sleep(0.001)
+counts.append(_thread._count())
 print(json.dumps(counts))
 """
 
 
 def test_small_work_starts_no_thread():
-    # the set-up selection (which does not even import concurrent.futures)
-    # and a comparison row stay below the split, and a large stack on one
-    # CPU does too; on two CPUs the first large stack starts the one worker
+    # the set-up selection (which does not import concurrent.futures) and a
+    # comparison row stay below the split, and a large stack on one CPU does
+    # too; on two CPUs each large stack starts one thread, and none is left
     r = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
                        text=True, env={**os.environ, "PYTHONPATH": CLI_PATH})
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == [False, 1, 1, 2]
+    assert json.loads(r.stdout) == [False, 0, 0, 0, 2, 0]
 
 
 def _readme_commands():

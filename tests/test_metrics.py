@@ -853,8 +853,11 @@ def test_tau_is_resolved_once_per_selection_with_z_only(monkeypatch):
 
 @pytest.mark.parametrize("metric", [Metric.MSUB_LE, Metric.MSUP_LE])
 def test_bound_slack_takes_the_norm_of_the_shared_z(metric):
-    # the bound takes ||Z||_F from the step the scorer uses; its slack keeps
-    # the bits of rebuilding Z = I - tau L for the norm
+    # the bound takes ||Z||_F from the step the scorer uses; its margin, the
+    # tie band plus the slack, keeps the bits of rebuilding Z = I - tau L for
+    # the norm (the band at these scores changes the margin's bits with each
+    # ulp of the slack of every case here)
+    scores = np.array([0.0, 1.25, 1.5, 1.75, 2.0, 3.0])
     for g in ARE_CORPUS:
         L = laplacian(g)
         for params in (MetricParams(), MetricParams(epsilon=1e-4, tau=0.05)):
@@ -864,7 +867,8 @@ def test_bound_slack_takes_the_norm_of_the_shared_z(metric):
                 norm += params.epsilon * math.sqrt(k) if metric is Metric.MSUP_LE else 0.0
                 slack = 2 * spectral.EIGEN_RESIDUAL_FACTOR * (1.0 + norm)
                 bound = _bound(g, k, metric, params)
-                assert np.float64(bound.slack).tobytes() == np.float64(slack).tobytes()
+                margin = metrics.TIE_RTOL * np.maximum(1.0, scores) + slack
+                assert bound.margin(scores).tobytes() == margin.tobytes()
 
 
 @pytest.mark.parametrize("keep_table", [False, True])

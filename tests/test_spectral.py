@@ -1,3 +1,4 @@
+import _thread
 import itertools
 import math
 import os
@@ -858,9 +859,10 @@ def _symmetric_stack(m, n, seed=0):
 
 def _eigh_calls(monkeypatch, change=None):
     """Patch np.linalg.eigh to record, as each call ends, its stack length
-    (0 for one matrix) and thread name; ``change(A, values, vectors)`` may
-    alter the pairs or raise."""
+    (0 for one matrix) and whether it ran on the thread that patched it;
+    ``change(A, values, vectors)`` may alter the pairs or raise."""
     eigh = np.linalg.eigh
+    caller = threading.get_ident()
     calls = []
 
     def recorded(A):
@@ -868,17 +870,17 @@ def _eigh_calls(monkeypatch, change=None):
             values, vectors = eigh(A)
             return change(A, values, vectors) if change else (values, vectors)
         finally:
-            calls.append((len(A) if A.ndim == 3 else 0, threading.current_thread().name))
+            calls.append((len(A) if A.ndim == 3 else 0, threading.get_ident() == caller))
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     return calls
 
 
 def _halves(m):
-    """The eigh calls of a split (m, n, n) stack: the first half on this
-    thread, the second on the worker."""
+    """The eigh calls of a split (m, n, n) stack: the first half on the
+    calling thread, the second off it."""
     h = (m + 1) // 2
-    return [(h, threading.current_thread().name), (m - h, "sym_eigen_0")]
+    return [(h, True), (m - h, False)]
 
 
 # m n^3 at, and just below, _SPLIT_WORK for n = 32
@@ -894,8 +896,7 @@ def test_split_stack_keeps_the_bits_of_one_by_one_solves(monkeypatch, m, n):
     split = m * n ** 3 >= spectral._SPLIT_WORK
     calls = _eigh_calls(monkeypatch)
     dec = sym_eigen(A)
-    assert sorted(calls) == (sorted(_halves(m)) if split
-                             else [(m, threading.current_thread().name)])
+    assert sorted(calls) == (sorted(_halves(m)) if split else [(m, True)])
     monkeypatch.undo()
     for i in range(m):
         values, vectors = np.linalg.eigh(A[i])
@@ -923,16 +924,14 @@ def test_split_lyapunov_stack_keeps_the_bits_of_one_by_one_solves(monkeypatch):
 
 def test_one_cpu_solves_a_large_stack_in_one_call(monkeypatch):
     # a process allowed one CPU makes one eigh call and starts no thread
-    def no_worker():
-        raise AssertionError("a worker was asked for")
+    def no_thread(*args):
+        raise AssertionError("a thread was started")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(spectral, "_worker_executor", no_worker)
-    threads = threading.active_count()
+    monkeypatch.setattr(_thread, "start_new_thread", no_thread)
     calls = _eigh_calls(monkeypatch)
     sym_eigen(_symmetric_stack(11, 30))
-    assert calls == [(11, threading.current_thread().name)]
-    assert threading.active_count() == threads
+    assert calls == [(11, True)]
     # without affinity masks, the count of CPUs, and 1 where that is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -965,12 +964,15 @@ def _serial_and_split_errors(monkeypatch, A, change):
     return out
 
 
-@pytest.mark.parametrize("bad", [2, 9], ids=["first-half", "worker-half"])
+@pytest.mark.parametrize("bad", [2, 9], ids=["first-half", "second-half"])
 def test_split_stack_raises_the_serial_convergence_error(monkeypatch, bad):
     # a LinAlgError in either half is the serial NumericError, raised once
-    # both halves are done; the worker is slowed so that an early return shows
+    # both halves are done; the second half is slowed so that an early
+    # return shows
+    caller = threading.get_ident()
+
     def change(M, values, vectors):
-        if threading.current_thread() is not threading.main_thread():
+        if threading.get_ident() != caller:
             time.sleep(0.05)
         if np.any(M[..., 0, 0] == _MARK):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -979,7 +981,7 @@ def test_split_stack_raises_the_serial_convergence_error(monkeypatch, bad):
     A = _marked_stack([bad])
     (serial, one), (split, two) = _serial_and_split_errors(monkeypatch, A, change)
     assert serial == split == "eigensolver failed to converge: Eigenvalues did not converge"
-    assert one == [(11, threading.current_thread().name)]
+    assert one == [(11, True)]
     assert two == sorted(_halves(11))
     monkeypatch.undo()
     _check_next_split_succeeds(monkeypatch, A)
@@ -1011,23 +1013,20 @@ def _check_next_split_succeeds(monkeypatch, A):
     assert dec.vectors.tobytes() == vectors.tobytes()
 
 
-def test_callers_on_many_threads_share_one_worker(monkeypatch):
-    # four callers racing for the first split make one worker between them,
-    # and every result keeps the bits of one eigh call
-    from concurrent import futures
+def _threads_return_to(count):
+    """Whether the number of running threads is back at ``count`` within
+    5 s: a split's thread ends just after handing back its half."""
+    deadline = time.monotonic() + 5
+    while _thread._count() != count and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return _thread._count() == count
 
-    made = []
 
-    class SlowToMake(futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            time.sleep(0.01)  # widens the window for a second caller to make one
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", SlowToMake)
+def test_callers_on_many_threads_each_split_on_their_own(monkeypatch):
+    # four callers splitting at once each keep the bits of one eigh call,
+    # and once they are done no thread that a split started is left
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
-    monkeypatch.setattr(spectral, "_worker", None)
-    before = set(threading.enumerate())
+    before = _thread._count()
     stacks = [_symmetric_stack(11, 30, seed) for seed in range(4)]
     expected = [np.linalg.eigh(A) for A in stacks]
     start = threading.Barrier(len(stacks))
@@ -1049,10 +1048,7 @@ def test_callers_on_many_threads_share_one_worker(monkeypatch):
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    workers = set(threading.enumerate()) - before
-    for executor in made:
-        executor.shutdown()
-    assert len(made) == len(workers) == 1
+    assert _threads_return_to(before)
     for (values, vectors), decs in zip(expected, got):
         assert len(decs) == 3
         for dec in decs:
@@ -1062,8 +1058,8 @@ def test_callers_on_many_threads_share_one_worker(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_makes_its_own_worker(monkeypatch):
-    # a child forked after a split inherits the executor but not its thread:
-    # its first split must make a worker of its own, not wait on that one
+    # a child forked after a split inherits no thread of it: its own split
+    # must start and finish its own, and leave none running
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     A = _symmetric_stack(11, 30)
     expected = sym_eigen(A).vectors.tobytes()
@@ -1071,7 +1067,9 @@ def test_a_forked_child_makes_its_own_worker(monkeypatch):
     if pid == 0:  # the child leaves through os._exit, whatever happens
         code = 1
         try:
+            before = _thread._count()
             code = 0 if sym_eigen(A).vectors.tobytes() == expected else 2
+            code = code or (0 if _threads_return_to(before) else 3)
         finally:
             os._exit(code)
     deadline = time.monotonic() + 20
