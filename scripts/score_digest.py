@@ -56,6 +56,18 @@ bytes and the bytes of every file it wrote there.
 
     PYTHONPATH=src python3 scripts/score_digest.py mplse msub msup eigvec are gramian \\
         select path oracle cli
+
+``diff PARENT_SRC CHANGE_SRC [metric ...]`` compares selections rather than
+bits. It runs the ``select`` target's cases, ``select_best(g, k, metric,
+params)`` without the table for every graph of the corpus, k and parameter
+set (only the metrics named, if any), under each ``src`` tree in a fresh
+interpreter, and prints one line per case whose best set, tie set or error
+differs: both sides' scores and their gap in tie tolerances, TIE_RTOL
+max(1, |a|, |b|). It prints nothing and exits 0 where no selection differs,
+and exits 1 otherwise. A change that moves scores by design but no
+selection shows an empty diff.
+
+    PYTHONPATH=src python3 scripts/score_digest.py diff PARENT/src src
 """
 
 import argparse
@@ -121,6 +133,22 @@ def corpus():
                      random_connected_graph(20, 0.4, SEED)]
 
 
+def corpus_labels() -> list[str]:
+    """A name for each graph of ``corpus()``, in its order."""
+    return ([f"{row} trial {t}" for row in ROWS for t in range(TRIALS)]
+            + ["path:20", f"tree:20 seed {SEED}", f"G(20, 0.4) seed {SEED}"])
+
+
+def select_cases(chosen=Metric):
+    """The ``select`` target's (metric, params) pairs: every metric at the
+    default parameters, then mplse, msub and msup at each of SELECT_PARAMS;
+    only those of the chosen metrics."""
+    retuned = (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE)
+    cases = ([(metric, MetricParams()) for metric in Metric]
+             + [(metric, params) for params in SELECT_PARAMS for metric in retuned])
+    return [(metric, params) for metric, params in cases if metric in chosen]
+
+
 def metric_digest(metric: Metric, graphs) -> tuple[str, int, int]:
     """The digest, the number of scores and the number of errors."""
     h = hashlib.sha256()
@@ -148,9 +176,6 @@ def select_digest(graphs) -> tuple[str, int, int, dict]:
     corpus."""
     h = hashlib.sha256()
     selections = errors = 0
-    spectral = (Metric.MPLSE, Metric.MSUB_LE, Metric.MSUP_LE)
-    cases = ([(metric, MetricParams()) for metric in Metric]
-             + [(metric, params) for params in SELECT_PARAMS for metric in spectral])
     counts = {}
     bound_then_solve = metrics._bound_then_solve
 
@@ -163,7 +188,7 @@ def select_digest(graphs) -> tuple[str, int, int, dict]:
         return kept, scores
 
     with mock.patch.object(metrics, "_bound_then_solve", counted):
-        for metric, params in cases:
+        for metric, params in select_cases():
             default = params == MetricParams()
             for g in graphs:
                 for k in K_LIST:
@@ -309,16 +334,96 @@ def cli_digest() -> tuple[str, int]:
     return h.hexdigest(), len(CLI_CASES)
 
 
+def print_selections(names) -> None:
+    """One JSON line per ``select`` case of the named metrics (all if none):
+    the case, then the best set, the tie set and the score of
+    ``select_best`` without the table, or the error it raised."""
+    cases = select_cases([Metric.parse(name) for name in names] or Metric)
+    graphs = list(zip(corpus_labels(), corpus()))
+    for metric, params in cases:
+        for label, g in graphs:
+            for k in K_LIST:
+                record = {"case": f"{label} k={k} {metric.value} eps={params.epsilon:g} "
+                                  f"tau={params.tau}",
+                          "best": None, "ties": None, "score": None, "error": None}
+                try:
+                    res = select_best(g, k, metric, params)
+                    record.update(best=res.best, ties=res.ties, score=res.score)
+                except NumericError as exc:
+                    record["error"] = f"{type(exc).__name__}: {exc}"
+                print(json.dumps(record))
+
+
+# a child that imports the package from its PYTHONPATH and prints the
+# selections of this script's cases
+_PRINT_SELECTIONS = ("import runpy, sys; "
+                     "runpy.run_path(sys.argv[1])['print_selections'](sys.argv[2:])")
+
+
+def selection_diff(parent_src: str, change_src: str, names) -> list[str]:
+    """One line per ``select`` case whose best set, tie set or error
+    differs between the package under the two ``src`` trees, each run in a
+    fresh interpreter (both at once)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(src, subprocess.Popen(
+            [sys.executable, "-c", _PRINT_SELECTIONS, str(Path(__file__).resolve()), *names],
+            cwd=tmp, env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            for src in (parent_src, change_src)]
+        sides = []
+        for src, run in runs:
+            out, err = run.communicate()
+            if run.returncode:
+                sys.exit(f"error: the selections under {src} failed:\n{err}")
+            sides.append([json.loads(line) for line in out.splitlines()])
+    parent, change = sides
+    assert [r["case"] for r in parent] == [r["case"] for r in change]
+    return [_diff_line(a, b) for a, b in zip(parent, change)
+            if (a["best"], a["ties"], a["error"]) != (b["best"], b["ties"], b["error"])]
+
+
+def _diff_line(a: dict, b: dict) -> str:
+    """A case's two selections, the sets in only one tie set, and the gap
+    of the two scores in tie tolerances."""
+    def side(r):
+        if r["error"] is not None:
+            return f"error {r['error']}"
+        return f"best={tuple(r['best'])} ties={len(r['ties'])} score={r['score']!r}"
+    line = f"{a['case']}: parent {side(a)}; change {side(b)}"
+    if a["ties"] is not None and b["ties"] is not None:
+        ties_a, ties_b = set(map(tuple, a["ties"])), set(map(tuple, b["ties"]))
+        line += (f"; only parent ties {sorted(ties_a - ties_b)}"
+                 f" only change ties {sorted(ties_b - ties_a)}")
+    if a["score"] is not None and b["score"] is not None:
+        tol = metrics.TIE_RTOL * max(1.0, abs(a["score"]), abs(b["score"]))
+        line += f"; gap {abs(a['score'] - b['score']) / tol:.3g} tie tolerances"
+    return line
+
+
 def _target(name: str):
     return name if name in ("select", "path", "oracle", "cli") else Metric.parse(name)
 
 
 def main():
+    if sys.argv[1:2] == ["diff"]:
+        ap = argparse.ArgumentParser(prog="score_digest.py diff",
+                                     description="the selections that differ between two trees")
+        ap.add_argument("parent_src")
+        ap.add_argument("change_src")
+        ap.add_argument("metrics", nargs="*", type=Metric.parse,
+                        help="metric names (" + ", ".join(m.value for m in Metric)
+                             + "); all if none")
+        args = ap.parse_args(sys.argv[2:])
+        lines = selection_diff(args.parent_src, args.change_src,
+                               [m.value for m in args.metrics])
+        print("\n".join(lines), end="\n" if lines else "")
+        sys.exit(1 if lines else 0)
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("targets", nargs="+", type=_target,
                     help="metric names (" + ", ".join(m.value for m in Metric)
-                         + "), select, path, oracle or cli")
+                         + "), select, path, oracle or cli; or diff PARENT_SRC "
+                         "CHANGE_SRC [metric ...]")
     args = ap.parse_args()
     graphs = None
     for target in args.targets:

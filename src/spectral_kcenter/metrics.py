@@ -439,9 +439,10 @@ def _subset_bound(g: Graph, plan: _Plan) -> Optional[_Bound]:
 
     This is the one guard of every bound: building it here and each call
     of its ``of`` (``_guarded``) run with floating-point warnings off; a
-    factor that fails (LinAlgError) gives no bound, so every set is scored,
-    and a per-set solve that fails NaN for its stack. A bound that is not
-    finite proves nothing, so every set is scored (``_bound_then_solve``).
+    factor that fails (LinAlgError) or an eigensolve that fails its checks
+    (NumericError) gives no bound, so every set is scored, and a per-set
+    solve that fails NaN for its stack. A bound that is not finite proves
+    nothing, so every set is scored (``_bound_then_solve``).
     Building or evaluating a bound never raises and never warns.
     """
     if plan.bound is None or not g.is_connected():
@@ -449,7 +450,7 @@ def _subset_bound(g: Graph, plan: _Plan) -> Optional[_Bound]:
     with np.errstate(all="ignore"):
         try:
             bound = plan.bound()
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, NumericError):
             return None
     return bound._replace(of=_guarded(bound.of))
 

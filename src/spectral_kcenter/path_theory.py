@@ -20,7 +20,6 @@ argument is checked by ``spectral``'s ``check_index``, ``check_ports`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -134,29 +133,24 @@ def _second_order(n: int, k: int, offsets_sq: int, eps: float) -> float:
     return eps * eps * ((n * n - k * k) + 12.0 * k * offsets_sq) / (12.0 * n * n)
 
 
-@functools.lru_cache
-def _series_weights(n: int) -> tuple[tuple[float, float], ...]:
-    """(theta_j, sin^2(theta_j / 2) sum_q cos^2(theta_j (q - 1/2))) for
-    j = 2..n: the port-independent part of the series, once per n."""
-    weights = []
-    for j in range(2, n + 1):
-        theta = math.pi * (j - 1) / n
-        den = (math.sin(0.5 * theta) ** 2
-               * sum(math.cos(theta * (q - 0.5)) ** 2 for q in range(1, n + 1)))
-        weights.append((theta, den))
-    return tuple(weights)
-
-
 def lambda_min_series_positions(n: int, positions: Sequence[float], eps: float) -> float:
     """Second-order series of the smallest perturbed eigenvalue, allowing
-    real-valued port positions (used by the continuous-p profile)."""
+    real-valued port positions (used by the continuous-p profile), in
+    closed form:
+
+        k eps/n - eps^2/(2 n^2) sum_(j=2..n) c_j^2 / sin^2(theta_j / 2),
+
+    theta_j = pi (j - 1)/n, c_j = sum_p cos(theta_j (p - 1/2)). This is
+    k eps/n - eps^2 1_S' L^+ 1_S / n = k eps/n - eps^2/(4n) sum_j c_j^2 / w_j
+    over the path eigenpairs (``path_eigenpair``): c_j = v_j' 1_S and the
+    weight w_j = lambda_j ||v_j||^2 / 4 = sin^2(theta_j / 2) n/2, as
+    ||v_j||^2 = n/2 for every j >= 2.
+    """
     check_index("n", n, 2)
-    k = len(positions)
-    total = 0.0
-    for theta, den in _series_weights(n):
-        num = sum(math.cos(theta * (p - 0.5)) for p in positions) ** 2
-        total += num / den
-    return k * eps / n - eps * eps / (4.0 * n) * total
+    theta = np.pi * np.arange(1, n) / n
+    c = np.cos(np.outer(theta, np.subtract(positions, 0.5))).sum(axis=1)
+    total = float(np.sum(c * c / np.sin(0.5 * theta) ** 2))
+    return len(positions) * eps / n - eps * eps / (2.0 * n * n) * total
 
 
 def lambda_min_series_kport(n: int, ports: Sequence[int], eps: float) -> float:

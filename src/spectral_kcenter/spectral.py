@@ -643,17 +643,18 @@ def gramian_bounder(L: np.ndarray, k: int,
                     B: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """A proven upper bound on ``gramian_extraction_energy(L, S)`` for port
     sets S of size k, from GRAMIAN_SHIFTS = r resolvent solves and no
-    Lyapunov solve, with the ``eigh`` of L, the shifts and the resolvents
-    computed here, once per selection; returns ``(of, score_error)``. ``of``
-    maps an (m, k) int array of port sets, which it trusts to be valid and to
-    leave at least one node, to their m bounds. ``score_error`` bounds the
-    error of every score that ``gramian_extraction_energy`` returns for such
-    a set. L must be the Laplacian of a connected unweighted graph with
-    n >= 2, as ``laplacian(g)`` builds it, and B its signed incidence
-    matrix, n x |E| with B B' = L, each edge once (``graphs.incidence``):
-    the edge sums below count each edge once with weight 1, and the proofs
-    need L1 = 0 and lambda_2 > 0. A factor or solve that fails raises
-    LinAlgError.
+    Lyapunov solve, with the ``sym_eigen`` of L, the shifts and the
+    resolvents computed here, once per selection; returns ``(of,
+    score_error)``. ``of`` maps an (m, k) int array of port sets, which it
+    trusts to be valid and to leave at least one node, to their m bounds.
+    ``score_error`` bounds the error of every score that
+    ``gramian_extraction_energy`` returns for such a set. L must be the
+    Laplacian of a connected unweighted graph with n >= 2, as
+    ``laplacian(g)`` builds it, and B its signed incidence matrix, n x |E|
+    with B B' = L, each edge once (``graphs.incidence``): the edge sums
+    below count each edge once with weight 1, and the proofs need L1 = 0
+    and lambda_2 > 0. A factor or solve that fails raises LinAlgError, and
+    an eigensolve of L that fails its checks NumericError.
 
     With M = L + E_S, 1'Q1 = n/2 - D(S) (see ``gramian_extraction_energy``),
     and for shifts a_1..a_r > 0
@@ -667,9 +668,9 @@ def gramian_bounder(L: np.ndarray, k: int,
     (c'b)^2 <= D(S) c'Hc.
 
     Computed. The shifts are geometric from k/(4n) to max(4k/n, lambda_n).
-    K_i = (L + a_i I)^(-1) comes from one ``eigh`` of L, and since L1 = 0,
-    Woodbury gives z_i = (1 - K_i[:, S] (I + K_i[S, S])^(-1) 1_k) / a_i
-    (``resolvent_ones``), with the k x k systems of every set and shift of a
+    K_i = (L + a_i I)^(-1) comes from one ``sym_eigen`` of L, and since
+    L1 = 0, Woodbury gives z_i = (1 - K_i[:, S] (I + K_i[S, S])^(-1) 1_k) /
+    a_i (``resolvent_ones``), with the k x k systems of every set and shift of a
     stack solved together. c solves H c = b by elimination without pivoting
     over the stack (``_definite_solve``): H is the Schur product of the Gram
     matrix of the z_i in the L seminorm, whose diagonal b is positive, and
@@ -703,11 +704,11 @@ def gramian_bounder(L: np.ndarray, k: int,
     to 1 - 1/n). So mu is at least the root of that majorant, the smaller
     root mu_0 of n mu^2 - n (lambda_2 + 1) mu + lambda_2 = 0, for every j
     and every S. lambda_2 is taken less EIGEN_RESIDUAL_FACTOR (1 + ||L||_F),
-    far more than ``eigh``'s error, and where no positive lambda_2 is left
-    the error is infinite.
+    far more than the error of an ``eigh`` that passes ``sym_eigen``'s
+    checks, and where no positive lambda_2 is left the error is infinite.
     """
     n = L.shape[0]
-    lam, V = np.linalg.eigh(L)
+    lam, V = sym_eigen(L)
     lo = k / (4 * n)
     a = lo * (max(4 * k / n, lam[-1]) / lo) ** _SHIFT_STEPS
     K = (V / (lam + a[:, None, None])) @ V.T  # (r, n, n)

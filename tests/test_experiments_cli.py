@@ -20,7 +20,6 @@ from spectral_kcenter.graphs import laplacian, serialize_edge_list, path_graph
 from spectral_kcenter.metrics import MetricParams, perturbed_laplacian, select_best
 from spectral_kcenter.path_theory import (lambda_min_quadratic_1port,
                                           lambda_min_quadratic_2port,
-                                          lambda_min_series_positions,
                                           path_lambda_min,
                                           pseudo_toeplitz_lambda_min)
 from spectral_kcenter.spectral import sym_eigen
@@ -187,23 +186,6 @@ def test_path_theory_checks_solve_fewer_matrices_than_the_two_port_table(monkeyp
         monkeypatch.setattr(module, "sym_eigen", counting)
     path_theory_checks(38)
     assert sum(solved) < 38
-
-
-def test_series_positions_equal_inline_formula():
-    # the cached port-independent weights give the inline formula's bits
-    eps = 0.01
-    for n in range(2, 61):
-        for positions in ((1.0,), (n / 3.0,), (1.5, n - 0.25), (1, 2, n)):
-            total = 0.0
-            for j in range(2, n + 1):
-                theta = math.pi * (j - 1) / n
-                num = sum(math.cos(theta * (p - 0.5)) for p in positions) ** 2
-                den = (math.sin(0.5 * theta) ** 2
-                       * sum(math.cos(theta * (q - 0.5)) ** 2
-                             for q in range(1, n + 1)))
-                total += num / den
-            expected = len(positions) * eps / n - eps * eps / (4.0 * n) * total
-            assert lambda_min_series_positions(n, positions, eps) == expected, (n, positions)
 
 
 def test_path_theory_check_ids_present():

@@ -1,8 +1,10 @@
 import collections
 import contextlib
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from spectral_kcenter import (DegenerateEigenvalueError, Graph, Metric,
                               perturbed_laplacian, random_connected_graph,
                               random_tree, relabel, select_best, stochastic,
                               sym_eigen)
+import spectral_kcenter
 from spectral_kcenter import metrics, spectral
 from spectral_kcenter.experiments import _row_instance, path_theory_checks, run_comparison
 from spectral_kcenter.spectral import DEFAULT_RHO, are_bounder
@@ -730,14 +733,16 @@ def _nan_bounds(monkeypatch):
 FAILED_BOUNDS = ([pytest.param(Metric.MSUP_LE, 1e-300, None, id="msup-factor")]
                  + [pytest.param(m, 1e-2, fault, id=f"{m.value}-{fault}")
                     for fault in ("nan", "solve") for m in SKIP_METRICS + (Metric.ARE,)]
-                 + [pytest.param(Metric.ARE, 1e-2, "inv", id="are-factor")])
+                 + [pytest.param(Metric.ARE, 1e-2, "inv", id="are-factor"),
+                    pytest.param(Metric.GRAMIAN, 1e-2, "eigen", id="gramian-eigen")])
 
 
 @pytest.mark.parametrize("metric, eps, fault", FAILED_BOUNDS)
 def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd, metric,
                                                              eps, fault):
     # bounds that are not finite, or whose factor or solve fails
-    # (LinAlgError), prove nothing: the selection scores every set,
+    # (LinAlgError), or whose eigensolve of L fails sym_eigen's residual
+    # check (NumericError), prove nothing: the selection scores every set,
     # silently, as the full table does
     g, params = path_graph(12), MetricParams(epsilon=eps)
     S = np.array(list(itertools.combinations(range(1, 13), 2)))
@@ -757,12 +762,26 @@ def test_spectral_skip_scores_every_set_where_the_bound_fails(monkeypatch, capfd
         monkeypatch.setattr(spectral, "resolvent_ones", fail)
     elif fault == "inv":
         monkeypatch.setattr(np.linalg, "inv", fail)
+    elif fault == "eigen":
+        build = metrics.gramian_bounder
+
+        def unchecked(*args):
+            # a residual tolerance no eigh meets, inside the build only
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(spectral, "EIGEN_RESIDUAL_FACTOR", 1e-30)
+                try:
+                    return build(*args)
+                except NumericError as exc:
+                    failed.append(exc)
+                    raise
+
+        monkeypatch.setattr(metrics, "gramian_bounder", unchecked)
     bound = _bound(g, 2, metric, params)
-    if fault in (None, "inv"):  # a factor failed: no bound
+    if fault in (None, "inv", "eigen"):  # a factor failed: no bound
         assert bound is None
     else:
         assert np.isnan(bound.of(S)).all()
-    assert bool(failed) == (fault in ("solve", "inv"))
+    assert bool(failed) == (fault in ("solve", "inv", "eigen"))
     seen = _recording_solves(monkeypatch, metric)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -820,6 +839,17 @@ def test_nothing_outlives_a_selection(monkeypatch):
             run()
             made.append(dict(counts))
         assert made[0] == made[1] and made[0], (run, made)
+
+
+def test_no_function_keeps_a_cache():
+    # no state outlives a call: no module of the package holds a memoized
+    # function (functools.lru_cache or cache), at module level or on a class
+    for info in pkgutil.iter_modules(spectral_kcenter.__path__):
+        module = importlib.import_module(f"spectral_kcenter.{info.name}")
+        for name, obj in vars(module).items():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for f in (obj, *members):
+                assert not hasattr(f, "cache_info"), (info.name, name)
 
 
 def test_tau_is_resolved_once_per_selection_with_z_only(monkeypatch):

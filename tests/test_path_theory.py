@@ -19,7 +19,7 @@ from spectral_kcenter import (AssumptionError, MetricParams, NumericError,
                               root_series_single, sym_eigen)
 from spectral_kcenter.path_theory import lambda_min_series_positions, path_lambda_min
 
-from conftest import exact_lambda_min, nearest_real_root
+from conftest import exact_lambda_min, lambda_min_taylor, nearest_real_root
 
 
 def bump_diagonal(M, ports, eps):
@@ -175,6 +175,46 @@ def test_continuous_position_is_local_minimum_at_center():
     second_diff = f(6 + h) - 2 * f(6.0) + f(6 - h)
     assert second_diff > 0
     assert math.isclose(f(1.0), f(11.0), rel_tol=1e-12)
+
+
+def test_series_matches_the_pseudoinverse_at_every_port_and_pair():
+    # an independent oracle: k eps/n - eps^2 1_S' L^+ 1_S / n, the first two
+    # Taylor coefficients of lambda_min(L + eps E_S) from one eigh of L
+    for n in range(2, 41):
+        sets = [(p,) for p in range(1, n + 1)] + list(itertools.combinations(range(1, n + 1), 2))
+        a1, a2, _ = lambda_min_taylor(laplacian(path_graph(n)), sets).T
+        for eps in (1e-4, 1e-2, 1.0):
+            got = np.array([lambda_min_series_kport(n, S, eps) for S in sets])
+            # the rounding of k/n and of C2 = 1_S' L^+ 1_S / n
+            worst = np.abs(got - (a1 * eps + a2 * eps * eps)).max()
+            assert worst <= 1e-13 * eps + 1e-12 * eps ** 2, (n, eps, worst)
+
+
+def _summed_series(n, positions, eps):
+    """The series summed term by term over the path eigenpairs, each
+    weight sin^2(theta_j / 2) ||v_j||^2 with the norm summed too."""
+    total = 0.0
+    for j in range(2, n + 1):
+        theta = math.pi * (j - 1) / n
+        den = (math.sin(0.5 * theta) ** 2
+               * sum(math.cos(theta * (q - 0.5)) ** 2 for q in range(1, n + 1)))
+        num = sum(math.cos(theta * (p - 0.5)) for p in positions) ** 2
+        total += num / den
+    return len(positions) * eps / n - eps * eps / (4.0 * n) * total
+
+
+def test_series_at_real_positions_matches_the_term_by_term_sum():
+    for n in (2, 3, 8, 11, 40):
+        grid = np.arange(1.0, n + 1e-9, 0.05)
+        positions = [(p,) for p in grid] + [(p, n + 1 - p) for p in grid[: len(grid) // 2]]
+        for eps in (1e-4, 1.0):
+            worst = max(abs(lambda_min_series_positions(n, P, eps) - _summed_series(n, P, eps))
+                        for P in positions)
+            assert worst <= 1e-12 * eps ** 2, (n, eps, worst)
+    for n in range(2, 61):
+        for P in ((1.0,), (n / 3.0,), (1.5, n - 0.25), (1, 2, n)):
+            worst = abs(lambda_min_series_positions(n, P, 0.01) - _summed_series(n, P, 0.01))
+            assert worst <= 1e-12 * 0.01 ** 2, (n, P, worst)
 
 
 def test_series_error_is_cubic_for_all_small_odd_orders():

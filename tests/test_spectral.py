@@ -50,6 +50,22 @@ def test_sym_eigen_rejects_nonsymmetric():
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_sym_eigen_rejects_small_asymmetry():
+    # a matrix 1e-10 from symmetric is rejected alone and inside a stack;
+    # one 1e-13 from symmetric, within the check's 1e-12, is still solved
+    L = laplacian(path_graph(5))
+    for off, rejected in ((1e-10, True), (1e-13, False)):
+        A = L.copy()
+        A[1, 2] += off
+        stack = np.stack([L, A, L])
+        for M in (A, stack):
+            if rejected:
+                with pytest.raises(ParameterError, match="not symmetric"):
+                    sym_eigen(M)
+            else:
+                assert np.allclose(sym_eigen(M).values[..., 1], 2 - 2 * math.cos(math.pi / 5))
+
+
 def test_sym_eigen_rejects_nan():
     with pytest.raises(ParameterError):
         sym_eigen(np.array([[math.nan, 0.0], [0.0, 1.0]]))
